@@ -197,6 +197,9 @@ def cmd_simulate_decay(args: argparse.Namespace) -> int:
         "out": None,
     }
     opts = _merged(args, defaults)
+    threads = int(opts["threads"])
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     config = RopeConfig(dim=int(opts["dim"]), theta_base=float(opts["theta"]))
     mu = _parse_mu(opts["mu"], config.dim)
     profile = decay_profile(
@@ -206,7 +209,7 @@ def cmd_simulate_decay(args: argparse.Namespace) -> int:
         samples=int(opts["samples"]),
         seed=int(opts["seed"]),
         config=config,
-        max_workers=int(opts["threads"]),
+        max_workers=threads,
     )
     csv = profile.to_csv()
     if opts["out"]:

@@ -7,8 +7,11 @@ separate so they can cross-check each other in tests:
 * a closed-form expectation under mean-shifted unit-covariance normals,
 * a seeded Monte Carlo estimate of that expectation.
 
-All randomness flows through numpy's counter-based Philox generator so
-profiles are reproducible bit for bit on a given platform.
+The Monte Carlo draws fixed 16384-sample chunks, chunk c from its own
+Philox substream keyed by word c of a SeedSequence, and evaluates every
+distance of a profile on the same chunks.  Profiles are reproducible bit
+for bit on a given platform, whatever the thread count, and a point is
+the same whichever other distances share its grid.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rope import RopeConfig, rope_frequencies
+from .rope import RopeConfig, apply_rope_many, rope_frequencies
 
 __all__ = [
     "AbelReport",
@@ -30,9 +33,9 @@ __all__ = [
     "decay_profile",
 ]
 
-# Samples per RNG draw inside monte_carlo_expected_dot.  Fixed (never
-# tunable) because changing it would reorder the Philox stream and break
-# bit-reproducibility of archived profiles.
+# Samples per Philox substream (one chunk).  Fixed (never tunable):
+# chunk boundaries decide which substream draws which sample, so changing
+# it would change every archived profile.
 _MC_CHUNK = 16384
 
 
@@ -157,54 +160,71 @@ def expected_dot_closed_form(mu_q, mu_k, m: int, config: RopeConfig) -> float:
     return float(np.sum(a * np.cos(angles) + b * np.sin(angles)))
 
 
+def _shared_sample_moments(
+    mu_q, mu_k, distances: list[int], samples: int, base: int, config: RopeConfig, max_workers: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and stderr of q . R_m k for each m in ``distances``, on shared samples.
+
+    R_m z_k has the law of z_k (isotropic noise), so a sample is
+    q . z_k + q . R_m mu_k with only the second term depending on m.  Each
+    distance is reduced on its own, and chunk moments merge in chunk order
+    (Chan's update), so neither the grid nor ``max_workers`` changes a value.
+    """
+    if samples < 2:
+        raise ValueError(f"samples must be at least 2, got {samples}")
+    mq = _check_mean(mu_q, config)
+    mk = _check_mean(mu_k, config)
+    rotated = apply_rope_many(np.tile(mk, (len(distances), 1)), distances, config)
+    n_chunks = -(-samples // _MC_CHUNK)
+    chunk_seeds = np.random.SeedSequence(base).generate_state(n_chunks, dtype=np.uint64)
+
+    def chunk(c: int) -> tuple[int, np.ndarray, np.ndarray]:
+        n = min(_MC_CHUNK, samples - c * _MC_CHUNK)
+        rng = np.random.Generator(np.random.Philox(int(chunk_seeds[c])))
+        q = mq + rng.standard_normal((n, config.dim))
+        m_free = np.einsum("ij,ij->i", q, rng.standard_normal((n, config.dim)))
+        mean, m2 = np.empty((2, len(distances)))
+        for i, r in enumerate(rotated):
+            # einsum, not BLAS: a BLAS matvec's bits vary with its thread count.
+            dots = m_free + np.einsum("ij,j->i", q, r)
+            mean[i] = dots.mean()
+            m2[i] = np.square(dots - mean[i]).sum()
+        return n, mean, m2
+
+    count, mean, m2 = 0, np.zeros(len(distances)), np.zeros(len(distances))
+    with concurrent.futures.ThreadPoolExecutor(max_workers=max_workers) as pool:
+        for lo in range(0, n_chunks, max_workers):  # at most max_workers chunks in flight
+            batch = range(lo, min(lo + max_workers, n_chunks))
+            for n, chunk_mean, chunk_m2 in pool.map(chunk, batch):
+                delta = chunk_mean - mean
+                mean = mean + delta * (n / (count + n))
+                m2 = m2 + chunk_m2 + delta * delta * (count * n / (count + n))
+                count += n
+    return mean, np.sqrt(m2 / (samples - 1)) / np.sqrt(samples)
+
+
 def monte_carlo_expected_dot(
     mu_q, mu_k, m: int, samples: int, seed: int, config: RopeConfig
 ) -> tuple[float, float]:
     """Sample mean and standard error of q . R_m k under shifted normals.
 
     Draws ``samples`` independent (q, k) pairs with identity covariance,
-    rotates k by m, and averages the inner products.  Deterministic for a
-    fixed seed.
+    chunk c from the Philox substream keyed by word c of
+    ``SeedSequence(seed)``.  Deterministic for a fixed seed.
     """
-    if samples < 2:
-        raise ValueError(f"samples must be at least 2, got {samples}")
-    mq = _check_mean(mu_q, config)
-    mk = _check_mean(mu_k, config)
-    angles = m * rope_frequencies(config)
-    cos = np.cos(angles)
-    sin = np.sin(angles)
-    rng = np.random.Generator(np.random.Philox(seed))
-    dots = np.empty(samples, dtype=np.float64)
-    done = 0
-    while done < samples:
-        n = min(_MC_CHUNK, samples - done)
-        qs = mq + rng.standard_normal((n, config.dim))
-        ks = mk + rng.standard_normal((n, config.dim))
-        kx = ks[:, 0::2]
-        ky = ks[:, 1::2]
-        rx = kx * cos - ky * sin
-        ry = kx * sin + ky * cos
-        dots[done : done + n] = np.sum(qs[:, 0::2] * rx + qs[:, 1::2] * ry, axis=1)
-        done += n
-    mean = float(np.mean(dots))
-    stderr = float(np.std(dots, ddof=1) / np.sqrt(samples))
-    return mean, stderr
+    mean, stderr = _shared_sample_moments(mu_q, mu_k, [int(m)], samples, seed, config, 1)
+    return float(mean[0]), float(stderr[0])
 
 
 def decay_profile(
-    mu_q,
-    mu_k,
-    distances,
-    samples: int,
-    seed: int,
-    config: RopeConfig,
-    max_workers: int = 1,
+    mu_q, mu_k, distances, samples: int, seed: int, config: RopeConfig, max_workers: int = 1
 ) -> DecayProfile:
     """Monte Carlo profile over a strictly increasing distance grid.
 
-    Each distance gets its own Philox stream, keyed by a sub-seed spawned
-    from ``seed`` by list position, so evaluations are independent and
-    may run on ``max_workers`` threads without changing the result.
+    Each chunk is drawn once and every distance is evaluated on it, so a
+    point equals ``monte_carlo_expected_dot`` seeded with word 0 of
+    ``SeedSequence(seed)``, whatever else is in the grid.  Chunks may run
+    on ``max_workers`` threads without changing the result.
     """
     dist = [int(d) for d in distances]
     if not dist:
@@ -213,19 +233,13 @@ def decay_profile(
         raise ValueError("distances must be non-negative")
     if any(b <= a for a, b in zip(dist, dist[1:])):
         raise ValueError("distances must be strictly increasing")
-    sub_seeds = np.random.SeedSequence(seed).generate_state(len(dist), dtype=np.uint64)
-
-    def run(i: int) -> tuple[float, float]:
-        return monte_carlo_expected_dot(mu_q, mu_k, dist[i], samples, int(sub_seeds[i]), config)
-
-    if max_workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(run, range(len(dist))))
-    else:
-        results = [run(i) for i in range(len(dist))]
+    if max_workers < 1:
+        raise ValueError(f"max_workers must be at least 1, got {max_workers}")
+    base = int(np.random.SeedSequence(seed).generate_state(1, dtype=np.uint64)[0])
+    mean, stderr = _shared_sample_moments(mu_q, mu_k, dist, samples, base, config, max_workers)
     return DecayProfile(
         distances=tuple(dist),
-        mean_dot=tuple(r[0] for r in results),
-        stderr=tuple(r[1] for r in results),
+        mean_dot=tuple(float(x) for x in mean),
+        stderr=tuple(float(x) for x in stderr),
         sample_count=int(samples),
     )

@@ -8,6 +8,7 @@ never as a dense matrix, so every operation is O(dim).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,14 +26,19 @@ __all__ = [
 class RopeConfig:
     """Head dimension and frequency base of a rotary embedding.
 
-    ``dim`` must be a positive even integer; ``theta_base`` must exceed 1
-    (common choices are 1e4 and 1e7).
+    ``dim`` must be a positive even integer (a Python or numpy integer,
+    stored as ``int``); ``theta_base`` must exceed 1 (common choices are
+    1e4 and 1e7).
     """
 
     dim: int
     theta_base: float = 10_000.0
 
     def __post_init__(self) -> None:
+        try:
+            object.__setattr__(self, "dim", operator.index(self.dim))
+        except TypeError:
+            raise ValueError(f"dim must be a positive even integer, got {self.dim!r}") from None
         if self.dim < 2 or self.dim % 2 != 0:
             raise ValueError(f"dim must be a positive even integer, got {self.dim}")
         if not self.theta_base > 1.0:

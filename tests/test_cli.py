@@ -57,6 +57,16 @@ class TestSimulateDecay:
         rc = main(["simulate-decay", "--distances", "log:64", "--samples", "100"])
         assert rc == 2
 
+    def test_bad_threads_is_usage_error(self, tmp_path, capsys):
+        args = ["simulate-decay", "--dim", "4", "--samples", "100", "--distances", "0,1"]
+        cfg = tmp_path / "cfg.json"
+        for threads in (0, -2):
+            cfg.write_text(json.dumps({"threads": threads}))
+            for extra in (["--threads", str(threads)], ["--config", str(cfg)]):
+                assert main(args + extra) == 2
+                err = capsys.readouterr().err
+                assert err.startswith("error:") and "threads" in err
+
     def test_threads_do_not_change_bytes(self, tmp_path):
         args = ["simulate-decay", "--dim", "8", "--samples", "1000", "--distances", "0,3,9", "--seed", "5"]
         a = tmp_path / "a.csv"

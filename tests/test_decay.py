@@ -4,8 +4,11 @@ The three routes (Abel bound, closed form, Monte Carlo) are checked
 against each other and against direct-summation oracles written here.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ropealign import (
     DecayProfile,
@@ -270,3 +273,82 @@ class TestDecayProfile:
             DecayProfile(distances=(0, 1), mean_dot=(0.0,), stderr=(0.0, 0.0), sample_count=10)
         with pytest.raises(ValueError):
             DecayProfile(distances=(0, 1), mean_dot=(0.0, 0.0), stderr=(0.0, -1.0), sample_count=10)
+
+
+class TestSharedSamples:
+    """Every distance of a profile is evaluated on one shared sample set."""
+
+    def test_point_independent_of_grid_worked_example(self):
+        """Distance 8 at seed 3, d=16, 1000 samples: grids [8] and [0, 8]."""
+        config = RopeConfig(dim=16)
+        mu = np.ones(16)
+        alone = decay_profile(mu, mu, [8], samples=1000, seed=3, config=config)
+        paired = decay_profile(mu, mu, [0, 8], samples=1000, seed=3, config=config)
+        assert alone.mean_dot == paired.mean_dot[1:]
+        assert alone.stderr == paired.stderr[1:]
+
+    @given(
+        dim=st.sampled_from([2, 4, 8, 16]),
+        grid=st.lists(st.integers(min_value=0, max_value=100_000), min_size=1, max_size=8, unique=True),
+        keep=st.lists(st.booleans(), min_size=8, max_size=8),
+        samples=st.integers(min_value=2, max_value=40_000),
+        seed=st.integers(min_value=0, max_value=2**63 - 1),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_sub_grid_points_bitwise_equal(self, dim, grid, keep, samples, seed):
+        config = RopeConfig(dim=dim, theta_base=1e4)
+        mu_q = np.linspace(-1.0, 2.0, dim)
+        mu_k = np.linspace(1.5, -0.5, dim)
+        grid = sorted(grid)
+        sub = [d for d, k in zip(grid, keep) if k] or grid[:1]
+        full = decay_profile(mu_q, mu_k, grid, samples=samples, seed=seed, config=config)
+        part = decay_profile(mu_q, mu_k, sub, samples=samples, seed=seed, config=config)
+        want = {d: (m, s) for d, m, s in zip(full.distances, full.mean_dot, full.stderr)}
+        assert [want[d] for d in sub] == list(zip(part.mean_dot, part.stderr))
+
+    def test_stderr_matches_analytic(self):
+        """Var(q . R_m k) = |mu_q|^2 + |mu_k|^2 + dim for unit-covariance normals."""
+        dim, samples = 64, 100_000
+        config = RopeConfig(dim=dim, theta_base=1e4)
+        mu_q = np.full(dim, 1.0)
+        mu_k = np.linspace(-1.0, 1.0, dim)
+        analytic = np.sqrt((mu_q @ mu_q + mu_k @ mu_k + dim) / samples)
+        prof = decay_profile(mu_q, mu_k, [0, 3, 100, 4096], samples=samples, seed=12, config=config)
+        for err in prof.stderr:
+            assert abs(err - analytic) <= 0.05 * analytic
+
+    def test_thread_counts_identical_with_partial_chunk(self):
+        config = RopeConfig(dim=8)
+        mu = np.ones(8)
+        samples = 3 * 16384 + 123
+        csvs = {
+            decay_profile(
+                mu, mu, [0, 5, 77, 1000], samples=samples, seed=21, config=config, max_workers=w
+            ).to_csv()
+            for w in (1, 2, 3)
+        }
+        assert len(csvs) == 1
+
+    def test_bad_max_workers_rejected(self):
+        for workers in (0, -2):
+            with pytest.raises(ValueError, match="max_workers"):
+                decay_profile(
+                    np.ones(4), np.ones(4), [0], samples=100, seed=0, config=RopeConfig(dim=4),
+                    max_workers=workers,
+                )
+
+    def test_memory_does_not_grow_with_samples(self):
+        """Peak traced memory follows the chunk size, not the sample count."""
+        config = RopeConfig(dim=8)
+        mu = np.ones(8)
+
+        def peak(samples):
+            tracemalloc.start()
+            try:
+                decay_profile(mu, mu, [0, 10, 1000], samples=samples, seed=5, config=config)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small = peak(2 * 16384)
+        assert peak(32 * 16384) <= small + 1_000_000

@@ -40,6 +40,16 @@ class TestRopeConfig:
     def test_num_pairs(self):
         assert RopeConfig(dim=64).num_pairs == 32
 
+    def test_non_integer_dim_rejected(self):
+        for dim in (64.0, 64.5, "64", None):
+            with pytest.raises(ValueError, match="dim"):
+                RopeConfig(dim=dim)
+
+    def test_numpy_integer_dim_accepted(self):
+        config = RopeConfig(dim=np.int64(64))
+        assert config.dim == 64 and type(config.dim) is int
+        assert config == RopeConfig(dim=64)
+
 
 class TestRopeFrequencies:
     """Spectrum values and shape."""
