@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import os
 import sys
 from pathlib import Path
@@ -135,16 +136,25 @@ def _merged(args: argparse.Namespace, defaults: dict) -> dict:
     return out
 
 
+def _int_opt(opts: dict, key: str) -> int:
+    """An integer option, from a flag or a config file, never truncated."""
+    value = opts[key]
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{key} must be an integer, got {value!r}") from None
+
+
 def _plan_from(opts: dict) -> LayoutPlan:
     if opts.get("plan"):
         return LayoutPlan.from_json(Path(opts["plan"]).read_text())
     return build_layout(
-        pre_text=int(opts["pre"]),
+        pre_text=_int_opt(opts, "pre"),
         input=_parse_resolution(opts["input"]),
         candidates=_parse_candidates(opts["candidates"]),
         vit_resolution=_parse_resolution(opts["vit"]),
-        patch_size=int(opts["patch"]),
-        post_text=int(opts["post"]),
+        patch_size=_int_opt(opts, "patch"),
+        post_text=_int_opt(opts, "post"),
         row_separators=bool(opts["row_separators"]),
         cap_effective_at_input=bool(opts["cap_effective"]),
         thumbnail_first=opts["order"] == "thumb-first",
@@ -197,17 +207,17 @@ def cmd_simulate_decay(args: argparse.Namespace) -> int:
         "out": None,
     }
     opts = _merged(args, defaults)
-    threads = int(opts["threads"])
+    threads = _int_opt(opts, "threads")
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
-    config = RopeConfig(dim=int(opts["dim"]), theta_base=float(opts["theta"]))
+    config = RopeConfig(dim=_int_opt(opts, "dim"), theta_base=float(opts["theta"]))
     mu = _parse_mu(opts["mu"], config.dim)
     profile = decay_profile(
         mu,
         mu,
         _parse_distances(opts["distances"]),
-        samples=int(opts["samples"]),
-        seed=int(opts["seed"]),
+        samples=_int_opt(opts, "samples"),
+        seed=_int_opt(opts, "seed"),
         config=config,
         max_workers=threads,
     )
@@ -258,29 +268,37 @@ def cmd_assign_ids(args: argparse.Namespace) -> int:
     mode = opts["mode"]
     if mode not in ("baseline", "id_align", "both"):
         raise ValueError(f"mode must be baseline, id_align or both, got {mode!r}")
+    # Each map is computed once; the span and the mapping base derive
+    # from them.  Only baseline mode tolerates a plan with no aligned map.
+    baseline = assign_position_ids(plan, "baseline", policy)
+    aligned_error = None
+    try:
+        aligned = assign_position_ids(plan, "id_align", policy)
+    except ValueError as exc:
+        if mode != "baseline":
+            raise
+        aligned, aligned_error = None, exc
     doc: dict = {}
     if mode in ("baseline", "both"):
-        doc["baseline"] = _map_doc(assign_position_ids(plan, "baseline", policy))
+        doc["baseline"] = _map_doc(baseline)
     if mode in ("id_align", "both"):
-        doc["id_align"] = _map_doc(assign_position_ids(plan, "id_align", policy))
-    try:
-        span = id_span_report(plan, policy)
+        doc["id_align"] = _map_doc(aligned)
+    if aligned is not None:
+        span = id_span_report(plan, policy, baseline=baseline, id_align=aligned)
         ratio = None if math.isinf(span.ratio) else span.ratio
         doc["span"] = {
             "baseline_span": span.baseline_span,
             "id_align_span": span.id_align_span,
             "ratio": ratio,
         }
-    except ValueError:
-        if mode == "id_align":
-            raise
     if opts["mapping_csv"]:
         thumb = plan.thumbnail()
         high = plan.highres()
         if thumb is None or high is None:
             raise ValueError("--mapping-csv needs a plan with both grids")
+        if aligned is None:
+            raise aligned_error
         base = None
-        aligned = assign_position_ids(plan, "id_align", policy)
         for seg, start, _stop in segment_ranges(plan):
             if seg is thumb:
                 base = aligned.ids[start]
@@ -309,7 +327,7 @@ def cmd_attention_report(args: argparse.Namespace) -> int:
     }
     opts = _merged(args, defaults)
     plan = _plan_from(opts)
-    config = RopeConfig(dim=int(opts["dim"]), theta_base=float(opts["theta"]))
+    config = RopeConfig(dim=_int_opt(opts, "dim"), theta_base=float(opts["theta"]))
     pop_spec = str(opts["pop"])
     kind, _, rest = pop_spec.partition(":")
     if kind == "constant":

@@ -124,7 +124,9 @@ def attention_scores(
     if pop.vectors.shape[1] != config.dim:
         raise ValueError(f"population dim {pop.vectors.shape[1]} != config dim {config.dim}")
     rotated = apply_rope_many(pop.vectors, np.asarray(idmap.ids, dtype=np.float64), config)
-    values = rotated @ rotated.T
+    # einsum, not BLAS: a threaded matmul changes the low bits with the
+    # BLAS thread count, and the score CSVs must not.
+    values = np.einsum("ik,jk->ij", rotated, rotated)
     if scale:
         values = values / np.sqrt(config.dim)
     if normalize:

@@ -16,7 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layout import GridShape, HighResGrid, LayoutPlan, Separator, TextSegment, ThumbnailGrid
+from .layout import (
+    GridShape,
+    HighResGrid,
+    LayoutPlan,
+    Separator,
+    TextSegment,
+    ThumbnailGrid,
+    segment_ranges,
+)
 
 __all__ = [
     "GridMapping",
@@ -57,8 +65,7 @@ class GridMapping:
             raise ValueError("mapped ids must be nondecreasing along rows and columns")
 
     def to_csv(self) -> str:
-        lines = [",".join(str(int(v)) for v in row) for row in self.ids]
-        return "\n".join(lines) + "\n"
+        return "".join(",".join(map(str, row)) + "\n" for row in self.ids.tolist())
 
 
 @dataclass(frozen=True)
@@ -76,7 +83,7 @@ class PositionIdMap:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if any(i < 0 for i in self.ids):
+        if self.ids and min(self.ids) < 0:
             raise ValueError("position ids must be non-negative")
         expected = max(self.ids) + 1 if self.ids else 0
         if self.max_pid != expected:
@@ -192,42 +199,42 @@ def assign_position_ids(
     counter = 0
     thumb_shape: GridShape | None = None
     thumb_base = 0
+    sequential_separators = separator_policy == "sequential-after-image"
 
-    def emit_separator() -> None:
+    def emit_separators(count: int) -> None:
         nonlocal counter
-        if separator_policy == "sequential-after-image" or not ids:
-            ids.append(counter)
-            counter += 1
+        if sequential_separators:
+            ids.extend(range(counter, counter + count))
+            counter += count
+        elif ids:
+            ids.extend([ids[-1]] * count)
         else:
-            ids.append(ids[-1])
+            # Nothing to inherit yet: all of them share one fresh ID.
+            ids.extend([counter] * count)
+            counter += 1
 
     for seg in plan.segments:
         if isinstance(seg, TextSegment):
-            for _ in range(seg.length):
-                ids.append(counter)
-                counter += 1
+            ids.extend(range(counter, counter + seg.length))
+            counter += seg.length
         elif isinstance(seg, ThumbnailGrid):
-            thumb_base = counter
-            thumb_shape = seg.shape
-            for _ in range(seg.shape.cells):
-                ids.append(counter)
-                counter += 1
+            thumb_base, thumb_shape = counter, seg.shape
+            ids.extend(range(counter, counter + seg.shape.cells))
+            counter += seg.shape.cells
         elif isinstance(seg, HighResGrid):
             if thumb_shape is None:
                 raise ValueError(
                     "id_align mode requires a thumbnail grid before the high-resolution grid"
                 )
             mapping = map_highres_ids(thumb_shape, seg.shape, thumb_base)
-            for r in range(seg.shape.rows):
-                for c in range(seg.shape.cols):
-                    pid = int(mapping.ids[r, c])
-                    ids.append(pid)
-                    counter = max(counter, pid + 1)
+            # Rows are nondecreasing, so a row's largest ID is its last.
+            for row in mapping.ids.tolist():
+                ids.extend(row)
+                counter = max(counter, row[-1] + 1)
                 if seg.row_separator:
-                    emit_separator()
+                    emit_separators(1)
         elif isinstance(seg, Separator):
-            for _ in range(seg.count):
-                emit_separator()
+            emit_separators(seg.count)
         else:
             raise TypeError(f"unknown segment type {type(seg).__name__}")
     return PositionIdMap(ids=tuple(ids), max_pid=counter, mode=mode)
@@ -242,20 +249,47 @@ class IdSpanReport:
     ratio: float
 
 
-def id_span_report(plan: LayoutPlan, separator_policy: str = "inherit-row-end") -> IdSpanReport:
+def _image_blocks(plan: LayoutPlan) -> list[tuple[int, int]]:
+    """(first slot, one past last slot) of each run of image cells: the
+    thumbnail, and each high-resolution row or the whole grid when it
+    has no row separators."""
+    blocks = []
+    for seg, start, stop in segment_ranges(plan):
+        if isinstance(seg, HighResGrid) and seg.row_separator:
+            stride = seg.shape.cols + 1
+            blocks.extend((s, s + seg.shape.cols) for s in range(start, stop, stride))
+        elif isinstance(seg, (ThumbnailGrid, HighResGrid)):
+            blocks.append((start, stop))
+    return blocks
+
+
+def id_span_report(
+    plan: LayoutPlan,
+    separator_policy: str = "inherit-row-end",
+    baseline: PositionIdMap | None = None,
+    id_align: PositionIdMap | None = None,
+) -> IdSpanReport:
     """Span comparison over image tokens (thumbnail and high-res cells,
-    separators excluded)."""
-    roles = plan.slot_roles()
-    image = [i for i, r in enumerate(roles) if r in ("thumb", "highres")]
+    separators excluded).
+
+    ``baseline`` and ``id_align`` are the plan's maps under this policy
+    when the caller already has them; a missing one is computed.
+    """
+    blocks = _image_blocks(plan)
 
     def span(idmap: PositionIdMap) -> int:
-        if not image:
+        if not blocks:
             return 0
-        vals = [idmap.ids[i] for i in image]
-        return max(vals) - min(vals)
+        lo = min(min(idmap.ids[a:b]) for a, b in blocks)
+        hi = max(max(idmap.ids[a:b]) for a, b in blocks)
+        return hi - lo
 
-    b = span(assign_position_ids(plan, "baseline", separator_policy))
-    a = span(assign_position_ids(plan, "id_align", separator_policy))
+    if baseline is None:
+        baseline = assign_position_ids(plan, "baseline", separator_policy)
+    if id_align is None:
+        id_align = assign_position_ids(plan, "id_align", separator_policy)
+    b = span(baseline)
+    a = span(id_align)
     if a == 0:
         ratio = 1.0 if b == 0 else float("inf")
     else:

@@ -137,6 +137,19 @@ def _segment_slots(seg: Segment) -> list[str]:
     raise TypeError(f"unknown segment type {type(seg).__name__}")
 
 
+def _segment_counts(seg: Segment) -> tuple[int, int, int]:
+    """(text, image, separator) slots of one segment, without listing them."""
+    if isinstance(seg, TextSegment):
+        return seg.length, 0, 0
+    if isinstance(seg, ThumbnailGrid):
+        return 0, seg.shape.cells, 0
+    if isinstance(seg, HighResGrid):
+        return 0, seg.shape.cells, seg.shape.rows if seg.row_separator else 0
+    if isinstance(seg, Separator):
+        return 0, 0, seg.count
+    raise TypeError(f"unknown segment type {type(seg).__name__}")
+
+
 @dataclass(frozen=True)
 class LayoutPlan:
     """Ordered token segments plus the patch size that produced the grids.
@@ -158,7 +171,7 @@ class LayoutPlan:
 
     @property
     def total_tokens(self) -> int:
-        return sum(len(_segment_slots(s)) for s in self.segments)
+        return sum(sum(_segment_counts(s)) for s in self.segments)
 
     def slot_roles(self) -> tuple[str, ...]:
         roles: list[str] = []
@@ -232,7 +245,7 @@ def segment_ranges(plan: LayoutPlan) -> tuple[tuple[Segment, int, int], ...]:
     out = []
     start = 0
     for seg in plan.segments:
-        n = len(_segment_slots(seg))
+        n = sum(_segment_counts(seg))
         out.append((seg, start, start + n))
         start += n
     return tuple(out)
@@ -255,16 +268,17 @@ class TokenCounts:
 
 
 def token_counts(plan: LayoutPlan) -> TokenCounts:
-    roles = plan.slot_roles()
-    text = sum(r == "text" for r in roles)
-    image = sum(r in ("thumb", "highres") for r in roles)
-    sep = sum(r == "separator" for r in roles)
+    text = image = sep = 0
+    for seg in plan.segments:
+        t, i, s = _segment_counts(seg)
+        text, image, sep = text + t, image + i, sep + s
+    total = text + image + sep
     return TokenCounts(
-        total=len(roles),
+        total=total,
         text_tokens=text,
         image_tokens=image,
         separator_tokens=sep,
-        id_span_baseline=len(roles),
+        id_span_baseline=total,
     )
 
 

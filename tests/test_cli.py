@@ -6,11 +6,17 @@ the contract.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ropealign import LayoutPlan, RopeConfig, decay_profile
+import ropealign
+from ropealign import LayoutPlan, RopeConfig, decay_profile, idalign
+from ropealign import cli
 from ropealign.cli import main
 
 SMALL_PLAN_ARGS = [
@@ -160,6 +166,53 @@ class TestAssignIds:
         rc = main(["assign-ids"] + SMALL_PLAN_ARGS + ["--mode", "fancy"])
         assert rc == 2
 
+    def test_high_first_baseline_has_no_span(self, capsys):
+        rc = main(["assign-ids"] + SMALL_PLAN_ARGS + ["--order", "high-first", "--mode", "baseline"])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert list(doc) == ["baseline"]
+        assert doc["baseline"]["ids"] == list(range(23))
+
+    @pytest.mark.parametrize("mode", ["id_align", "both"])
+    def test_high_first_aligned_modes_fail(self, mode, capsys):
+        rc = main(["assign-ids"] + SMALL_PLAN_ARGS + ["--order", "high-first", "--mode", mode])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "thumbnail" in captured.err
+
+    def test_high_first_mapping_csv_fails(self, tmp_path, capsys):
+        out = tmp_path / "map.csv"
+        rc = main(
+            ["assign-ids"] + SMALL_PLAN_ARGS
+            + ["--order", "high-first", "--mode", "baseline", "--mapping-csv", str(out)]
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "thumbnail" in captured.err
+        assert not out.exists()
+
+    def test_each_map_computed_once(self, tmp_path, monkeypatch, capsys):
+        """One run with every output computes each mode's map once."""
+        real = idalign.assign_position_ids
+        calls = []
+
+        def counting(plan, mode, *args, **kwargs):
+            calls.append(mode)
+            return real(plan, mode, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "assign_position_ids", counting)
+        monkeypatch.setattr(idalign, "assign_position_ids", counting)
+        rc = main(
+            ["assign-ids"] + SMALL_PLAN_ARGS
+            + ["--mode", "both", "--mapping-csv", str(tmp_path / "map.csv")]
+        )
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert set(doc) == {"baseline", "id_align", "span"}
+        assert sorted(calls) == ["baseline", "id_align"]
+
 
 class TestAttentionReport:
     """Matrix and report emission."""
@@ -232,6 +285,42 @@ class TestConfigPrecedence:
         assert rc == 2
         assert "smaples" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("simulate-decay", "threads", 1.7),
+            ("simulate-decay", "threads", "x"),
+            ("simulate-decay", "dim", 64.0),
+            ("simulate-decay", "samples", 100.5),
+            ("simulate-decay", "seed", "7"),
+            ("plan-layout", "patch", 14.5),
+            ("plan-layout", "pre", 1.5),
+            ("plan-layout", "post", None),
+            ("attention-report", "dim", 8.5),
+        ],
+    )
+    def test_non_integer_config_value_is_usage_error(self, tmp_path, capsys, command, key, value):
+        """Integer options from a config file are never truncated or coerced."""
+        cfg = tmp_path / "cfg.json"
+        base = {"simulate-decay": {"dim": 4, "samples": 100, "distances": "0,1"}}.get(command, {})
+        cfg.write_text(json.dumps(base | {key: value}))
+        argv = [command, "--config", str(cfg)]
+        if command == "attention-report":
+            argv += ["--out-dir", str(tmp_path / "rep")]
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and key in captured.err
+        assert not (tmp_path / "rep").exists()
+
+    def test_integer_config_values_accepted(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"patch": 14, "pre": 2, "post": 1}))
+        assert main(["plan-layout", "--config", str(cfg)]) == 0
+        counts = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert counts["text_tokens"] == 3
+
 
 class TestOutputDirOverride:
     """ROPEALIGN_OUTPUT_DIR reroutes relative output paths."""
@@ -287,3 +376,33 @@ class TestDeterminism:
             "rep/gain_report.json",
         ):
             assert (one / rel).read_bytes() == (two / rel).read_bytes(), rel
+
+
+def test_scores_do_not_depend_on_blas_threads(tmp_path):
+    """Score CSV bytes are the same whatever the BLAS thread count.
+
+    Runs the same attention report in two fresh interpreters, one with a
+    single BLAS thread and one with two (205 slots, large enough for a
+    threaded BLAS to split the product).  On a one-core machine both runs
+    use one thread and the check cannot tell the two apart.
+    """
+    src = str(Path(ropealign.__file__).resolve().parents[1])
+    argv = [
+        sys.executable, "-m", "ropealign", "attention-report",
+        "--input", "112x224", "--candidates", "112x224", "--vit", "112x112",
+        "--patch", "14", "--pre", "3", "--post", "2", "--dim", "64", "--pop", "gaussian:0.5:3",
+    ]
+    outputs = []
+    for threads in ("1", "2"):
+        env = {k: v for k, v in os.environ.items() if k != "ROPEALIGN_OUTPUT_DIR"}
+        env |= {
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")])),
+            "OPENBLAS_NUM_THREADS": threads,
+            "OMP_NUM_THREADS": threads,
+            "MKL_NUM_THREADS": threads,
+        }
+        out_dir = tmp_path / f"threads{threads}"
+        subprocess.run(argv + ["--out-dir", str(out_dir)], env=env, check=True, capture_output=True)
+        outputs.append({p.name: p.read_bytes() for p in sorted(out_dir.iterdir())})
+    assert set(outputs[0]) >= {"scores_baseline.csv", "scores_id_align.csv"}
+    assert outputs[0] == outputs[1]

@@ -7,6 +7,7 @@ mapping, and the counter bookkeeping of the assignment walk.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ropealign import (
@@ -15,6 +16,7 @@ from ropealign import (
     HighResGrid,
     LayoutPlan,
     RopeConfig,
+    Separator,
     TextSegment,
     ThumbnailGrid,
     abel_bound_check,
@@ -22,9 +24,11 @@ from ropealign import (
     assign_position_ids,
     correspondence_oracle,
     expected_dot_closed_form,
+    id_span_report,
     map_highres_ids,
     rope_dot,
     segment_ranges,
+    token_counts,
 )
 
 dims = st.sampled_from([2, 4, 8, 64, 128])
@@ -133,3 +137,129 @@ def test_assignment_counter_invariants(pre, h0, w0, h1, w1, row_sep, post, polic
             for i, r in zip(idmap.ids, roles):
                 if r == "highres":
                     assert pre <= i < pre + h0 * w0
+
+
+def reference_aligned_ids(plan, separator_policy):
+    """Slot-by-slot aligned assignment: one cell, one separator at a time.
+
+    Returns (ids, max_pid); raises ValueError when a high-resolution grid
+    comes before its thumbnail.
+    """
+    ids = []
+    counter = 0
+    thumb_shape = None
+    thumb_base = 0
+
+    def emit_separator():
+        nonlocal counter
+        if separator_policy == "sequential-after-image" or not ids:
+            ids.append(counter)
+            counter += 1
+        else:
+            ids.append(ids[-1])
+
+    for seg in plan.segments:
+        if isinstance(seg, TextSegment):
+            for _ in range(seg.length):
+                ids.append(counter)
+                counter += 1
+        elif isinstance(seg, ThumbnailGrid):
+            thumb_base = counter
+            thumb_shape = seg.shape
+            for _ in range(seg.shape.cells):
+                ids.append(counter)
+                counter += 1
+        elif isinstance(seg, HighResGrid):
+            if thumb_shape is None:
+                raise ValueError("high-resolution grid before its thumbnail")
+            mapping = map_highres_ids(thumb_shape, seg.shape, thumb_base)
+            for r in range(seg.shape.rows):
+                for c in range(seg.shape.cols):
+                    pid = int(mapping.ids[r, c])
+                    ids.append(pid)
+                    counter = max(counter, pid + 1)
+                if seg.row_separator:
+                    emit_separator()
+        else:
+            for _ in range(seg.count):
+                emit_separator()
+    return ids, counter
+
+
+def reference_image_span(plan, ids):
+    image = [ids[i] for i, r in enumerate(plan.slot_roles()) if r in ("thumb", "highres")]
+    return max(image) - min(image) if image else 0
+
+
+_fillers = st.lists(
+    st.one_of(
+        st.builds(TextSegment, st.integers(min_value=1, max_value=6)),
+        st.builds(Separator, st.integers(min_value=1, max_value=3)),
+    ),
+    max_size=3,
+)
+
+
+@st.composite
+def layout_plans(draw):
+    """One image in any order (or only part of it) among text and separators."""
+    thumb = ThumbnailGrid(GridShape(draw(st.integers(1, 6)), draw(st.integers(1, 6))))
+    high = HighResGrid(
+        GridShape(draw(st.integers(1, 12)), draw(st.integers(1, 12))), draw(st.booleans())
+    )
+    image = draw(st.sampled_from([[thumb, high], [high, thumb], [thumb], [high], []]))
+    segments = draw(_fillers) + image + draw(_fillers)
+    return LayoutPlan(segments=tuple(segments), patch_size=14)
+
+
+policies = st.sampled_from(["inherit-row-end", "sequential-after-image"])
+
+
+@given(layout_plans(), policies)
+@settings(max_examples=300, deadline=None)
+def test_aligned_assignment_matches_slot_by_slot_reference(plan, policy):
+    try:
+        want_ids, want_max = reference_aligned_ids(plan, policy)
+    except ValueError:
+        with pytest.raises(ValueError, match="thumbnail"):
+            assign_position_ids(plan, "id_align", policy)
+        return
+    got = assign_position_ids(plan, "id_align", policy)
+    assert got.ids == tuple(want_ids)
+    assert all(type(i) is int for i in got.ids)
+    assert got.max_pid == want_max
+
+
+@given(layout_plans(), policies)
+@settings(max_examples=150, deadline=None)
+def test_span_report_matches_slot_roles(plan, policy):
+    """The span report, computed or handed both maps, equals the span
+    over every thumbnail and high-resolution slot."""
+    try:
+        aligned_ids, _ = reference_aligned_ids(plan, policy)
+    except ValueError:
+        return
+    want_b = reference_image_span(plan, list(range(plan.total_tokens)))
+    want_a = reference_image_span(plan, aligned_ids)
+    baseline = assign_position_ids(plan, "baseline", policy)
+    aligned = assign_position_ids(plan, "id_align", policy)
+    for report in (
+        id_span_report(plan, policy),
+        id_span_report(plan, policy, baseline=baseline, id_align=aligned),
+    ):
+        assert (report.baseline_span, report.id_align_span) == (want_b, want_a)
+
+
+@given(layout_plans())
+@settings(max_examples=150, deadline=None)
+def test_token_counts_match_slot_roles(plan):
+    roles = plan.slot_roles()
+    counts = token_counts(plan)
+    assert counts.total == len(roles) == plan.total_tokens
+    assert counts.text_tokens == roles.count("text")
+    assert counts.image_tokens == roles.count("thumb") + roles.count("highres")
+    assert counts.separator_tokens == roles.count("separator")
+    assert counts.id_span_baseline == len(roles)
+    assert [stop - start for _seg, start, stop in segment_ranges(plan)] == [
+        len(LayoutPlan(segments=(seg,), patch_size=14).slot_roles()) for seg in plan.segments
+    ]
