@@ -5,10 +5,12 @@ attention-report.  Outputs are CSV for matrices and profiles, JSON for
 plans and ID maps, always with ``\\n`` line endings and repr-formatted
 floats, so identical flags and seeds give byte-identical files.
 
-Parameter precedence per subcommand: command-line flags, then an
-optional JSON config file (``--config``), then built-in defaults.  If
-the environment variable ``ROPEALIGN_OUTPUT_DIR`` is set, relative
-output paths are created under it; input paths are untouched.
+Every option is declared once, in ``OPTIONS``.  Parameter precedence per
+subcommand: command-line flags, then an optional JSON config file
+(``--config``), then the table's defaults; whatever its source, each
+value is read through one typed check.  If the environment variable
+``ROPEALIGN_OUTPUT_DIR`` is set, relative output paths are created under
+it; input paths are untouched.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ import math
 import operator
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,21 +47,139 @@ CANDIDATE_PRESETS = {
     "siglip384": "384x768,768x384,768x768,1152x384,384x1152",
 }
 
-_PLAN_DEFAULTS = {
-    "pre": 0,
-    "input": "336x336",
-    "candidates": "clip336",
-    "vit": "336x336",
-    "patch": 14,
-    "post": 0,
-    "row_separators": True,
-    "cap_effective": False,
-    "order": "thumb-first",
-}
+_PLAN = ("plan-layout", "assign-ids", "attention-report")
+_MAPS = ("assign-ids", "attention-report")
+_ROPE = ("simulate-decay", "attention-report")
+_DECAY = ("simulate-decay",)
+_REPORT = ("attention-report",)
+
+
+class Option(NamedTuple):
+    """One option: the flag ``--name`` (underscores as dashes) and the
+    config key ``name``.  ``kind`` is int, float, bool, str or a tuple of
+    allowed strings; a None default means unset."""
+
+    name: str
+    kind: object
+    default: object
+    help: str
+    commands: tuple[str, ...]
+
+
+# Every option of every subcommand, in help order.
+OPTIONS = (
+    Option("plan", str, None, "layout plan JSON file; overrides the inline plan flags", _MAPS),
+    Option("pre", int, 0, "text tokens before the image", _PLAN),
+    Option("post", int, 0, "text tokens after the image", _PLAN),
+    Option("input", str, "336x336", "input image HxW pixels", _PLAN),
+    Option(
+        "candidates", str, "clip336",
+        "candidate resolutions: preset clip336|siglip384 or comma list of HxW", _PLAN,
+    ),
+    Option("vit", str, "336x336", "vision tower base resolution HxW", _PLAN),
+    Option("patch", int, 14, "patch size in pixels", _PLAN),
+    Option("row_separators", bool, True, "append a separator token after each high-res row", _PLAN),
+    Option(
+        "cap_effective", bool, False,
+        "cap the selection score at the input's native pixel count", _PLAN,
+    ),
+    Option("order", ("thumb-first", "high-first"), "thumb-first", "image block order", _PLAN),
+    Option("mode", ("baseline", "id_align", "both"), "both", "ID maps to emit", ("assign-ids",)),
+    Option("dim", int, 64, "head dimension, even", _ROPE),
+    Option("theta", float, 1e4, "frequency base, 1e7 also common", _ROPE),
+    Option("mu", str, "ones:1.0", "mean preset for both vectors: zeros | ones:C", _DECAY),
+    Option(
+        "distances", str, "log:0..1024",
+        "relative distances: log:A..B[:N] | lin:A..B[:N] | comma list", _DECAY,
+    ),
+    Option("samples", int, 100000, "Monte Carlo samples per distance", _DECAY),
+    Option("seed", int, 0, "RNG seed", _DECAY),
+    Option("threads", int, 1, "worker threads; result is thread-count independent", _DECAY),
+    Option("pop", str, "constant:1.0", "population: constant:C | gaussian:MEAN:SEED", _REPORT),
+    Option("normalize", bool, False, "row-softmax the score matrices", _REPORT),
+    Option("scale", bool, True, "divide scores by sqrt(dim)", _REPORT),
+    Option(
+        "separator_policy", ("inherit-row-end", "sequential-after-image"), "inherit-row-end",
+        "separator IDs in aligned mode", _MAPS,
+    ),
+    Option(
+        "mapping_csv", str, None, "also write the high-res ID mapping grid as CSV", ("assign-ids",)
+    ),
+    Option(
+        "out", str, None, "output file; stdout if unset",
+        ("simulate-decay", "plan-layout", "assign-ids"),
+    ),
+    Option("out_dir", str, ".", "directory for the CSV/JSON outputs", _REPORT),
+)
+_KIND_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
+
+
+def _flag(opt: Option) -> tuple[str, dict]:
+    """The flag and the ``add_argument`` keywords of ``opt``."""
+    kw: dict = {"help": opt.help}
+    if opt.default is not None:
+        shown = opt.default if isinstance(opt.default, str) else json.dumps(opt.default)
+        kw["help"] += f" (default {shown})"
+    if opt.kind is bool:
+        kw["action"] = argparse.BooleanOptionalAction
+    elif opt.kind in (int, float):
+        kw["type"] = opt.kind
+    elif isinstance(opt.kind, tuple):
+        # Choices are checked by the typed read, so a bad one exits 2 from main.
+        kw["metavar"] = "{" + ",".join(opt.kind) + "}"
+    return "--" + opt.name.replace("_", "-"), kw
+
+
+# Derived once per process, not per parser: in-process callers of main
+# build a parser on every call.
+_FLAGS = [(opt, *_flag(opt)) for opt in OPTIONS]
+
+
+def _typed(opt: Option, value):
+    """The one read of an option value, from a flag, a config file or the
+    default; never coerces, and a bad value raises ValueError naming the key."""
+    kind = opt.kind
+    if value is None and opt.default is None:
+        return None
+    try:
+        if isinstance(kind, tuple):
+            if value in kind:
+                return value
+        elif isinstance(value, bool) or kind is bool:
+            if isinstance(value, bool) and kind is bool:
+                return value
+        elif kind is int:
+            return operator.index(value)
+        elif kind is float:
+            return float(value)
+        elif isinstance(value, str):
+            return value
+    except (TypeError, ValueError):
+        pass
+    want = f"one of {', '.join(kind)}" if isinstance(kind, tuple) else _KIND_NAMES[kind]
+    raise ValueError(f"{opt.name} must be {want}, got {value!r}")
+
+
+def _merged(args: argparse.Namespace) -> dict:
+    """Typed values of the options of ``args.command``: flag over config
+    over default."""
+    options = [opt for opt in OPTIONS if args.command in opt.commands]
+    cfg = {}
+    if args.config:
+        with open(args.config) as f:
+            cfg = json.load(f)
+        unknown = sorted(set(cfg) - {opt.name for opt in options})
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+    out = {}
+    for opt in options:
+        flag = getattr(args, opt.name)
+        out[opt.name] = _typed(opt, flag if flag is not None else cfg.get(opt.name, opt.default))
+    return out
 
 
 def _parse_resolution(text: str) -> Resolution:
-    parts = str(text).lower().split("x")
+    parts = text.lower().split("x")
     if len(parts) == 1:
         h = w = int(parts[0])
     elif len(parts) == 2:
@@ -105,148 +227,61 @@ def _parse_mu(spec: str, dim: int) -> np.ndarray:
     raise ValueError(f"bad mean preset {spec!r}, expected 'zeros' or 'ones:C'")
 
 
-def _resolve_out(path: str) -> Path:
+def _emit(path: str | None, text: str) -> None:
+    """Write ``text`` to ``path`` and report it, or print it when unset.
+    A relative path goes under ``ROPEALIGN_OUTPUT_DIR`` when that is set."""
+    if not path:
+        sys.stdout.write(text)
+        return
     p = Path(path)
     env = os.environ.get("ROPEALIGN_OUTPUT_DIR")
     if env and not p.is_absolute():
         p = Path(env) / p
-    return p
-
-
-def _write_text(path: str, text: str) -> Path:
-    p = _resolve_out(path)
     p.parent.mkdir(parents=True, exist_ok=True)
     with open(p, "w", newline="\n") as f:
         f.write(text)
-    return p
-
-
-def _merged(args: argparse.Namespace, defaults: dict) -> dict:
-    cfg = {}
-    if getattr(args, "config", None):
-        with open(args.config) as f:
-            cfg = json.load(f)
-        unknown = sorted(set(cfg) - set(defaults))
-        if unknown:
-            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-    out = {}
-    for key, default in defaults.items():
-        flag = getattr(args, key)
-        out[key] = flag if flag is not None else cfg.get(key, default)
-    return out
-
-
-def _int_opt(opts: dict, key: str) -> int:
-    """An integer option, from a flag or a config file, never truncated."""
-    value = opts[key]
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{key} must be an integer, got {value!r}") from None
+    print(f"wrote {p}")
 
 
 def _plan_from(opts: dict) -> LayoutPlan:
     if opts.get("plan"):
         return LayoutPlan.from_json(Path(opts["plan"]).read_text())
     return build_layout(
-        pre_text=_int_opt(opts, "pre"),
+        pre_text=opts["pre"],
         input=_parse_resolution(opts["input"]),
         candidates=_parse_candidates(opts["candidates"]),
         vit_resolution=_parse_resolution(opts["vit"]),
-        patch_size=_int_opt(opts, "patch"),
-        post_text=_int_opt(opts, "post"),
-        row_separators=bool(opts["row_separators"]),
-        cap_effective_at_input=bool(opts["cap_effective"]),
+        patch_size=opts["patch"],
+        post_text=opts["post"],
+        row_separators=opts["row_separators"],
+        cap_effective_at_input=opts["cap_effective"],
         thumbnail_first=opts["order"] == "thumb-first",
     )
 
 
-def _add_config_arg(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--config", help="JSON config file; flags take precedence over it")
-
-
-def _add_plan_args(sp: argparse.ArgumentParser, with_plan_file: bool) -> None:
-    if with_plan_file:
-        sp.add_argument("--plan", help="layout plan JSON file; overrides the inline plan flags")
-    sp.add_argument("--pre", type=int, help="text tokens before the image (default 0)")
-    sp.add_argument("--post", type=int, help="text tokens after the image (default 0)")
-    sp.add_argument("--input", help="input image HxW pixels (default 336x336)")
-    sp.add_argument(
-        "--candidates",
-        help="candidate resolutions: preset clip336|siglip384 or comma list of HxW "
-        "(default clip336)",
-    )
-    sp.add_argument("--vit", help="vision tower base resolution HxW (default 336x336)")
-    sp.add_argument("--patch", type=int, help="patch size in pixels (default 14)")
-    sp.add_argument(
-        "--row-separators",
-        action=argparse.BooleanOptionalAction,
-        help="append a separator token after each high-res row (default on)",
-    )
-    sp.add_argument(
-        "--cap-effective",
-        action=argparse.BooleanOptionalAction,
-        help="cap the selection score at the input's native pixel count (default off)",
-    )
-    sp.add_argument(
-        "--order",
-        choices=("thumb-first", "high-first"),
-        help="image block order (default thumb-first)",
-    )
-
-
-def cmd_simulate_decay(args: argparse.Namespace) -> int:
-    defaults = {
-        "dim": 64,
-        "theta": 1e4,
-        "mu": "ones:1.0",
-        "distances": "log:0..1024",
-        "samples": 100000,
-        "seed": 0,
-        "threads": 1,
-        "out": None,
-    }
-    opts = _merged(args, defaults)
-    threads = _int_opt(opts, "threads")
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
-    config = RopeConfig(dim=_int_opt(opts, "dim"), theta_base=float(opts["theta"]))
+def cmd_simulate_decay(opts: dict) -> int:
+    if opts["threads"] < 1:
+        raise ValueError(f"threads must be at least 1, got {opts['threads']}")
+    config = RopeConfig(dim=opts["dim"], theta_base=opts["theta"])
     mu = _parse_mu(opts["mu"], config.dim)
     profile = decay_profile(
         mu,
         mu,
         _parse_distances(opts["distances"]),
-        samples=_int_opt(opts, "samples"),
-        seed=_int_opt(opts, "seed"),
+        samples=opts["samples"],
+        seed=opts["seed"],
         config=config,
-        max_workers=threads,
+        max_workers=opts["threads"],
     )
-    csv = profile.to_csv()
-    if opts["out"]:
-        path = _write_text(opts["out"], csv)
-        print(f"wrote {path}")
-    else:
-        sys.stdout.write(csv)
+    _emit(opts["out"], profile.to_csv())
     return 0
 
 
-def cmd_plan_layout(args: argparse.Namespace) -> int:
-    opts = _merged(args, _PLAN_DEFAULTS | {"out": None})
+def cmd_plan_layout(opts: dict) -> int:
     plan = _plan_from(opts)
     counts = token_counts(plan)
-    counts_doc = {
-        "total": counts.total,
-        "text_tokens": counts.text_tokens,
-        "image_tokens": counts.image_tokens,
-        "separator_tokens": counts.separator_tokens,
-        "id_span_baseline": counts.id_span_baseline,
-    }
-    if opts["out"]:
-        path = _write_text(opts["out"], plan.to_json() + "\n")
-        print(f"wrote {path}")
-    else:
-        print(plan.to_json())
-    print(json.dumps(counts_doc, separators=(",", ":")))
+    _emit(opts["out"], plan.to_json() + "\n")
+    print(json.dumps(asdict(counts), separators=(",", ":")))
     return 0
 
 
@@ -254,20 +289,10 @@ def _map_doc(idmap) -> dict:
     return {"ids": list(idmap.ids), "max_pid": idmap.max_pid, "mode": idmap.mode}
 
 
-def cmd_assign_ids(args: argparse.Namespace) -> int:
-    defaults = _PLAN_DEFAULTS | {
-        "plan": None,
-        "mode": "both",
-        "separator_policy": "inherit-row-end",
-        "mapping_csv": None,
-        "out": None,
-    }
-    opts = _merged(args, defaults)
+def cmd_assign_ids(opts: dict) -> int:
     plan = _plan_from(opts)
     policy = opts["separator_policy"]
     mode = opts["mode"]
-    if mode not in ("baseline", "id_align", "both"):
-        raise ValueError(f"mode must be baseline, id_align or both, got {mode!r}")
     # Each map is computed once; the span and the mapping base derive
     # from them.  Only baseline mode tolerates a plan with no aligned map.
     baseline = assign_position_ids(plan, "baseline", policy)
@@ -302,34 +327,15 @@ def cmd_assign_ids(args: argparse.Namespace) -> int:
         for seg, start, _stop in segment_ranges(plan):
             if seg is thumb:
                 base = aligned.ids[start]
-        mapping = map_highres_ids(thumb.shape, high.shape, base)
-        path = _write_text(opts["mapping_csv"], mapping.to_csv())
-        print(f"wrote {path}")
-    text = json.dumps(doc, separators=(",", ":"))
-    if opts["out"]:
-        path = _write_text(opts["out"], text + "\n")
-        print(f"wrote {path}")
-    else:
-        print(text)
+        _emit(opts["mapping_csv"], map_highres_ids(thumb.shape, high.shape, base).to_csv())
+    _emit(opts["out"], json.dumps(doc, separators=(",", ":")) + "\n")
     return 0
 
 
-def cmd_attention_report(args: argparse.Namespace) -> int:
-    defaults = _PLAN_DEFAULTS | {
-        "plan": None,
-        "dim": 64,
-        "theta": 1e4,
-        "pop": "constant:1.0",
-        "normalize": False,
-        "scale": True,
-        "separator_policy": "inherit-row-end",
-        "out_dir": ".",
-    }
-    opts = _merged(args, defaults)
+def cmd_attention_report(opts: dict) -> int:
     plan = _plan_from(opts)
-    config = RopeConfig(dim=_int_opt(opts, "dim"), theta_base=float(opts["theta"]))
-    pop_spec = str(opts["pop"])
-    kind, _, rest = pop_spec.partition(":")
+    config = RopeConfig(dim=opts["dim"], theta_base=opts["theta"])
+    kind, _, rest = opts["pop"].partition(":")
     if kind == "constant":
         pop = population_constant(plan, config, float(rest) if rest else 1.0)
     elif kind == "gaussian":
@@ -341,9 +347,9 @@ def cmd_attention_report(args: argparse.Namespace) -> int:
             seed=int(seed_str) if seed_str else 0,
         )
     else:
-        raise ValueError(f"bad population {pop_spec!r}, expected constant:C or gaussian:M:SEED")
+        raise ValueError(f"bad population {opts['pop']!r}, expected constant:C or gaussian:M:SEED")
     policy = opts["separator_policy"]
-    out_dir = str(opts["out_dir"])
+    out_dir = opts["out_dir"]
     maps = {
         "baseline": assign_position_ids(plan, "baseline", policy),
         "id_align": assign_position_ids(plan, "id_align", policy),
@@ -351,18 +357,32 @@ def cmd_attention_report(args: argparse.Namespace) -> int:
     roles = plan.slot_roles()
     for name, idmap in maps.items():
         dist = relative_distance_matrix(idmap)
-        path = _write_text(os.path.join(out_dir, f"distance_{name}.csv"), matrix_csv(dist, roles))
-        print(f"wrote {path}")
+        _emit(os.path.join(out_dir, f"distance_{name}.csv"), matrix_csv(dist, roles))
         scores = attention_scores(
-            pop, idmap, config, normalize=bool(opts["normalize"]), scale=bool(opts["scale"])
+            pop, idmap, config, normalize=opts["normalize"], scale=opts["scale"]
         )
-        path = _write_text(os.path.join(out_dir, f"scores_{name}.csv"), scores.to_csv())
-        print(f"wrote {path}")
-    report = alignment_gain_report(plan, policy)
-    path = _write_text(os.path.join(out_dir, "gain_report.json"), report.to_json() + "\n")
-    print(f"wrote {path}")
+        _emit(os.path.join(out_dir, f"scores_{name}.csv"), scores.to_csv())
+    report = alignment_gain_report(plan, policy, **maps)
+    _emit(os.path.join(out_dir, "gain_report.json"), report.to_json() + "\n")
     print(report.to_json())
     return 0
+
+
+_COMMANDS = {
+    "simulate-decay": (
+        cmd_simulate_decay,
+        "Monte Carlo decay profile of the rotated inner product, written as CSV",
+    ),
+    "plan-layout": (cmd_plan_layout, "build a token layout plan and report token counts"),
+    "assign-ids": (
+        cmd_assign_ids,
+        "assign position IDs (baseline and/or aligned) and report spans",
+    ),
+    "attention-report": (
+        cmd_attention_report,
+        "distance and score matrices plus the alignment gain report, written as files",
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -372,79 +392,20 @@ def build_parser() -> argparse.ArgumentParser:
         "for tiled vision-language token layouts.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser(
-        "simulate-decay",
-        help="Monte Carlo decay profile of the rotated inner product, written as CSV",
-    )
-    _add_config_arg(sp)
-    sp.add_argument("--dim", type=int, help="head dimension, even (default 64)")
-    sp.add_argument("--theta", type=float, help="frequency base (default 1e4; 1e7 also common)")
-    sp.add_argument("--mu", help="mean preset for both vectors: zeros | ones:C (default ones:1.0)")
-    sp.add_argument(
-        "--distances",
-        help="relative distances: log:A..B[:N] | lin:A..B[:N] | comma list (default log:0..1024)",
-    )
-    sp.add_argument("--samples", type=int, help="Monte Carlo samples per distance (default 100000)")
-    sp.add_argument("--seed", type=int, help="RNG seed (default 0)")
-    sp.add_argument("--threads", type=int, help="worker threads; result is thread-count independent")
-    sp.add_argument("--out", help="output CSV path (default: print to stdout)")
-    sp.set_defaults(func=cmd_simulate_decay)
-
-    sp = sub.add_parser("plan-layout", help="build a token layout plan and report token counts")
-    _add_config_arg(sp)
-    _add_plan_args(sp, with_plan_file=False)
-    sp.add_argument("--out", help="plan JSON path (default: print to stdout)")
-    sp.set_defaults(func=cmd_plan_layout)
-
-    sp = sub.add_parser(
-        "assign-ids", help="assign position IDs (baseline and/or aligned) and report spans"
-    )
-    _add_config_arg(sp)
-    _add_plan_args(sp, with_plan_file=True)
-    sp.add_argument("--mode", help="baseline | id_align | both (default both)")
-    sp.add_argument(
-        "--separator-policy",
-        choices=("inherit-row-end", "sequential-after-image"),
-        help="separator IDs in aligned mode (default inherit-row-end)",
-    )
-    sp.add_argument("--mapping-csv", help="also write the high-res id mapping grid as CSV")
-    sp.add_argument("--out", help="output JSON path (default: print to stdout)")
-    sp.set_defaults(func=cmd_assign_ids)
-
-    sp = sub.add_parser(
-        "attention-report",
-        help="distance and score matrices plus the alignment gain report, written as files",
-    )
-    _add_config_arg(sp)
-    _add_plan_args(sp, with_plan_file=True)
-    sp.add_argument("--dim", type=int, help="head dimension, even (default 64)")
-    sp.add_argument("--theta", type=float, help="frequency base (default 1e4)")
-    sp.add_argument("--pop", help="population: constant:C | gaussian:MEAN:SEED (default constant:1.0)")
-    sp.add_argument(
-        "--normalize",
-        action=argparse.BooleanOptionalAction,
-        help="row-softmax the score matrices (default off)",
-    )
-    sp.add_argument(
-        "--scale",
-        action=argparse.BooleanOptionalAction,
-        help="divide scores by sqrt(dim) (default on)",
-    )
-    sp.add_argument(
-        "--separator-policy",
-        choices=("inherit-row-end", "sequential-after-image"),
-        help="separator IDs in aligned mode (default inherit-row-end)",
-    )
-    sp.add_argument("--out-dir", help="directory for the CSV/JSON outputs (default .)")
-    sp.set_defaults(func=cmd_attention_report)
+    for command, (func, help_text) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=help_text)
+        sp.add_argument("--config", help="JSON config file; flags take precedence over it")
+        for opt, flag, kw in _FLAGS:
+            if command in opt.commands:
+                sp.add_argument(flag, **kw)
+        sp.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(_merged(args))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,7 +9,7 @@ baseline and aligned assignments on the same plan.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -159,16 +159,7 @@ class AlignmentGainReport:
     id_align: ModeGeometry
 
     def to_json(self) -> str:
-        def rec(g: ModeGeometry) -> dict:
-            return {
-                "pair_mean_distance": g.pair_mean_distance,
-                "post_text_mean_image_distance": g.post_text_mean_image_distance,
-                "post_text_max_image_distance": g.post_text_max_image_distance,
-                "max_id": g.max_id,
-            }
-
-        doc = {"baseline": rec(self.baseline), "id_align": rec(self.id_align)}
-        return json.dumps(doc, separators=(",", ":"))
+        return json.dumps(asdict(self), separators=(",", ":"))
 
 
 def _mode_geometry(plan: LayoutPlan, idmap: PositionIdMap) -> ModeGeometry:
@@ -213,16 +204,23 @@ def _mode_geometry(plan: LayoutPlan, idmap: PositionIdMap) -> ModeGeometry:
 
 
 def alignment_gain_report(
-    plan: LayoutPlan, separator_policy: str = "inherit-row-end"
+    plan: LayoutPlan,
+    separator_policy: str = "inherit-row-end",
+    baseline: PositionIdMap | None = None,
+    id_align: PositionIdMap | None = None,
 ) -> AlignmentGainReport:
     """Compare baseline and aligned ID geometry on one plan.
 
     The metrics are functions of the plan and the ID maps alone; no
-    token population is involved.
+    token population is involved.  ``baseline`` and ``id_align`` are the
+    plan's maps under this policy when the caller already has them; a
+    missing one is computed.
     """
-    baseline = assign_position_ids(plan, "baseline", separator_policy)
-    aligned = assign_position_ids(plan, "id_align", separator_policy)
+    if baseline is None:
+        baseline = assign_position_ids(plan, "baseline", separator_policy)
+    if id_align is None:
+        id_align = assign_position_ids(plan, "id_align", separator_policy)
     return AlignmentGainReport(
         baseline=_mode_geometry(plan, baseline),
-        id_align=_mode_geometry(plan, aligned),
+        id_align=_mode_geometry(plan, id_align),
     )

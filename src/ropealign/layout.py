@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 __all__ = [
@@ -214,26 +215,36 @@ class LayoutPlan:
 
     @classmethod
     def from_json(cls, text: str) -> "LayoutPlan":
+        """Parse a plan.  Integer fields must be JSON integers, never
+        truncated; a missing required field raises KeyError."""
         doc = json.loads(text)
+
+        def num(raw: dict, key: str) -> int:
+            value = raw[key]
+            try:
+                if not isinstance(value, bool):
+                    return operator.index(value)
+            except TypeError:
+                pass
+            raise ValueError(f"plan field {key} must be an integer, got {value!r}")
+
         segs: list[Segment] = []
         for raw in doc["segments"]:
             kind = raw["kind"]
             if kind == "text":
-                segs.append(TextSegment(int(raw["len"])))
+                segs.append(TextSegment(num(raw, "len")))
             elif kind == "thumb":
-                segs.append(ThumbnailGrid(GridShape(int(raw["rows"]), int(raw["cols"]))))
+                segs.append(ThumbnailGrid(GridShape(num(raw, "rows"), num(raw, "cols"))))
             elif kind == "highres":
-                segs.append(
-                    HighResGrid(
-                        GridShape(int(raw["rows"]), int(raw["cols"])),
-                        bool(raw.get("row_separator", True)),
-                    )
-                )
+                sep = raw.get("row_separator", True)
+                if not isinstance(sep, bool):
+                    raise ValueError(f"plan field row_separator must be true or false, got {sep!r}")
+                segs.append(HighResGrid(GridShape(num(raw, "rows"), num(raw, "cols")), sep))
             elif kind == "separator":
-                segs.append(Separator(int(raw.get("count", 1))))
+                segs.append(Separator(num({"count": 1} | raw, "count")))
             else:
                 raise ValueError(f"unknown segment kind {kind!r}")
-        return cls(segments=tuple(segs), patch_size=int(doc["patch_size"]))
+        return cls(segments=tuple(segs), patch_size=num(doc, "patch_size"))
 
 
 def segment_ranges(plan: LayoutPlan) -> tuple[tuple[Segment, int, int], ...]:

@@ -5,6 +5,7 @@ pytest temp dirs and are compared byte for byte where determinism is
 the contract.
 """
 
+import argparse
 import json
 import os
 import subprocess
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 import ropealign
-from ropealign import LayoutPlan, RopeConfig, decay_profile, idalign
+from ropealign import LayoutPlan, RopeConfig, decay_profile, harness, idalign
 from ropealign import cli
 from ropealign.cli import main
 
@@ -110,6 +111,15 @@ class TestPlanLayout:
         assert rc == 0
         assert LayoutPlan.from_json(out.read_text()).highres() is not None
 
+    def test_stdout_bytes_pinned(self, capsys):
+        assert main(["plan-layout"] + SMALL_PLAN_ARGS) == 0
+        assert capsys.readouterr().out == (
+            '{"segments":[{"kind":"text","len":2},{"kind":"thumb","rows":2,"cols":2},'
+            '{"kind":"highres","rows":4,"cols":4,"row_separator":false},{"kind":"text","len":1}],'
+            '"patch_size":14}\n'
+            '{"total":23,"text_tokens":3,"image_tokens":20,"separator_tokens":0,"id_span_baseline":23}\n'
+        )
+
 
 class TestAssignIds:
     """ID maps and span reports."""
@@ -165,6 +175,22 @@ class TestAssignIds:
     def test_unknown_mode(self, capsys):
         rc = main(["assign-ids"] + SMALL_PLAN_ARGS + ["--mode", "fancy"])
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ('{"segments":[{"kind":"text","len":2.7}],"patch_size":14}', "len"),
+            ('{"segments":[{"kind":"text","len":2}],"patch_size":14.5}', "patch_size"),
+        ],
+    )
+    def test_non_integer_plan_field_is_usage_error(self, tmp_path, capsys, text, field):
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(text)
+        rc = main(["assign-ids", "--plan", str(plan_path), "--mode", "baseline"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and field in captured.err
 
     def test_high_first_baseline_has_no_span(self, capsys):
         rc = main(["assign-ids"] + SMALL_PLAN_ARGS + ["--order", "high-first", "--mode", "baseline"])
@@ -248,6 +274,21 @@ class TestAttentionReport:
             tmp_path / "scores_id_align.csv"
         ).read_bytes()
 
+    def test_each_map_computed_once(self, tmp_path, monkeypatch, capsys):
+        """The gain report reuses the maps the matrices were built from."""
+        real = idalign.assign_position_ids
+        calls = []
+
+        def counting(plan, mode, *args, **kwargs):
+            calls.append(mode)
+            return real(plan, mode, *args, **kwargs)
+
+        for module in (cli, idalign, harness):
+            monkeypatch.setattr(module, "assign_position_ids", counting)
+        rc = main(["attention-report"] + SMALL_PLAN_ARGS + ["--dim", "8", "--out-dir", str(tmp_path)])
+        assert rc == 0
+        assert sorted(calls) == ["baseline", "id_align"]
+
     def test_normalized_rows_sum_to_one(self, tmp_path, capsys):
         rc = main(
             ["attention-report"] + SMALL_PLAN_ARGS
@@ -314,12 +355,150 @@ class TestConfigPrecedence:
         assert captured.err.startswith("error:") and key in captured.err
         assert not (tmp_path / "rep").exists()
 
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("plan-layout", "row_separators", "false"),
+            ("plan-layout", "cap_effective", 1),
+            ("attention-report", "normalize", "no"),
+            ("plan-layout", "order", "thumbfirst"),
+            ("attention-report", "theta", "abc"),
+            ("simulate-decay", "theta", None),
+            ("simulate-decay", "dim", True),
+            ("simulate-decay", "mu", 1),
+            ("assign-ids", "mode", "fancy"),
+            ("assign-ids", "separator_policy", "inherit"),
+            ("attention-report", "scale", 0),
+            ("attention-report", "out_dir", 5),
+            ("assign-ids", "plan", 5),
+            ("simulate-decay", "distances", 3),
+        ],
+    )
+    def test_bad_config_value_is_usage_error(self, tmp_path, monkeypatch, capsys, command, key, value):
+        """Bool, choice, float and string options are checked, never coerced."""
+        monkeypatch.chdir(tmp_path)
+        Path("cfg.json").write_text(json.dumps({key: value}))
+        argv = [command, "--config", "cfg.json"]
+        if command != "simulate-decay":
+            argv += ["--input", "56x56", "--candidates", "56x56", "--vit", "28x28", "--patch", "14"]
+        if command == "attention-report":
+            argv += ["--dim", "8"]
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and key in captured.err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("plan-layout", "--order", "fancy"),
+            ("assign-ids", "--separator-policy", "fancy"),
+            ("attention-report", "--separator-policy", "fancy"),
+        ],
+    )
+    def test_bad_choice_flag_returns_2(self, command, flag, value, capsys):
+        """Choices are checked after parsing, so main returns 2 rather than exiting."""
+        rc = main([command] + SMALL_PLAN_ARGS + [flag, value])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and flag[2:].replace("-", "_") in captured.err
+
+    def test_bool_and_choice_config_values_apply(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"row_separators": False, "order": "high-first"}))
+        assert main(["plan-layout", "--config", str(cfg), "--input", "672x672"]) == 0
+        plan_line, _counts = capsys.readouterr().out.splitlines()
+        plan = LayoutPlan.from_json(plan_line)
+        assert plan.highres().row_separator is False
+        assert plan.segments.index(plan.highres()) < plan.segments.index(plan.thumbnail())
+
     def test_integer_config_values_accepted(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"patch": 14, "pre": 2, "post": 1}))
         assert main(["plan-layout", "--config", str(cfg)]) == 0
         counts = json.loads(capsys.readouterr().out.splitlines()[-1])
         assert counts["text_tokens"] == 3
+
+
+_PLAN_KEYS = {
+    "pre", "post", "input", "candidates", "vit", "patch", "row_separators", "cap_effective", "order",
+}  # fmt: skip
+# Each subcommand's config keys; its flags are these, dashed, plus --config and --help.
+CONFIG_KEYS = {
+    "simulate-decay": {"dim", "theta", "mu", "distances", "samples", "seed", "threads", "out"},
+    "plan-layout": _PLAN_KEYS | {"out"},
+    "assign-ids": _PLAN_KEYS | {"plan", "mode", "separator_policy", "mapping_csv", "out"},
+    "attention-report": _PLAN_KEYS
+    | {"plan", "dim", "theta", "pop", "normalize", "scale", "separator_policy", "out_dir"},
+}
+BOOL_KEYS = {"row_separators", "cap_effective", "normalize", "scale"}
+DEFAULTS = {
+    "pre": 0, "post": 0, "input": "336x336", "candidates": "clip336", "vit": "336x336",
+    "patch": 14, "row_separators": True, "cap_effective": False, "order": "thumb-first",
+    "mode": "both", "dim": 64, "theta": 1e4, "mu": "ones:1.0", "distances": "log:0..1024",
+    "samples": 100000, "seed": 0, "threads": 1, "pop": "constant:1.0", "normalize": False,
+    "scale": True, "separator_policy": "inherit-row-end", "out_dir": ".",
+    "plan": None, "mapping_csv": None, "out": None,
+}  # fmt: skip
+
+
+class TestOptionTable:
+    """One option table drives every subcommand's flags, config keys and help."""
+
+    @staticmethod
+    def subparsers() -> dict:
+        parser = cli.build_parser()
+        action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return action.choices
+
+    def test_flags_match_config_keys(self):
+        subs = self.subparsers()
+        assert set(subs) == set(CONFIG_KEYS)
+        for command, keys in CONFIG_KEYS.items():
+            flags = {s for a in subs[command]._actions for s in a.option_strings}
+            want = {"-h", "--help", "--config"}
+            want |= {"--" + k.replace("_", "-") for k in keys}
+            want |= {"--no-" + k.replace("_", "-") for k in keys & BOOL_KEYS}
+            assert flags == want, command
+
+    @pytest.mark.parametrize("command", sorted(CONFIG_KEYS))
+    def test_config_accepts_exactly_the_flag_keys(self, command, tmp_path, capsys):
+        others = set().union(*CONFIG_KEYS.values()) | {"config", "bogus"}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict.fromkeys(others | CONFIG_KEYS[command])))
+        assert main([command, "--config", str(cfg)]) == 2
+        unknown = ", ".join(sorted(others - CONFIG_KEYS[command]))
+        assert capsys.readouterr().err == f"error: unknown config keys: {unknown}\n"
+
+    @pytest.mark.parametrize("command", sorted(CONFIG_KEYS))
+    def test_defaults(self, command):
+        args = cli.build_parser().parse_args([command])
+        assert cli._merged(args) == {k: DEFAULTS[k] for k in CONFIG_KEYS[command]}
+
+    @pytest.mark.parametrize("command", sorted(CONFIG_KEYS))
+    def test_help_shows_each_default(self, command, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "1000")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        entries = {}  # first flag of each option -> its invocation and help on one line
+        for line in capsys.readouterr().out.splitlines():
+            if line.startswith("  -"):
+                flag = line.split()[0].rstrip(",")
+                entries[flag] = line.strip()
+            elif line.startswith("   ") and entries:
+                entries[flag] += " " + line.strip()
+        for key in CONFIG_KEYS[command]:
+            entry = entries["--" + key.replace("_", "-")]
+            default = DEFAULTS[key]
+            if default is None:
+                assert "(default" not in entry, key
+            else:
+                shown = default if isinstance(default, str) else json.dumps(default)
+                assert entry.endswith(f"(default {shown})"), entry
 
 
 class TestOutputDirOverride:

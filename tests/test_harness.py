@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ropealign import harness
 from ropealign import (
     GridShape,
     HighResGrid,
@@ -241,3 +242,44 @@ class TestAlignmentGainReport:
         doc = json.loads(report.to_json())
         assert set(doc) == {"baseline", "id_align"}
         assert doc["id_align"]["pair_mean_distance"] == 0.0
+
+    def test_json_bytes_pinned(self):
+        """Field order and float formatting of the wire format are fixed."""
+        assert alignment_gain_report(trace_plan()).to_json() == (
+            '{"baseline":{"pair_mean_distance":4.0,"post_text_mean_image_distance":4.5,'
+            '"post_text_max_image_distance":8,"max_id":10},'
+            '"id_align":{"pair_mean_distance":0.0,"post_text_mean_image_distance":2.5,'
+            '"post_text_max_image_distance":4,"max_id":6}}'
+        )
+        thumb_only = LayoutPlan(
+            segments=(TextSegment(2), ThumbnailGrid(GridShape(3, 3)), TextSegment(2)),
+            patch_size=14,
+        )
+        geometry = (
+            '{"pair_mean_distance":null,"post_text_mean_image_distance":5.5,'
+            '"post_text_max_image_distance":10,"max_id":12}'
+        )
+        assert alignment_gain_report(thumb_only).to_json() == (
+            f'{{"baseline":{geometry},"id_align":{geometry}}}'
+        )
+
+    @pytest.mark.parametrize("policy", ["inherit-row-end", "sequential-after-image"])
+    def test_given_maps_are_used(self, policy, monkeypatch):
+        """Maps the caller passes give the same report and are not recomputed."""
+        plan = LayoutPlan(
+            segments=(
+                TextSegment(3),
+                ThumbnailGrid(GridShape(2, 3)),
+                HighResGrid(GridShape(4, 6), row_separator=True),
+                TextSegment(2),
+            ),
+            patch_size=14,
+        )
+        want = alignment_gain_report(plan, policy)
+        maps = {mode: assign_position_ids(plan, mode, policy) for mode in ("baseline", "id_align")}
+
+        def fail(*args, **kwargs):
+            raise AssertionError("map recomputed")
+
+        monkeypatch.setattr(harness, "assign_position_ids", fail)
+        assert alignment_gain_report(plan, policy, **maps) == want

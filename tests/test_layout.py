@@ -314,6 +314,45 @@ class TestLayoutPlanJson:
         with pytest.raises(ValueError):
             LayoutPlan.from_json('{"segments":[{"kind":"audio","len":2}],"patch_size":14}')
 
+    @pytest.mark.parametrize(
+        "segment, patch, field",
+        [
+            ('{"kind":"text","len":2.7}', "14", "len"),
+            ('{"kind":"text","len":"2"}', "14", "len"),
+            ('{"kind":"thumb","rows":2.0,"cols":2}', "14", "rows"),
+            ('{"kind":"thumb","rows":2,"cols":true}', "14", "cols"),
+            ('{"kind":"highres","rows":2,"cols":null}', "14", "cols"),
+            ('{"kind":"separator","count":1.5}', "14", "count"),
+            ('{"kind":"text","len":2}', "14.5", "patch_size"),
+            ('{"kind":"highres","rows":2,"cols":2,"row_separator":"false"}', "14", "row_separator"),
+        ],
+    )
+    def test_non_integer_field_rejected(self, segment, patch, field):
+        """Plan fields are never truncated or coerced."""
+        with pytest.raises(ValueError, match=field):
+            LayoutPlan.from_json(f'{{"segments":[{segment}],"patch_size":{patch}}}')
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"patch_size":14}',
+            '{"segments":[{"kind":"text"}],"patch_size":14}',
+            '{"segments":[{"kind":"thumb","rows":2}],"patch_size":14}',
+            '{"segments":[{"kind":"text","len":2}]}',
+        ],
+    )
+    def test_missing_field_is_key_error(self, text):
+        with pytest.raises(KeyError):
+            LayoutPlan.from_json(text)
+
+    def test_optional_fields_default(self):
+        plan = LayoutPlan.from_json(
+            '{"segments":[{"kind":"thumb","rows":1,"cols":1},{"kind":"highres","rows":2,"cols":2},'
+            '{"kind":"separator"}],"patch_size":14}'
+        )
+        assert plan.highres().row_separator is True
+        assert plan.segments[2] == Separator(1)
+
     def test_slot_roles_order(self):
         plan = LayoutPlan(
             segments=(
