@@ -1,104 +1,14 @@
 """Rotary-embedding decay analysis and aligned position-ID assignment
 for tiled vision-language token layouts."""
 
-from .decay import (
-    AbelReport,
-    DecayProfile,
-    abel_bound_check,
-    abel_partial_sums,
-    decay_profile,
-    expected_dot_closed_form,
-    monte_carlo_expected_dot,
-)
-from .harness import (
-    AlignmentGainReport,
-    ModeGeometry,
-    ScoreMatrix,
-    TokenPopulation,
-    alignment_gain_report,
-    attention_scores,
-    matrix_csv,
-    population_constant,
-    population_gaussian,
-    relative_distance_matrix,
-)
-from .idalign import (
-    CorrespondencePair,
-    GridMapping,
-    IdSpanReport,
-    PositionIdMap,
-    assign_position_ids,
-    correspondence_oracle,
-    id_span_report,
-    map_highres_ids,
-    thumbnail_id_grid,
-)
-from .layout import (
-    GridShape,
-    HighResGrid,
-    LayoutPlan,
-    PaddedPlacement,
-    Resolution,
-    Separator,
-    TextSegment,
-    ThumbnailGrid,
-    TokenCounts,
-    build_layout,
-    fit_with_padding,
-    segment_ranges,
-    select_resolution,
-    token_counts,
-    unpad_grid,
-)
-from .rope import RopeConfig, apply_rope, apply_rope_many, rope_dot, rope_frequencies
+from . import decay, harness, idalign, layout, rope
+from .decay import *  # noqa: F403
+from .harness import *  # noqa: F403
+from .idalign import *  # noqa: F403
+from .layout import *  # noqa: F403
+from .rope import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "RopeConfig",
-    "rope_frequencies",
-    "apply_rope",
-    "apply_rope_many",
-    "rope_dot",
-    "AbelReport",
-    "DecayProfile",
-    "abel_partial_sums",
-    "abel_bound_check",
-    "expected_dot_closed_form",
-    "monte_carlo_expected_dot",
-    "decay_profile",
-    "Resolution",
-    "PaddedPlacement",
-    "GridShape",
-    "TextSegment",
-    "ThumbnailGrid",
-    "HighResGrid",
-    "Separator",
-    "LayoutPlan",
-    "TokenCounts",
-    "select_resolution",
-    "fit_with_padding",
-    "unpad_grid",
-    "build_layout",
-    "token_counts",
-    "segment_ranges",
-    "GridMapping",
-    "PositionIdMap",
-    "CorrespondencePair",
-    "IdSpanReport",
-    "thumbnail_id_grid",
-    "map_highres_ids",
-    "correspondence_oracle",
-    "assign_position_ids",
-    "id_span_report",
-    "TokenPopulation",
-    "ScoreMatrix",
-    "ModeGeometry",
-    "AlignmentGainReport",
-    "population_constant",
-    "population_gaussian",
-    "relative_distance_matrix",
-    "attention_scores",
-    "alignment_gain_report",
-    "matrix_csv",
-]
+# Each module's ``__all__`` is its public API; the package re-exports them.
+__all__ = [*rope.__all__, *decay.__all__, *layout.__all__, *idalign.__all__, *harness.__all__]

@@ -2,8 +2,8 @@
 
 Four subcommands: simulate-decay, plan-layout, assign-ids and
 attention-report.  Outputs are CSV for matrices and profiles, JSON for
-plans and ID maps, always with ``\\n`` line endings and repr-formatted
-floats, so identical flags and seeds give byte-identical files.
+plans and ID maps, all written by ``codec``, so identical flags and seeds
+give byte-identical files.
 
 Every option is declared once, in ``OPTIONS``.  Parameter precedence per
 subcommand: command-line flags, then an optional JSON config file
@@ -27,8 +27,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .codec import json_text
 from .decay import decay_profile
 from .harness import (
+    TokenPopulation,
     alignment_gain_report,
     attention_scores,
     matrix_csv,
@@ -178,14 +180,20 @@ def _merged(args: argparse.Namespace) -> dict:
     return out
 
 
+def _parse(opts: dict, key: str, parser, *args):
+    """``parser(opts[key], *args)``; a ValueError names the option."""
+    try:
+        return parser(opts[key], *args)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
+
+
 def _parse_resolution(text: str) -> Resolution:
     parts = text.lower().split("x")
-    if len(parts) == 1:
-        h = w = int(parts[0])
-    elif len(parts) == 2:
-        h, w = int(parts[0]), int(parts[1])
-    else:
-        raise ValueError(f"bad resolution {text!r}, expected HEIGHTxWIDTH")
+    try:  # a single number is a square
+        h, w = map(int, parts * 2 if len(parts) == 1 else parts)
+    except ValueError:
+        raise ValueError(f"bad resolution {text!r}, expected HEIGHTxWIDTH") from None
     return Resolution(h, w)
 
 
@@ -197,25 +205,28 @@ def _parse_candidates(text: str) -> list[Resolution]:
 def _parse_distances(spec: str) -> list[int]:
     """``log:A..B[:N]``, ``lin:A..B[:N]`` (N defaults to 16) or a comma
     list of integers.  Spaced forms round to integers and deduplicate."""
-    if spec.startswith(("log:", "lin:")):
-        kind, _, rest = spec.partition(":")
+    kind, _, rest = spec.partition(":")
+    try:
+        if kind not in ("log", "lin"):
+            return [int(part) for part in spec.split(",")]
         parts = rest.split(":")
         n = int(parts[1]) if len(parts) > 1 else 16
-        a_str, sep, b_str = parts[0].partition("..")
-        if not sep:
-            raise ValueError(f"bad distance spec {spec!r}, expected {kind}:A..B[:N]")
+        a_str, _, b_str = parts[0].partition("..")
         a, b = int(a_str), int(b_str)
         if a < 0 or b < a or n < 1:
-            raise ValueError(f"bad distance spec {spec!r}")
-        if kind == "lin":
-            vals = np.linspace(a, b, n)
-        else:
-            lo = max(a, 1)
-            vals = np.geomspace(lo, max(b, lo), n)
-            if a == 0:
-                vals = np.concatenate([[0.0], vals])
-        return sorted({int(round(v)) for v in vals})
-    return [int(part) for part in spec.split(",")]
+            raise ValueError
+    except ValueError:
+        raise ValueError(
+            f"bad distance spec {spec!r}, expected log:A..B[:N], lin:A..B[:N] or a comma list"
+        ) from None
+    if kind == "lin":
+        vals = np.linspace(a, b, n)
+    else:
+        lo = max(a, 1)
+        vals = np.geomspace(lo, max(b, lo), n)
+        if a == 0:
+            vals = np.concatenate([[0.0], vals])
+    return sorted({int(round(v)) for v in vals})
 
 
 def _parse_mu(spec: str, dim: int) -> np.ndarray:
@@ -223,8 +234,26 @@ def _parse_mu(spec: str, dim: int) -> np.ndarray:
         return np.zeros(dim)
     kind, _, arg = spec.partition(":")
     if kind == "ones":
-        return np.full(dim, float(arg) if arg else 1.0)
+        try:
+            return np.full(dim, float(arg) if arg else 1.0)
+        except ValueError:
+            pass
     raise ValueError(f"bad mean preset {spec!r}, expected 'zeros' or 'ones:C'")
+
+
+def _parse_pop(spec: str, plan: LayoutPlan, config: RopeConfig) -> TokenPopulation:
+    kind, _, rest = spec.partition(":")
+    mean, _, seed = rest.partition(":")
+    try:
+        if kind == "constant":
+            return population_constant(plan, config, float(rest) if rest else 1.0)
+        if kind == "gaussian":
+            return population_gaussian(
+                plan, config, mean=float(mean) if mean else 0.0, seed=int(seed) if seed else 0
+            )
+    except ValueError:
+        pass
+    raise ValueError(f"bad population {spec!r}, expected constant:C or gaussian:M:SEED")
 
 
 def _emit(path: str | None, text: str) -> None:
@@ -248,9 +277,9 @@ def _plan_from(opts: dict) -> LayoutPlan:
         return LayoutPlan.from_json(Path(opts["plan"]).read_text())
     return build_layout(
         pre_text=opts["pre"],
-        input=_parse_resolution(opts["input"]),
-        candidates=_parse_candidates(opts["candidates"]),
-        vit_resolution=_parse_resolution(opts["vit"]),
+        input=_parse(opts, "input", _parse_resolution),
+        candidates=_parse(opts, "candidates", _parse_candidates),
+        vit_resolution=_parse(opts, "vit", _parse_resolution),
         patch_size=opts["patch"],
         post_text=opts["post"],
         row_separators=opts["row_separators"],
@@ -263,11 +292,11 @@ def cmd_simulate_decay(opts: dict) -> int:
     if opts["threads"] < 1:
         raise ValueError(f"threads must be at least 1, got {opts['threads']}")
     config = RopeConfig(dim=opts["dim"], theta_base=opts["theta"])
-    mu = _parse_mu(opts["mu"], config.dim)
+    mu = _parse(opts, "mu", _parse_mu, config.dim)
     profile = decay_profile(
         mu,
         mu,
-        _parse_distances(opts["distances"]),
+        _parse(opts, "distances", _parse_distances),
         samples=opts["samples"],
         seed=opts["seed"],
         config=config,
@@ -281,12 +310,8 @@ def cmd_plan_layout(opts: dict) -> int:
     plan = _plan_from(opts)
     counts = token_counts(plan)
     _emit(opts["out"], plan.to_json() + "\n")
-    print(json.dumps(asdict(counts), separators=(",", ":")))
+    print(json_text(asdict(counts)))
     return 0
-
-
-def _map_doc(idmap) -> dict:
-    return {"ids": list(idmap.ids), "max_pid": idmap.max_pid, "mode": idmap.mode}
 
 
 def cmd_assign_ids(opts: dict) -> int:
@@ -305,17 +330,12 @@ def cmd_assign_ids(opts: dict) -> int:
         aligned, aligned_error = None, exc
     doc: dict = {}
     if mode in ("baseline", "both"):
-        doc["baseline"] = _map_doc(baseline)
+        doc["baseline"] = baseline.to_doc()
     if mode in ("id_align", "both"):
-        doc["id_align"] = _map_doc(aligned)
+        doc["id_align"] = aligned.to_doc()
     if aligned is not None:
         span = id_span_report(plan, policy, baseline=baseline, id_align=aligned)
-        ratio = None if math.isinf(span.ratio) else span.ratio
-        doc["span"] = {
-            "baseline_span": span.baseline_span,
-            "id_align_span": span.id_align_span,
-            "ratio": ratio,
-        }
+        doc["span"] = asdict(span) | {"ratio": None if math.isinf(span.ratio) else span.ratio}
     if opts["mapping_csv"]:
         thumb = plan.thumbnail()
         high = plan.highres()
@@ -328,26 +348,14 @@ def cmd_assign_ids(opts: dict) -> int:
             if seg is thumb:
                 base = aligned.ids[start]
         _emit(opts["mapping_csv"], map_highres_ids(thumb.shape, high.shape, base).to_csv())
-    _emit(opts["out"], json.dumps(doc, separators=(",", ":")) + "\n")
+    _emit(opts["out"], json_text(doc) + "\n")
     return 0
 
 
 def cmd_attention_report(opts: dict) -> int:
     plan = _plan_from(opts)
     config = RopeConfig(dim=opts["dim"], theta_base=opts["theta"])
-    kind, _, rest = opts["pop"].partition(":")
-    if kind == "constant":
-        pop = population_constant(plan, config, float(rest) if rest else 1.0)
-    elif kind == "gaussian":
-        mean_str, _, seed_str = rest.partition(":")
-        pop = population_gaussian(
-            plan,
-            config,
-            mean=float(mean_str) if mean_str else 0.0,
-            seed=int(seed_str) if seed_str else 0,
-        )
-    else:
-        raise ValueError(f"bad population {opts['pop']!r}, expected constant:C or gaussian:M:SEED")
+    pop = _parse(opts, "pop", _parse_pop, plan, config)
     policy = opts["separator_policy"]
     out_dir = opts["out_dir"]
     maps = {

@@ -18,9 +18,11 @@ from __future__ import annotations
 
 import concurrent.futures
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
+from .codec import csv_text
 from .rope import RopeConfig, apply_rope_many, rope_frequencies
 
 __all__ = [
@@ -74,15 +76,9 @@ class DecayProfile:
             raise ValueError("distances must be strictly increasing")
 
     def to_csv(self) -> str:
-        """Render as CSV with header ``rel_distance,mean_dot,stderr,samples``.
-
-        Floats use repr round-tripping, so equal profiles serialize to
-        identical bytes.
-        """
-        lines = ["rel_distance,mean_dot,stderr,samples"]
-        for d, m, s in zip(self.distances, self.mean_dot, self.stderr):
-            lines.append(f"{d},{m!r},{s!r},{self.sample_count}")
-        return "\n".join(lines) + "\n"
+        """Render as CSV with header ``rel_distance,mean_dot,stderr,samples``."""
+        rows = zip(self.distances, self.mean_dot, self.stderr, repeat(self.sample_count))
+        return csv_text(("rel_distance", "mean_dot", "stderr", "samples"), rows)
 
 
 def _check_mean(mu, config: RopeConfig) -> np.ndarray:

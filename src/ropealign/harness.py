@@ -8,11 +8,11 @@ baseline and aligned assignments on the same plan.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .codec import csv_text, json_text
 from .idalign import PositionIdMap, assign_position_ids, correspondence_oracle
 from .layout import HighResGrid, LayoutPlan, ThumbnailGrid, segment_ranges
 from .rope import RopeConfig, apply_rope_many
@@ -71,19 +71,11 @@ def relative_distance_matrix(idmap: PositionIdMap) -> np.ndarray:
 
 
 def matrix_csv(values: np.ndarray, roles: tuple[str, ...]) -> str:
-    """Dense row-major CSV: a header line of slot roles, then one line
-    per matrix row.  Floats serialize via repr so equal matrices give
-    identical bytes; integer matrices serialize as plain integers."""
+    """Dense row-major CSV of an integer or float matrix: a header line of
+    slot roles, then one line per matrix row."""
     if values.ndim != 2 or values.shape[1] != len(roles):
         raise ValueError("matrix columns must match the role list")
-    lines = [",".join(roles)]
-    if np.issubdtype(values.dtype, np.integer):
-        for row in values:
-            lines.append(",".join(str(int(v)) for v in row))
-    else:
-        for row in values:
-            lines.append(",".join(repr(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
+    return csv_text(roles, (row.tolist() for row in values))
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,7 +151,7 @@ class AlignmentGainReport:
     id_align: ModeGeometry
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), separators=(",", ":"))
+        return json_text(asdict(self))
 
 
 def _mode_geometry(plan: LayoutPlan, idmap: PositionIdMap) -> ModeGeometry:

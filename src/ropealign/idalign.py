@@ -11,11 +11,11 @@ against each other.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from .codec import csv_text, json_text
 from .layout import (
     GridShape,
     HighResGrid,
@@ -65,7 +65,7 @@ class GridMapping:
             raise ValueError("mapped ids must be nondecreasing along rows and columns")
 
     def to_csv(self) -> str:
-        return "".join(",".join(map(str, row)) + "\n" for row in self.ids.tolist())
+        return csv_text(None, self.ids.tolist())
 
 
 @dataclass(frozen=True)
@@ -89,9 +89,12 @@ class PositionIdMap:
         if self.max_pid != expected:
             raise ValueError(f"max_pid must be {expected}, got {self.max_pid}")
 
+    def to_doc(self) -> dict:
+        """The JSON document of the map (``asdict`` is much slower on long maps)."""
+        return {"ids": list(self.ids), "max_pid": self.max_pid, "mode": self.mode}
+
     def to_json(self) -> str:
-        doc = {"ids": list(self.ids), "max_pid": self.max_pid, "mode": self.mode}
-        return json.dumps(doc, separators=(",", ":"))
+        return json_text(self.to_doc())
 
 
 @dataclass(frozen=True)
@@ -110,35 +113,23 @@ def thumbnail_id_grid(shape: GridShape, base: int = 0) -> np.ndarray:
     return base + np.arange(shape.cells, dtype=np.int64).reshape(shape.rows, shape.cols)
 
 
-def _axis_targets(n0: int, n1: int, align: str) -> np.ndarray:
-    j = np.arange(n1, dtype=np.float64)
-    if align == "half_pixel":
-        src = (j + 0.5) * (n0 / n1) - 0.5
-    elif align == "corners":
-        src = j * ((n0 - 1) / (n1 - 1)) if n1 > 1 else np.zeros(1)
-    else:
-        raise ValueError(f"align must be 'half_pixel' or 'corners', got {align!r}")
+def _axis_targets(n0: int, n1: int) -> np.ndarray:
+    src = (np.arange(n1, dtype=np.float64) + 0.5) * (n0 / n1) - 0.5
     rounded = np.sign(src) * np.floor(np.abs(src) + 0.5)
     return np.clip(rounded.astype(np.int64), 0, n0 - 1)
 
 
-def map_highres_ids(
-    thumb: GridShape, high: GridShape, base: int = 0, align: str = "half_pixel"
-) -> GridMapping:
+def map_highres_ids(thumb: GridShape, high: GridShape, base: int = 0) -> GridMapping:
     """Resize the thumbnail raster-ID grid to the high-res shape.
 
     Interpolation acts per axis on the raster coordinates (for a linear
     ramp, bilinear and nearest-neighbor agree, so one code path covers
     both), rounding half away from zero and clamping into range.  The
-    default half-pixel convention assigns each high-res cell the
-    thumbnail cell containing its center, which always spatially
-    overlaps it.  ``align="corners"`` maps grid extremes to extremes
-    instead; it is kept for comparison but can pick a non-overlapping
-    neighbor on a few shape combinations, so the default is what the
-    correspondence property tests gate on.
+    half-pixel convention assigns each high-res cell the thumbnail cell
+    containing its center, which always spatially overlaps it.
     """
-    rows = _axis_targets(thumb.rows, high.rows, align)
-    cols = _axis_targets(thumb.cols, high.cols, align)
+    rows = _axis_targets(thumb.rows, high.rows)
+    cols = _axis_targets(thumb.cols, high.cols)
     ids = base + rows[:, None] * thumb.cols + cols[None, :]
     return GridMapping(shape=high, ids=ids, base=base)
 

@@ -15,6 +15,8 @@ import math
 import operator
 from dataclasses import dataclass
 
+from .codec import json_text
+
 __all__ = [
     "Resolution",
     "PaddedPlacement",
@@ -210,8 +212,7 @@ class LayoutPlan:
                 )
             else:
                 out.append({"kind": "separator", "count": seg.count})
-        doc = {"segments": out, "patch_size": self.patch_size}
-        return json.dumps(doc, separators=(",", ":"))
+        return json_text({"segments": out, "patch_size": self.patch_size})
 
     @classmethod
     def from_json(cls, text: str) -> "LayoutPlan":

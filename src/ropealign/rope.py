@@ -71,25 +71,17 @@ def apply_rope(v, m: int, config: RopeConfig) -> np.ndarray:
 
     Pairing is block-adjacent: pair i occupies coordinates (2i, 2i+1).
     A negative ``m`` rotates backwards; ``m = 0`` returns the input
-    unchanged.  Returns a new float64 vector of the same length.
+    unchanged.  Returns a new float64 vector of the same length: one row
+    of ``apply_rope_many``.
     """
-    vec = _check_vector(v, config)
-    angles = m * rope_frequencies(config)
-    cos = np.cos(angles)
-    sin = np.sin(angles)
-    x = vec[0::2]
-    y = vec[1::2]
-    out = np.empty_like(vec)
-    out[0::2] = x * cos - y * sin
-    out[1::2] = x * sin + y * cos
-    return out
+    return apply_rope_many(_check_vector(v, config)[None, :], m, config)[0]
 
 
 def apply_rope_many(vectors, positions, config: RopeConfig) -> np.ndarray:
     """Rotate each row of ``vectors`` by its own position.
 
     ``vectors`` has shape (n, dim); ``positions`` is a scalar or an array
-    of length n.  Equivalent to stacking ``apply_rope`` row by row.
+    of length n.
     """
     arr = np.asarray(vectors, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != config.dim:

@@ -6,6 +6,7 @@ the contract.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -81,6 +82,29 @@ class TestSimulateDecay:
         assert main(args + ["--threads", "1", "--out", str(a)]) == 0
         assert main(args + ["--threads", "4", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, key, spec",
+    [
+        (["plan-layout", "--input", "axb"], "input", "axb"),
+        (["plan-layout", "--vit", "336x"], "vit", "336x"),
+        (["plan-layout", "--candidates", "336x672,336x"], "candidates", "336x"),
+        (["simulate-decay", "--distances", "log:0..64:x"], "distances", "log:0..64:x"),
+        (["simulate-decay", "--distances", "0,x"], "distances", "0,x"),
+        (["simulate-decay", "--mu", "ones:x"], "mu", "ones:x"),
+        (["attention-report", "--pop", "gaussian:x:1"], "pop", "gaussian:x:1"),
+        (["attention-report", "--pop", "gaussian:0.5:x"], "pop", "gaussian:0.5:x"),
+        (["attention-report", "--pop", "constant:x"], "pop", "constant:x"),
+    ],
+)
+def test_bad_spec_names_option_and_spec(argv, key, spec, tmp_path, capsys):
+    """A malformed spec string exits 2 with the option and the spec named."""
+    out = "--out-dir" if argv[0] == "attention-report" else "--out"
+    assert main(argv + [out, str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}: ") and repr(spec) in err, err
+    assert not (tmp_path / "o").exists()
 
 
 class TestPlanLayout:
@@ -527,6 +551,33 @@ class TestOutputDirOverride:
 
 class TestDeterminism:
     """Identical flags and seeds give identical bytes."""
+
+    # sha256 of the integer-only outputs of the 617-slot benchmark plan;
+    # no libm call reaches them, so they hold on every machine.
+    PINNED = {
+        "plan.json": "054caf78d19adb4821910c4f996305dd38fcf85713b2fd67754157f1cbf2997f",
+        "ids.json": "c18a7fb7d697e09be4348aa5763f6df45a1304b878c17363cc91c22c7e44bb70",
+        "map.csv": "66f7d139590083cc96730e0f1fce135a193b22541691f88be993fa9062b0275a",
+        "rep/distance_baseline.csv": "0447cbe94330f3378fc959aef98cf19d386a568478d6f7f1790ad26954ee2774",
+        "rep/distance_id_align.csv": "4238d4aadd413a63f8fdac21ceb19a13a5ffb78e0174932cb5a699448c154665",
+        "rep/gain_report.json": "617a29f04ac6ae78b9c5092286aeb2ac0c3396356594bb40e585589774f3ba17",
+    }
+
+    def test_integer_outputs_pinned(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("ROPEALIGN_OUTPUT_DIR", raising=False)
+        monkeypatch.chdir(tmp_path)
+        assert main([
+            "plan-layout", "--input", "336x672", "--candidates", "clip336", "--patch", "24",
+            "--pre", "10", "--post", "5", "--out", "plan.json",
+        ]) == 0
+        assert main([
+            "assign-ids", "--plan", "plan.json", "--out", "ids.json", "--mapping-csv", "map.csv",
+        ]) == 0
+        assert main([
+            "attention-report", "--plan", "plan.json", "--pop", "gaussian:0.5:3", "--out-dir", "rep",
+        ]) == 0
+        got = {rel: hashlib.sha256((tmp_path / rel).read_bytes()).hexdigest() for rel in self.PINNED}
+        assert got == self.PINNED
 
     def test_repeated_runs_byte_identical(self, tmp_path, capsys):
         for sub in ("one", "two"):

@@ -111,17 +111,6 @@ class TestMapHighresIds:
             assert m.ids.min() >= m.base
             assert m.ids.max() < m.base + thumb.cells
 
-    def test_corner_alignment_mode(self):
-        """Corner sampling maps grid extremes to extremes."""
-        thumb, high = GridShape(4, 4), GridShape(9, 9)
-        m = map_highres_ids(thumb, high, align="corners")
-        assert int(m.ids[0, 0]) == 0
-        assert int(m.ids[-1, -1]) == 15
-
-    def test_unknown_align_rejected(self):
-        with pytest.raises(ValueError):
-            map_highres_ids(GridShape(2, 2), GridShape(4, 4), align="area")
-
     def test_csv_rows(self):
         m = map_highres_ids(GridShape(2, 2), GridShape(2, 2), base=0)
         assert m.to_csv() == "0,1\n2,3\n"

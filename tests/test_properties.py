@@ -9,9 +9,11 @@ mapping, and the counter bookkeeping of the assignment walk.
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ropealign import (
     CorrespondencePair,
+    DecayProfile,
     GridShape,
     HighResGrid,
     LayoutPlan,
@@ -26,7 +28,9 @@ from ropealign import (
     expected_dot_closed_form,
     id_span_report,
     map_highres_ids,
+    matrix_csv,
     rope_dot,
+    rope_frequencies,
     segment_ranges,
     token_counts,
 )
@@ -263,3 +267,99 @@ def test_token_counts_match_slot_roles(plan):
     assert [stop - start for _seg, start, stop in segment_ranges(plan)] == [
         len(LayoutPlan(segments=(seg,), patch_size=14).slot_roles()) for seg in plan.segments
     ]
+
+
+# The hand-written serializers and rotation that the codec and the
+# batched kernel replaced, kept as references: the new code must give
+# the same bytes and the same bits.
+
+
+def reference_matrix_csv(values, roles):
+    lines = [",".join(roles)]
+    if np.issubdtype(values.dtype, np.integer):
+        for row in values:
+            lines.append(",".join(str(int(v)) for v in row))
+    else:
+        for row in values:
+            lines.append(",".join(repr(float(v)) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def reference_decay_csv(profile):
+    lines = ["rel_distance,mean_dot,stderr,samples"]
+    for d, m, s in zip(profile.distances, profile.mean_dot, profile.stderr):
+        lines.append(f"{d},{m!r},{s!r},{profile.sample_count}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_grid_csv(mapping):
+    return "".join(",".join(map(str, row)) + "\n" for row in mapping.ids.tolist())
+
+
+def reference_apply_rope(v, m, config):
+    vec = np.asarray(v, dtype=np.float64)
+    angles = m * rope_frequencies(config)
+    cos = np.cos(angles)
+    sin = np.sin(angles)
+    x = vec[0::2]
+    y = vec[1::2]
+    out = np.empty_like(vec)
+    out[0::2] = x * cos - y * sin
+    out[1::2] = x * sin + y * cos
+    return out
+
+
+_edge_floats = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1.7e308, -1.7e308, 1 / 3, 0.1])
+_cell_floats = st.one_of(_edge_floats, st.floats(allow_nan=False, width=64))
+_cell_ints = st.one_of(
+    st.sampled_from([2**53 + 1, -(2**53) - 1, 2**63 - 1, -(2**63), 0]),
+    st.integers(min_value=-(2**63), max_value=2**63 - 1),
+)
+_shapes = st.tuples(st.integers(0, 5), st.integers(0, 5))
+_roles = st.sampled_from(["text", "thumb", "highres", "separator"])
+
+
+@given(
+    st.one_of(
+        arrays(np.int64, _shapes, elements=_cell_ints),
+        arrays(np.float64, _shapes, elements=_cell_floats),
+    ),
+    st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_matrix_csv_matches_reference(values, data):
+    roles = tuple(data.draw(st.lists(_roles, min_size=values.shape[1], max_size=values.shape[1])))
+    assert matrix_csv(values, roles) == reference_matrix_csv(values, roles)
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 2**62), _cell_floats, _cell_floats.map(abs)), max_size=8
+    ),
+    st.integers(0, 2**62),
+)
+@settings(max_examples=200, deadline=None)
+def test_decay_csv_matches_reference(points, samples):
+    points = sorted({d: (d, m, s) for d, m, s in points}.values())
+    profile = DecayProfile(
+        distances=tuple(p[0] for p in points),
+        mean_dot=tuple(p[1] for p in points),
+        stderr=tuple(p[2] for p in points),
+        sample_count=samples,
+    )
+    assert profile.to_csv() == reference_decay_csv(profile)
+
+
+@given(grid_sides, grid_sides, grid_sides, grid_sides, st.integers(0, 2**60))
+@settings(max_examples=200, deadline=None)
+def test_grid_csv_matches_reference(h0, w0, h1, w1, base):
+    mapping = map_highres_ids(GridShape(h0, w0), GridShape(h1, w1), base)
+    assert mapping.to_csv() == reference_grid_csv(mapping)
+
+
+@given(dims, thetas, seeds, st.integers(min_value=-(2**40), max_value=2**40))
+@settings(max_examples=300, deadline=None)
+def test_apply_rope_matches_reference_bitwise(dim, theta, seed, m):
+    config = RopeConfig(dim=dim, theta_base=theta)
+    v = _vec(dim, seed)
+    assert apply_rope(v, m, config).tobytes() == reference_apply_rope(v, m, config).tobytes()
