@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Four subcommands: simulate-decay, plan-layout, assign-ids and
-attention-report.  Outputs are CSV for matrices and profiles, JSON for
-plans and ID maps, all written by ``codec``, so identical flags and seeds
-give byte-identical files.
+attention-report.  Outputs are CSV for profiles, score summaries and
+(with ``--dense``) matrices, JSON for plans and ID maps, all written by
+``codec``, so identical flags and seeds give byte-identical files.
 
 Every option is declared once, in ``OPTIONS``.  Parameter precedence per
 subcommand: command-line flags, then an optional JSON config file
@@ -16,6 +16,7 @@ it; input paths are untouched.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import operator
@@ -33,6 +34,7 @@ from .harness import (
     TokenPopulation,
     alignment_gain_report,
     attention_scores,
+    attention_summary,
     matrix_csv,
     population_constant,
     population_gaussian,
@@ -100,6 +102,10 @@ OPTIONS = (
     Option("pop", str, "constant:1.0", "population: constant:C | gaussian:MEAN:SEED", _REPORT),
     Option("normalize", bool, False, "row-softmax the score matrices", _REPORT),
     Option("scale", bool, True, "divide scores by sqrt(dim)", _REPORT),
+    Option(
+        "dense", bool, False,
+        "also write the dense N x N distance and score CSVs (large: N^2 cells each)", _REPORT,
+    ),
     Option(
         "separator_policy", ("inherit-row-end", "sequential-after-image"), "inherit-row-end",
         "separator IDs in aligned mode", _MAPS,
@@ -363,13 +369,15 @@ def cmd_attention_report(opts: dict) -> int:
         "id_align": assign_position_ids(plan, "id_align", policy),
     }
     roles = plan.slot_roles()
+    score_opts = {"normalize": opts["normalize"], "scale": opts["scale"]}
     for name, idmap in maps.items():
-        dist = relative_distance_matrix(idmap)
-        _emit(os.path.join(out_dir, f"distance_{name}.csv"), matrix_csv(dist, roles))
-        scores = attention_scores(
-            pop, idmap, config, normalize=opts["normalize"], scale=opts["scale"]
-        )
-        _emit(os.path.join(out_dir, f"scores_{name}.csv"), scores.to_csv())
+        if opts["dense"]:
+            dist = relative_distance_matrix(idmap)
+            _emit(os.path.join(out_dir, f"distance_{name}.csv"), matrix_csv(dist, roles))
+            scores = attention_scores(pop, idmap, config, **score_opts)
+            _emit(os.path.join(out_dir, f"scores_{name}.csv"), scores.to_csv())
+        summary = attention_summary(pop, idmap, config, **score_opts)
+        _emit(os.path.join(out_dir, f"summary_{name}.csv"), summary.to_csv())
     report = alignment_gain_report(plan, policy, **maps)
     _emit(os.path.join(out_dir, "gain_report.json"), report.to_json() + "\n")
     print(report.to_json())
@@ -388,12 +396,17 @@ _COMMANDS = {
     ),
     "attention-report": (
         cmd_attention_report,
-        "distance and score matrices plus the alignment gain report, written as files",
+        "role-by-distance score summaries (dense matrices with --dense) plus the "
+        "alignment gain report, written as files",
     ),
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: ``main`` only reads it.  A
+    caller that changes it (adds arguments, sets defaults) must change a
+    ``copy.deepcopy`` of it instead."""
     parser = argparse.ArgumentParser(
         prog="ropealign",
         description="Rotary-embedding decay analysis and aligned position-ID assignment "

@@ -1,9 +1,10 @@
-"""The byte format of every output: compact JSON and repr-celled CSV.
+"""The byte format of every output: compact JSON and plain-text CSV.
 
 Identical inputs must give identical bytes, so this is the one place the
 format lives.  JSON has no spaces after separators.  A CSV line holds the
-``repr`` of each cell, a Python int or float (``tolist()`` of a numpy row
-gives these), so floats round-trip exactly; lines end in ``\\n``.
+``str`` of each cell: a name as it is, or a Python int or float
+(``tolist()`` of a numpy row gives these), whose ``str`` is its ``repr``,
+so floats round-trip exactly; lines end in ``\\n``.
 """
 
 from __future__ import annotations
@@ -24,6 +25,6 @@ def csv_text(header: Sequence[str] | None, rows: Iterable[Iterable]) -> str:
     second concatenation would hold two copies of it at once.
     """
     lines = [] if header is None else [",".join(header)]
-    lines.extend(",".join(map(repr, row)) for row in rows)
+    lines.extend(",".join(map(str, row)) for row in rows)
     lines.append("")
     return "\n".join(lines)

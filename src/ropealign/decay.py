@@ -17,6 +17,7 @@ the same whichever other distances share its grid.
 from __future__ import annotations
 
 import concurrent.futures
+import operator
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -60,7 +61,11 @@ class AbelReport:
 
 @dataclass(frozen=True)
 class DecayProfile:
-    """Mean rotated inner product per relative distance, with stderr."""
+    """Mean rotated inner product per relative distance, with stderr.
+
+    Fields are stored as Python scalars whatever was passed (numpy
+    integers and floats included), so ``to_csv`` writes plain numbers.
+    """
 
     distances: tuple[int, ...]
     mean_dot: tuple[float, ...]
@@ -68,6 +73,13 @@ class DecayProfile:
     sample_count: int
 
     def __post_init__(self) -> None:
+        try:
+            object.__setattr__(self, "distances", tuple(map(operator.index, self.distances)))
+            object.__setattr__(self, "sample_count", operator.index(self.sample_count))
+        except TypeError:
+            raise ValueError("distances and sample_count must be integers") from None
+        object.__setattr__(self, "mean_dot", tuple(map(float, self.mean_dot)))
+        object.__setattr__(self, "stderr", tuple(map(float, self.stderr)))
         if not (len(self.distances) == len(self.mean_dot) == len(self.stderr)):
             raise ValueError("distances, mean_dot and stderr must have equal length")
         if any(s < 0 for s in self.stderr):
@@ -234,8 +246,5 @@ def decay_profile(
     base = int(np.random.SeedSequence(seed).generate_state(1, dtype=np.uint64)[0])
     mean, stderr = _shared_sample_moments(mu_q, mu_k, dist, samples, base, config, max_workers)
     return DecayProfile(
-        distances=tuple(dist),
-        mean_dot=tuple(float(x) for x in mean),
-        stderr=tuple(float(x) for x in stderr),
-        sample_count=int(samples),
+        distances=dist, mean_dot=mean, stderr=stderr, sample_count=samples
     )

@@ -2,8 +2,15 @@
 
 Real-model activations are out of scope; the point is to make the
 geometric consequences of an ID assignment visible: relative-distance
-matrices, rotary-modulated score matrices, and a small report comparing
-baseline and aligned assignments on the same plan.
+matrices, rotary-modulated score matrices, a role-by-distance summary of
+the scores, and a small report comparing baseline and aligned
+assignments on the same plan.
+
+Scores are computed in blocks of ``_BLOCK_ROWS`` query rows by one
+private helper.  ``attention_scores`` stacks the blocks into the dense
+matrix; ``attention_summary`` folds each block into per-group counts,
+sums and maxima and drops it, so its memory is O(block * slots) and its
+bytes depend neither on the thread count nor on the BLAS library.
 """
 
 from __future__ import annotations
@@ -17,15 +24,22 @@ from .idalign import PositionIdMap, assign_position_ids, correspondence_oracle
 from .layout import HighResGrid, LayoutPlan, ThumbnailGrid, segment_ranges
 from .rope import RopeConfig, apply_rope_many
 
+# Query rows per score block.  Fixed (never tunable): a block's rows are
+# bitwise the rows of the full product, so the size moves only memory
+# and speed, and a fixed size keeps the summary's summation order fixed.
+_BLOCK_ROWS = 64
+
 __all__ = [
     "TokenPopulation",
     "ScoreMatrix",
+    "ScoreSummary",
     "ModeGeometry",
     "AlignmentGainReport",
     "population_constant",
     "population_gaussian",
     "relative_distance_matrix",
     "attention_scores",
+    "attention_summary",
     "alignment_gain_report",
     "matrix_csv",
 ]
@@ -98,6 +112,30 @@ class ScoreMatrix:
         return matrix_csv(self.values, self.roles)
 
 
+def _rotated(pop: TokenPopulation, idmap: PositionIdMap, config: RopeConfig) -> np.ndarray:
+    if pop.vectors.shape[0] != len(idmap.ids):
+        raise ValueError("population size must match the id map")
+    if pop.vectors.shape[1] != config.dim:
+        raise ValueError(f"population dim {pop.vectors.shape[1]} != config dim {config.dim}")
+    return apply_rope_many(pop.vectors, np.asarray(idmap.ids, dtype=np.float64), config)
+
+
+def _score_rows(rotated: np.ndarray, lo: int, hi: int, normalize: bool, scale: bool) -> np.ndarray:
+    """Score rows ``[lo, hi)``: the one score formula of the module."""
+    # einsum, not BLAS: a threaded matmul changes the low bits with the
+    # BLAS thread count, and the scores must not.
+    values = np.einsum("ik,jk->ij", rotated[lo:hi], rotated)
+    if scale:
+        values = values / np.sqrt(rotated.shape[1])
+    if normalize:
+        values = values - values.max(axis=1, keepdims=True)
+        np.exp(values, out=values)
+        values = values / values.sum(axis=1, keepdims=True)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("scores must be finite")
+    return values
+
+
 def attention_scores(
     pop: TokenPopulation,
     idmap: PositionIdMap,
@@ -111,21 +149,98 @@ def attention_scores(
     Depends on the IDs only through differences id_i - id_j, which is the
     rotary shift-invariance property the harness exists to exhibit.
     """
-    if pop.vectors.shape[0] != len(idmap.ids):
-        raise ValueError("population size must match the id map")
-    if pop.vectors.shape[1] != config.dim:
-        raise ValueError(f"population dim {pop.vectors.shape[1]} != config dim {config.dim}")
-    rotated = apply_rope_many(pop.vectors, np.asarray(idmap.ids, dtype=np.float64), config)
-    # einsum, not BLAS: a threaded matmul changes the low bits with the
-    # BLAS thread count, and the score CSVs must not.
-    values = np.einsum("ik,jk->ij", rotated, rotated)
-    if scale:
-        values = values / np.sqrt(config.dim)
-    if normalize:
-        values = values - values.max(axis=1, keepdims=True)
-        np.exp(values, out=values)
-        values = values / values.sum(axis=1, keepdims=True)
+    rotated = _rotated(pop, idmap, config)
+    n = len(rotated)
+    values = np.empty((n, n))
+    for lo in range(0, n, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, n)
+        values[lo:hi] = _score_rows(rotated, lo, hi, normalize, scale)
     return ScoreMatrix(values=values, roles=pop.roles, normalized=normalize)
+
+
+@dataclass(frozen=True)
+class ScoreSummary:
+    """Scores grouped by (query role, key role, |id_i - id_j| bucket).
+
+    Buckets are 0, 1, 2-3, 4-7, ..., each labelled by its lower bound.
+    Each row holds the group's count, the mean and max of |id_i - id_j|
+    and the mean and max of the score; only non-empty groups appear,
+    ordered by query role, key role (role names sorted) and bucket.
+    """
+
+    rows: tuple[tuple, ...]
+
+    HEADER = (
+        "query_role", "key_role", "distance_bucket", "count",
+        "mean_distance", "max_distance", "mean_score", "max_score",
+    )  # fmt: skip
+
+    def to_csv(self) -> str:
+        return csv_text(self.HEADER, self.rows)
+
+
+def attention_summary(
+    pop: TokenPopulation,
+    idmap: PositionIdMap,
+    config: RopeConfig,
+    normalize: bool = False,
+    scale: bool = True,
+) -> ScoreSummary:
+    """The scores of ``attention_scores`` grouped as ``ScoreSummary``
+    describes, without holding the dense matrix.
+
+    Each block is folded into one table per (role pair, exact distance):
+    counts and score sums by ``bincount``, score maxima by
+    ``maximum.at``, merged in block order.  Distance buckets are then
+    reduced from that table, so the distance columns are exact.  The
+    table spans distances up to the map's ID span, max(id) - min(id),
+    which for the maps ``assign_position_ids`` builds is below the slot
+    count.
+    """
+    rotated = _rotated(pop, idmap, config)
+    ids = np.asarray(idmap.ids, dtype=np.int64)
+    names, codes = np.unique(np.asarray(pop.roles, dtype=str), return_inverse=True)
+    names = names.tolist()
+    n_roles = len(names)
+    width = int(ids.max() - ids.min()) + 1 if len(ids) else 1
+    size = n_roles * n_roles * width
+    counts = np.zeros(size, dtype=np.int64)
+    sums = np.zeros(size)
+    maxima = np.full(size, -np.inf)
+    query_base = codes * (n_roles * width)
+    key_base = codes * width
+    for lo in range(0, len(ids), _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, len(ids))
+        scores = _score_rows(rotated, lo, hi, normalize, scale).ravel()
+        dist = np.abs(ids[lo:hi, None] - ids[None, :])
+        group = (dist + query_base[lo:hi, None] + key_base[None, :]).ravel()
+        counts += np.bincount(group, minlength=size)
+        sums += np.bincount(group, weights=scores, minlength=size)
+        np.maximum.at(maxima, group, scores)
+
+    # Bucket b >= 1 holds distances [2**(b-1), 2**b); frexp's exponent of
+    # d is exactly that b, and 0 for d = 0.
+    distance = np.arange(width)
+    starts = np.flatnonzero(np.diff(np.frexp(distance)[1], prepend=-1))
+    shape = (n_roles * n_roles, width)
+    counts, sums, maxima = counts.reshape(shape), sums.reshape(shape), maxima.reshape(shape)
+    count = np.add.reduceat(counts, starts, axis=1).tolist()
+    dist_sum = np.add.reduceat(counts * distance, starts, axis=1).tolist()
+    dist_max = np.maximum.reduceat(np.where(counts > 0, distance, -1), starts, axis=1).tolist()
+    score_sum = np.add.reduceat(sums, starts, axis=1).tolist()
+    score_max = np.maximum.reduceat(maxima, starts, axis=1).tolist()
+    rows = []
+    for pair in range(n_roles * n_roles):
+        query, key = divmod(pair, n_roles)
+        for b, lower in enumerate(starts.tolist()):
+            c = count[pair][b]
+            if c:
+                rows.append((
+                    names[query], names[key], lower, c,
+                    dist_sum[pair][b] / c, dist_max[pair][b],
+                    score_sum[pair][b] / c, score_max[pair][b],
+                ))  # fmt: skip
+    return ScoreSummary(rows=tuple(rows))
 
 
 @dataclass(frozen=True)

@@ -351,12 +351,13 @@ def test_criterion_10_cli_determinism(tmp_path):
         rc |= cli_main(["assign-ids", *small_plan, "--mapping-csv", str(d / "map.csv"),
                         "--out", str(d / "ids.json")])
         rc |= cli_main(["attention-report", *small_plan, "--dim", "8",
-                        "--pop", "gaussian:0.5:21", "--out-dir", str(d / "rep")])
+                        "--pop", "gaussian:0.5:21", "--dense", "--out-dir", str(d / "rep")])
         assert rc == 0
     files = [
         "decay.csv", "plan.json", "map.csv", "ids.json",
         "rep/distance_baseline.csv", "rep/distance_id_align.csv",
         "rep/scores_baseline.csv", "rep/scores_id_align.csv", "rep/gain_report.json",
+        "rep/summary_baseline.csv", "rep/summary_id_align.csv",
     ]
     mismatches = [f for f in files if (tmp_path / "one" / f).read_bytes() != (tmp_path / "two" / f).read_bytes()]
     _verdict(

@@ -270,7 +270,7 @@ class TestAttentionReport:
     def test_small_plan_outputs(self, tmp_path, capsys):
         rc = main(
             ["attention-report"] + SMALL_PLAN_ARGS
-            + ["--dim", "8", "--out-dir", str(tmp_path / "rep")]
+            + ["--dim", "8", "--dense", "--out-dir", str(tmp_path / "rep")]
         )
         assert rc == 0
         names = {p.name for p in (tmp_path / "rep").iterdir()}
@@ -280,6 +280,8 @@ class TestAttentionReport:
             "scores_baseline.csv",
             "scores_id_align.csv",
             "gain_report.json",
+            "summary_baseline.csv",
+            "summary_id_align.csv",
         }
         report = json.loads((tmp_path / "rep" / "gain_report.json").read_text())
         assert report["id_align"]["pair_mean_distance"] == 0.0
@@ -289,7 +291,7 @@ class TestAttentionReport:
         plan_path.write_text(
             '{"segments":[{"kind":"thumb","rows":2,"cols":3}],"patch_size":14}'
         )
-        rc = main(["attention-report", "--plan", str(plan_path), "--dim", "4", "--out-dir", str(tmp_path)])
+        rc = main(["attention-report", "--plan", str(plan_path), "--dim", "4", "--dense", "--out-dir", str(tmp_path)])
         assert rc == 0
         assert (tmp_path / "distance_baseline.csv").read_bytes() == (
             tmp_path / "distance_id_align.csv"
@@ -316,13 +318,33 @@ class TestAttentionReport:
     def test_normalized_rows_sum_to_one(self, tmp_path, capsys):
         rc = main(
             ["attention-report"] + SMALL_PLAN_ARGS
-            + ["--dim", "8", "--normalize", "--pop", "gaussian:0.5:11", "--out-dir", str(tmp_path)]
+            + ["--dim", "8", "--normalize", "--pop", "gaussian:0.5:11", "--dense", "--out-dir", str(tmp_path)]
         )
         assert rc == 0
         lines = (tmp_path / "scores_id_align.csv").read_text().splitlines()
         for line in lines[1:]:
             row = [float(x) for x in line.split(",")]
             assert abs(sum(row) - 1.0) < 1e-9
+
+    def test_files_equal_library_text(self, tmp_path, capsys):
+        """By default only the summaries and the gain report are written;
+        --dense adds the dense CSVs.  Each equals the library's text."""
+        argv = ["attention-report"] + SMALL_PLAN_ARGS + ["--dim", "8", "--pop", "gaussian:0.5:4", "--normalize"]
+        assert main(argv + ["--out-dir", str(tmp_path / "default")]) == 0
+        assert main(argv + ["--dense", "--out-dir", str(tmp_path / "dense")]) == 0
+        assert {p.name for p in (tmp_path / "default").iterdir()} == {
+            "summary_baseline.csv", "summary_id_align.csv", "gain_report.json",
+        }  # fmt: skip
+        plan = cli._plan_from(cli._merged(cli.build_parser().parse_args(argv)))
+        config = RopeConfig(dim=8)
+        pop = harness.population_gaussian(plan, config, mean=0.5, seed=4)
+        for mode in ("baseline", "id_align"):
+            idmap = idalign.assign_position_ids(plan, mode)
+            summary = harness.attention_summary(pop, idmap, config, normalize=True).to_csv()
+            assert (tmp_path / "default" / f"summary_{mode}.csv").read_text() == summary
+            assert (tmp_path / "dense" / f"summary_{mode}.csv").read_text() == summary
+            scores = harness.attention_scores(pop, idmap, config, normalize=True).to_csv()
+            assert (tmp_path / "dense" / f"scores_{mode}.csv").read_text() == scores
 
 
 class TestConfigPrecedence:
@@ -456,15 +478,15 @@ CONFIG_KEYS = {
     "plan-layout": _PLAN_KEYS | {"out"},
     "assign-ids": _PLAN_KEYS | {"plan", "mode", "separator_policy", "mapping_csv", "out"},
     "attention-report": _PLAN_KEYS
-    | {"plan", "dim", "theta", "pop", "normalize", "scale", "separator_policy", "out_dir"},
+    | {"plan", "dim", "theta", "pop", "normalize", "scale", "dense", "separator_policy", "out_dir"},
 }
-BOOL_KEYS = {"row_separators", "cap_effective", "normalize", "scale"}
+BOOL_KEYS = {"row_separators", "cap_effective", "normalize", "scale", "dense"}
 DEFAULTS = {
     "pre": 0, "post": 0, "input": "336x336", "candidates": "clip336", "vit": "336x336",
     "patch": 14, "row_separators": True, "cap_effective": False, "order": "thumb-first",
     "mode": "both", "dim": 64, "theta": 1e4, "mu": "ones:1.0", "distances": "log:0..1024",
     "samples": 100000, "seed": 0, "threads": 1, "pop": "constant:1.0", "normalize": False,
-    "scale": True, "separator_policy": "inherit-row-end", "out_dir": ".",
+    "scale": True, "dense": False, "separator_policy": "inherit-row-end", "out_dir": ".",
     "plan": None, "mapping_csv": None, "out": None,
 }  # fmt: skip
 
@@ -501,6 +523,23 @@ class TestOptionTable:
     def test_defaults(self, command):
         args = cli.build_parser().parse_args([command])
         assert cli._merged(args) == {k: DEFAULTS[k] for k in CONFIG_KEYS[command]}
+
+    def test_main_calls_share_one_parser(self, monkeypatch, capsys):
+        """The parser is built once per process, and a call's flags do not
+        leak into the next call."""
+        parsers = []
+        real = argparse.ArgumentParser.parse_args
+
+        def recording(self, *args, **kwargs):
+            parsers.append(self)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+        assert main(["plan-layout", "--pre", "3"]) == 0
+        assert main(["plan-layout"]) == 0
+        assert len(parsers) == 2 and parsers[0] is parsers[1] is cli.build_parser()
+        counts = [json.loads(line) for line in capsys.readouterr().out.splitlines() if '"total"' in line]
+        assert [c["text_tokens"] for c in counts] == [3, 0]
 
     @pytest.mark.parametrize("command", sorted(CONFIG_KEYS))
     def test_help_shows_each_default(self, command, monkeypatch, capsys):
@@ -574,7 +613,7 @@ class TestDeterminism:
             "assign-ids", "--plan", "plan.json", "--out", "ids.json", "--mapping-csv", "map.csv",
         ]) == 0
         assert main([
-            "attention-report", "--plan", "plan.json", "--pop", "gaussian:0.5:3", "--out-dir", "rep",
+            "attention-report", "--plan", "plan.json", "--pop", "gaussian:0.5:3", "--dense", "--out-dir", "rep",
         ]) == 0
         got = {rel: hashlib.sha256((tmp_path / rel).read_bytes()).hexdigest() for rel in self.PINNED}
         assert got == self.PINNED
@@ -592,7 +631,7 @@ class TestDeterminism:
             ) == 0
             assert main(
                 ["attention-report"] + SMALL_PLAN_ARGS
-                + ["--dim", "8", "--pop", "gaussian:1.0:3", "--out-dir", str(d / "rep")]
+                + ["--dim", "8", "--pop", "gaussian:1.0:3", "--dense", "--out-dir", str(d / "rep")]
             ) == 0
         one, two = tmp_path / "one", tmp_path / "two"
         for rel in (
@@ -604,8 +643,40 @@ class TestDeterminism:
             "rep/scores_baseline.csv",
             "rep/scores_id_align.csv",
             "rep/gain_report.json",
+            "rep/summary_baseline.csv",
+            "rep/summary_id_align.csv",
         ):
             assert (one / rel).read_bytes() == (two / rel).read_bytes(), rel
+
+
+def test_summaries_do_not_depend_on_run_or_blas_threads(tmp_path, capsys):
+    """Default-output bytes are the same in process and in two fresh
+    interpreters with one and two BLAS threads (205 slots)."""
+    src = str(Path(ropealign.__file__).resolve().parents[1])
+    argv = [
+        "attention-report", "--input", "112x224", "--candidates", "112x224", "--vit", "112x112",
+        "--patch", "14", "--pre", "3", "--post", "2", "--dim", "64", "--pop", "gaussian:0.5:3",
+    ]
+    assert main(argv + ["--out-dir", str(tmp_path / "inproc")]) == 0
+    for threads in ("1", "2"):
+        env = {k: v for k, v in os.environ.items() if k != "ROPEALIGN_OUTPUT_DIR"}
+        env |= {
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")])),
+            "OPENBLAS_NUM_THREADS": threads,
+            "OMP_NUM_THREADS": threads,
+            "MKL_NUM_THREADS": threads,
+        }
+        out_dir = str(tmp_path / f"threads{threads}")
+        subprocess.run(
+            [sys.executable, "-m", "ropealign", *argv, "--out-dir", out_dir],
+            env=env, check=True, capture_output=True,
+        )  # fmt: skip
+    outputs = [
+        {p.name: p.read_bytes() for p in sorted((tmp_path / sub).iterdir())}
+        for sub in ("inproc", "threads1", "threads2")
+    ]
+    assert set(outputs[0]) == {"summary_baseline.csv", "summary_id_align.csv", "gain_report.json"}
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_scores_do_not_depend_on_blas_threads(tmp_path):
@@ -621,6 +692,7 @@ def test_scores_do_not_depend_on_blas_threads(tmp_path):
         sys.executable, "-m", "ropealign", "attention-report",
         "--input", "112x224", "--candidates", "112x224", "--vit", "112x112",
         "--patch", "14", "--pre", "3", "--post", "2", "--dim", "64", "--pop", "gaussian:0.5:3",
+        "--dense",
     ]
     outputs = []
     for threads in ("1", "2"):

@@ -274,6 +274,22 @@ class TestDecayProfile:
         with pytest.raises(ValueError):
             DecayProfile(distances=(0, 1), mean_dot=(0.0, 0.0), stderr=(0.0, -1.0), sample_count=10)
 
+    def test_numpy_scalars_write_the_same_bytes(self):
+        plain = DecayProfile(distances=(1, 4), mean_dot=(0.5, -2.25), stderr=(0.1, 0.0), sample_count=10)
+        from_numpy = DecayProfile(
+            distances=tuple(np.array([1, 4])),
+            mean_dot=tuple(np.array([0.5, -2.25])),
+            stderr=(np.float64(0.1), np.float64(0.0)),
+            sample_count=np.int64(10),
+        )
+        assert from_numpy == plain
+        assert from_numpy.to_csv() == plain.to_csv()
+        assert plain.to_csv() == "rel_distance,mean_dot,stderr,samples\n1,0.5,0.1,10\n4,-2.25,0.0,10\n"
+
+    def test_non_integer_distance_rejected(self):
+        with pytest.raises(ValueError, match="integers"):
+            DecayProfile(distances=(0.5,), mean_dot=(0.0,), stderr=(0.0,), sample_count=10)
+
 
 class TestSharedSamples:
     """Every distance of a profile is evaluated on one shared sample set."""

@@ -1,4 +1,7 @@
-"""Tests for distance matrices, score matrices and the gain report."""
+"""Tests for distance matrices, score matrices, score summaries and the
+gain report."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,9 +16,11 @@ from ropealign import (
     TextSegment,
     ThumbnailGrid,
     TokenPopulation,
+    Separator,
     alignment_gain_report,
     assign_position_ids,
     attention_scores,
+    attention_summary,
     matrix_csv,
     population_constant,
     population_gaussian,
@@ -146,6 +151,103 @@ class TestAttentionScores:
         idmap = assign_position_ids(plan, "baseline")
         with pytest.raises(ValueError):
             attention_scores(pop, idmap, RopeConfig(dim=16))
+
+
+def grid_plan(thumb: int, text: int = 5) -> LayoutPlan:
+    """Text, a thumb x thumb thumbnail, a 2x-side high-res grid with row
+    separators, a separator and text."""
+    return LayoutPlan(
+        segments=(
+            TextSegment(text),
+            ThumbnailGrid(GridShape(thumb, thumb)),
+            HighResGrid(GridShape(2 * thumb, 2 * thumb), row_separator=True),
+            Separator(1),
+            TextSegment(text),
+        ),
+        patch_size=14,
+    )
+
+
+class TestAttentionSummary:
+    """Row-blocked scores and their role-by-distance summary."""
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_blocks_equal_one_full_product(self, normalize):
+        """Across several blocks and a short last one, the rows are
+        bitwise those of one whole-matrix product."""
+        plan = grid_plan(6)  # 5 + 36 + 156 + 1 + 5 = 203 slots
+        assert plan.total_tokens > 3 * harness._BLOCK_ROWS
+        config = RopeConfig(dim=16)
+        pop = population_gaussian(plan, config, mean=0.5, seed=5)
+        idmap = assign_position_ids(plan, "baseline")
+        rotated = harness.apply_rope_many(pop.vectors, np.asarray(idmap.ids, dtype=np.float64), config)
+        want = np.einsum("ik,jk->ij", rotated, rotated) / np.sqrt(config.dim)
+        if normalize:
+            want = np.exp(want - want.max(axis=1, keepdims=True))
+            want = want / want.sum(axis=1, keepdims=True)
+        got = attention_scores(pop, idmap, config, normalize=normalize).values
+        assert got.tobytes() == want.tobytes()
+
+    def test_worked_example_bytes(self):
+        """Three text slots with zero vectors: distances 0, 1 and 2."""
+        plan = LayoutPlan(segments=(TextSegment(3),), patch_size=14)
+        config = RopeConfig(dim=4)
+        summary = attention_summary(
+            population_constant(plan, config, 0.0), assign_position_ids(plan, "baseline"), config
+        )
+        assert summary.to_csv() == (
+            "query_role,key_role,distance_bucket,count,mean_distance,max_distance,"
+            "mean_score,max_score\n"
+            "text,text,0,3,0.0,0,0.0,0.0\n"
+            "text,text,1,4,1.0,1,0.0,0.0\n"
+            "text,text,2,2,2.0,2,0.0,0.0\n"
+        )
+
+    def test_buckets_are_powers_of_two(self):
+        plan = LayoutPlan(segments=(TextSegment(20),), patch_size=14)
+        config = RopeConfig(dim=4)
+        summary = attention_summary(
+            population_constant(plan, config), assign_position_ids(plan, "baseline"), config
+        )
+        assert [row[2] for row in summary.rows] == [0, 1, 2, 4, 8, 16]
+        assert [row[5] for row in summary.rows] == [0, 1, 3, 7, 15, 19]
+
+    @pytest.mark.parametrize("mode", ["baseline", "id_align"])
+    def test_role_pair_counts_cover_every_pair(self, mode):
+        plan = grid_plan(4)
+        config = RopeConfig(dim=8)
+        pop = population_gaussian(plan, config, mean=0.5, seed=2)
+        summary = attention_summary(pop, assign_position_ids(plan, mode), config, normalize=True)
+        roles = plan.slot_roles()
+        per_pair = {}
+        for q, k, _bucket, count, *_ in summary.rows:
+            per_pair[q, k] = per_pair.get((q, k), 0) + count
+        names = sorted(set(roles))
+        assert per_pair == {(q, k): roles.count(q) * roles.count(k) for q in names for k in names}
+
+    def test_peak_memory_grows_linearly_with_slots(self):
+        """Peak memory is O(block * slots): doubling the slots less than
+        triples it, where a dense matrix would about quadruple it."""
+        config = RopeConfig(dim=64)
+        peaks = []
+        for thumb in (8, 12):  # 347 and 755 slots
+            plan = grid_plan(thumb)
+            pop = population_gaussian(plan, config, mean=0.5, seed=1)
+            idmap = assign_position_ids(plan, "baseline")
+            tracemalloc.start()
+            try:
+                attention_summary(pop, idmap, config)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 3 * peaks[0]
+
+    def test_population_idmap_length_mismatch(self):
+        plan = trace_plan()
+        config = RopeConfig(dim=8)
+        pop = population_constant(plan, config)
+        with pytest.raises(ValueError):
+            attention_summary(pop, PositionIdMap(ids=(0, 1), max_pid=2, mode="baseline"), config)
 
 
 class TestMatrixCsv:

@@ -3,8 +3,11 @@
 Hypothesis drives the invariants that must hold for every input, not
 just the worked examples: rotation isometry and shift invariance, the
 summation-by-parts inequality, correspondence soundness of the ID
-mapping, and the counter bookkeeping of the assignment walk.
+mapping, the counter bookkeeping of the assignment walk, and the
+grouping of the score summary.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -24,11 +27,15 @@ from ropealign import (
     abel_bound_check,
     apply_rope,
     assign_position_ids,
+    attention_scores,
+    attention_summary,
     correspondence_oracle,
     expected_dot_closed_form,
     id_span_report,
     map_highres_ids,
     matrix_csv,
+    population_gaussian,
+    relative_distance_matrix,
     rope_dot,
     rope_frequencies,
     segment_ranges,
@@ -307,6 +314,64 @@ def reference_apply_rope(v, m, config):
     out[0::2] = x * cos - y * sin
     out[1::2] = x * sin + y * cos
     return out
+
+
+def reference_summary(roles, dist, scores) -> dict:
+    """Plain-loop grouping of dense distance and score matrices:
+    (query role, key role, bucket lower bound) -> [(distance, score)],
+    in sorted key order."""
+    groups: dict = {}
+    for i, q in enumerate(roles):
+        for j, k in enumerate(roles):
+            d = int(dist[i][j])
+            lower = 0 if d == 0 else 2 ** (d.bit_length() - 1)
+            groups.setdefault((q, k, lower), []).append((d, float(scores[i][j])))
+    return dict(sorted(groups.items()))
+
+
+def check_summary(plan, mode, policy, seed, normalize, scale):
+    """The summary against a plain-loop grouping of the dense matrices:
+    counts, maxima and mean distances exactly, mean scores to 1e-12 of
+    the group's mean |score| (exact sums, so the bound is the summary's
+    rounding alone)."""
+    idmap = assign_position_ids(plan, mode, policy)
+    config = RopeConfig(dim=8)
+    pop = population_gaussian(plan, config, mean=0.5, seed=seed)
+    scores = attention_scores(pop, idmap, config, normalize, scale).values.tolist()
+    want = reference_summary(plan.slot_roles(), relative_distance_matrix(idmap).tolist(), scores)
+    rows = attention_summary(pop, idmap, config, normalize, scale).rows
+    assert [row[:3] for row in rows] == list(want)
+    for row, pairs in zip(rows, want.values()):
+        ds = [d for d, _ in pairs]
+        ss = [s for _, s in pairs]
+        count, mean_d, max_d, mean_s, max_s = row[3:]
+        assert (count, mean_d, max_d, max_s) == (len(pairs), math.fsum(ds) / len(ds), max(ds), max(ss))
+        assert abs(mean_s - math.fsum(ss) / len(ss)) <= 1e-12 * math.fsum(map(abs, ss)) / len(ss)
+
+
+@given(layout_plans(), st.sampled_from(["baseline", "id_align"]), policies, seeds, st.booleans(), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_summary_matches_plain_loop_grouping(plan, mode, policy, seed, normalize, scale):
+    try:
+        assign_position_ids(plan, mode, policy)
+    except ValueError:
+        return  # an aligned map needs a thumbnail before the high-res grid
+    check_summary(plan, mode, policy, seed, normalize, scale)
+
+
+@pytest.mark.parametrize("mode", ["baseline", "id_align"])
+def test_summary_matches_plain_loop_grouping_over_many_blocks(mode):
+    plan = LayoutPlan(
+        segments=(
+            TextSegment(9),
+            ThumbnailGrid(GridShape(7, 5)),
+            HighResGrid(GridShape(14, 10), row_separator=True),
+            Separator(2),
+            TextSegment(4),
+        ),
+        patch_size=14,
+    )  # 204 slots: three full score blocks and a short one
+    check_summary(plan, mode, "inherit-row-end", 4, False, True)
 
 
 _edge_floats = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1.7e308, -1.7e308, 1 / 3, 0.1])
