@@ -19,29 +19,29 @@ import argparse
 import functools
 import json
 import math
-import operator
 import os
 import sys
+from collections.abc import Callable, Iterable
 from dataclasses import asdict
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .codec import json_text
+from .codec import json_text, read_value
 from .decay import decay_profile
 from .harness import (
     TokenPopulation,
     alignment_gain_report,
     attention_scores,
     attention_summary,
-    matrix_csv,
+    matrix_csv_lines,
     population_constant,
     population_gaussian,
     relative_distance_matrix,
 )
 from .idalign import assign_position_ids, id_span_report, map_highres_ids
-from .layout import LayoutPlan, Resolution, build_layout, segment_ranges, token_counts
+from .layout import LayoutPlan, Resolution, build_layout, token_counts
 from .rope import RopeConfig
 
 __all__ = ["main"]
@@ -56,142 +56,6 @@ _MAPS = ("assign-ids", "attention-report")
 _ROPE = ("simulate-decay", "attention-report")
 _DECAY = ("simulate-decay",)
 _REPORT = ("attention-report",)
-
-
-class Option(NamedTuple):
-    """One option: the flag ``--name`` (underscores as dashes) and the
-    config key ``name``.  ``kind`` is int, float, bool, str or a tuple of
-    allowed strings; a None default means unset."""
-
-    name: str
-    kind: object
-    default: object
-    help: str
-    commands: tuple[str, ...]
-
-
-# Every option of every subcommand, in help order.
-OPTIONS = (
-    Option("plan", str, None, "layout plan JSON file; overrides the inline plan flags", _MAPS),
-    Option("pre", int, 0, "text tokens before the image", _PLAN),
-    Option("post", int, 0, "text tokens after the image", _PLAN),
-    Option("input", str, "336x336", "input image HxW pixels", _PLAN),
-    Option(
-        "candidates", str, "clip336",
-        "candidate resolutions: preset clip336|siglip384 or comma list of HxW", _PLAN,
-    ),
-    Option("vit", str, "336x336", "vision tower base resolution HxW", _PLAN),
-    Option("patch", int, 14, "patch size in pixels", _PLAN),
-    Option("row_separators", bool, True, "append a separator token after each high-res row", _PLAN),
-    Option(
-        "cap_effective", bool, False,
-        "cap the selection score at the input's native pixel count", _PLAN,
-    ),
-    Option("order", ("thumb-first", "high-first"), "thumb-first", "image block order", _PLAN),
-    Option("mode", ("baseline", "id_align", "both"), "both", "ID maps to emit", ("assign-ids",)),
-    Option("dim", int, 64, "head dimension, even", _ROPE),
-    Option("theta", float, 1e4, "frequency base, 1e7 also common", _ROPE),
-    Option("mu", str, "ones:1.0", "mean preset for both vectors: zeros | ones:C", _DECAY),
-    Option(
-        "distances", str, "log:0..1024",
-        "relative distances: log:A..B[:N] | lin:A..B[:N] | comma list", _DECAY,
-    ),
-    Option("samples", int, 100000, "Monte Carlo samples per distance", _DECAY),
-    Option("seed", int, 0, "RNG seed", _DECAY),
-    Option("threads", int, 1, "worker threads; result is thread-count independent", _DECAY),
-    Option("pop", str, "constant:1.0", "population: constant:C | gaussian:MEAN:SEED", _REPORT),
-    Option("normalize", bool, False, "row-softmax the score matrices", _REPORT),
-    Option("scale", bool, True, "divide scores by sqrt(dim)", _REPORT),
-    Option(
-        "dense", bool, False,
-        "also write the dense N x N distance and score CSVs (large: N^2 cells each)", _REPORT,
-    ),
-    Option(
-        "separator_policy", ("inherit-row-end", "sequential-after-image"), "inherit-row-end",
-        "separator IDs in aligned mode", _MAPS,
-    ),
-    Option(
-        "mapping_csv", str, None, "also write the high-res ID mapping grid as CSV", ("assign-ids",)
-    ),
-    Option(
-        "out", str, None, "output file; stdout if unset",
-        ("simulate-decay", "plan-layout", "assign-ids"),
-    ),
-    Option("out_dir", str, ".", "directory for the CSV/JSON outputs", _REPORT),
-)
-_KIND_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
-
-
-def _flag(opt: Option) -> tuple[str, dict]:
-    """The flag and the ``add_argument`` keywords of ``opt``."""
-    kw: dict = {"help": opt.help}
-    if opt.default is not None:
-        shown = opt.default if isinstance(opt.default, str) else json.dumps(opt.default)
-        kw["help"] += f" (default {shown})"
-    if opt.kind is bool:
-        kw["action"] = argparse.BooleanOptionalAction
-    elif opt.kind in (int, float):
-        kw["type"] = opt.kind
-    elif isinstance(opt.kind, tuple):
-        # Choices are checked by the typed read, so a bad one exits 2 from main.
-        kw["metavar"] = "{" + ",".join(opt.kind) + "}"
-    return "--" + opt.name.replace("_", "-"), kw
-
-
-# Derived once per process, not per parser: in-process callers of main
-# build a parser on every call.
-_FLAGS = [(opt, *_flag(opt)) for opt in OPTIONS]
-
-
-def _typed(opt: Option, value):
-    """The one read of an option value, from a flag, a config file or the
-    default; never coerces, and a bad value raises ValueError naming the key."""
-    kind = opt.kind
-    if value is None and opt.default is None:
-        return None
-    try:
-        if isinstance(kind, tuple):
-            if value in kind:
-                return value
-        elif isinstance(value, bool) or kind is bool:
-            if isinstance(value, bool) and kind is bool:
-                return value
-        elif kind is int:
-            return operator.index(value)
-        elif kind is float:
-            return float(value)
-        elif isinstance(value, str):
-            return value
-    except (TypeError, ValueError):
-        pass
-    want = f"one of {', '.join(kind)}" if isinstance(kind, tuple) else _KIND_NAMES[kind]
-    raise ValueError(f"{opt.name} must be {want}, got {value!r}")
-
-
-def _merged(args: argparse.Namespace) -> dict:
-    """Typed values of the options of ``args.command``: flag over config
-    over default."""
-    options = [opt for opt in OPTIONS if args.command in opt.commands]
-    cfg = {}
-    if args.config:
-        with open(args.config) as f:
-            cfg = json.load(f)
-        unknown = sorted(set(cfg) - {opt.name for opt in options})
-        if unknown:
-            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-    out = {}
-    for opt in options:
-        flag = getattr(args, opt.name)
-        out[opt.name] = _typed(opt, flag if flag is not None else cfg.get(opt.name, opt.default))
-    return out
-
-
-def _parse(opts: dict, key: str, parser, *args):
-    """``parser(opts[key], *args)``; a ValueError names the option."""
-    try:
-        return parser(opts[key], *args)
-    except ValueError as exc:
-        raise ValueError(f"{key}: {exc}") from None
 
 
 def _parse_resolution(text: str) -> Resolution:
@@ -235,6 +99,137 @@ def _parse_distances(spec: str) -> list[int]:
     return sorted({int(round(v)) for v in vals})
 
 
+class Option(NamedTuple):
+    """One option: the flag ``--name`` (underscores as dashes) and the
+    config key ``name``.  ``kind`` is int, float, bool, str or a tuple of
+    allowed strings; a None default means unset.  ``parse``, for a spec
+    string that needs nothing else to be read, turns it into its value."""
+
+    name: str
+    kind: object
+    default: object
+    help: str
+    commands: tuple[str, ...]
+    parse: Callable[[str], object] | None = None
+
+
+# Every option of every subcommand, in help order.
+OPTIONS = (
+    Option("plan", str, None, "layout plan JSON file; overrides the inline plan flags", _MAPS),
+    Option("pre", int, 0, "text tokens before the image", _PLAN),
+    Option("post", int, 0, "text tokens after the image", _PLAN),
+    Option("input", str, "336x336", "input image HxW pixels", _PLAN, _parse_resolution),
+    Option(
+        "candidates", str, "clip336",
+        "candidate resolutions: preset clip336|siglip384 or comma list of HxW", _PLAN,
+        _parse_candidates,
+    ),
+    Option("vit", str, "336x336", "vision tower base resolution HxW", _PLAN, _parse_resolution),
+    Option("patch", int, 14, "patch size in pixels", _PLAN),
+    Option("row_separators", bool, True, "append a separator token after each high-res row", _PLAN),
+    Option(
+        "cap_effective", bool, False,
+        "cap the selection score at the input's native pixel count", _PLAN,
+    ),
+    Option("order", ("thumb-first", "high-first"), "thumb-first", "image block order", _PLAN),
+    Option("mode", ("baseline", "id_align", "both"), "both", "ID maps to emit", ("assign-ids",)),
+    Option("dim", int, 64, "head dimension, even", _ROPE),
+    Option("theta", float, 1e4, "frequency base, 1e7 also common", _ROPE),
+    Option("mu", str, "ones:1.0", "mean preset for both vectors: zeros | ones:C", _DECAY),
+    Option(
+        "distances", str, "log:0..1024",
+        "relative distances: log:A..B[:N] | lin:A..B[:N] | comma list", _DECAY,
+        _parse_distances,
+    ),
+    Option("samples", int, 100000, "Monte Carlo samples per distance", _DECAY),
+    Option("seed", int, 0, "RNG seed", _DECAY),
+    Option("threads", int, 1, "worker threads; result is thread-count independent", _DECAY),
+    Option("pop", str, "constant:1.0", "population: constant:C | gaussian:MEAN:SEED", _REPORT),
+    Option("normalize", bool, False, "row-softmax the score matrices", _REPORT),
+    Option("scale", bool, True, "divide scores by sqrt(dim)", _REPORT),
+    Option(
+        "dense", bool, False,
+        "also write the dense N x N distance and score CSVs (large: N^2 cells each)", _REPORT,
+    ),
+    Option(
+        "separator_policy", ("inherit-row-end", "sequential-after-image"), "inherit-row-end",
+        "separator IDs in aligned mode", _MAPS,
+    ),
+    Option(
+        "mapping_csv", str, None, "also write the high-res ID mapping grid as CSV", ("assign-ids",)
+    ),
+    Option(
+        "out", str, None, "output file; stdout if unset",
+        ("simulate-decay", "plan-layout", "assign-ids"),
+    ),
+    Option("out_dir", str, ".", "directory for the CSV/JSON outputs", _REPORT),
+)
+
+
+def _flag(opt: Option) -> tuple[str, dict]:
+    """The flag and the ``add_argument`` keywords of ``opt``."""
+    kw: dict = {"help": opt.help}
+    if opt.default is not None:
+        shown = opt.default if isinstance(opt.default, str) else json.dumps(opt.default)
+        kw["help"] += f" (default {shown})"
+    if opt.kind is bool:
+        kw["action"] = argparse.BooleanOptionalAction
+    elif opt.kind in (int, float):
+        kw["type"] = opt.kind
+    elif isinstance(opt.kind, tuple):
+        # Choices are checked by the typed read, so a bad one exits 2 from main.
+        kw["metavar"] = "{" + ",".join(opt.kind) + "}"
+    return "--" + opt.name.replace("_", "-"), kw
+
+
+# Derived once per process, not per parser: in-process callers of main
+# build a parser on every call.
+_FLAGS = [(opt, *_flag(opt)) for opt in OPTIONS]
+
+
+def _merged(args: argparse.Namespace) -> dict:
+    """Typed values of the options of ``args.command``: flag over config
+    over default, each read by ``codec.read_value``."""
+    options = [opt for opt in OPTIONS if args.command in opt.commands]
+    cfg = {}
+    if args.config:
+        try:
+            cfg = json.loads(Path(args.config).read_text())
+        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
+            raise ValueError(f"{args.config}: {exc}") from None
+        if not isinstance(cfg, dict):
+            kind = type(cfg).__name__
+            raise ValueError(f"{args.config}: a config must be a JSON object, got {kind}")
+        unknown = sorted(set(cfg) - {opt.name for opt in options})
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+    out = {}
+    for opt in options:
+        flag = getattr(args, opt.name)
+        if flag is not None:
+            out[opt.name] = read_value(opt, flag)
+        else:  # a default never fails, so only a config value is named with its file
+            out[opt.name] = read_value(opt, cfg.get(opt.name, opt.default), args.config or "")
+    return out
+
+
+def _parse(opts: dict, key: str, parser, *args):
+    """``parser(opts[key], *args)``; a ValueError names the option."""
+    try:
+        return parser(opts[key], *args)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
+
+
+def _parsed(opts: dict) -> dict:
+    """``opts`` with each spec string read by its option's ``parse``."""
+    out = dict(opts)
+    for opt in OPTIONS:
+        if opt.parse and opt.name in opts:
+            out[opt.name] = _parse(opts, opt.name, opt.parse)
+    return out
+
+
 def _parse_mu(spec: str, dim: int) -> np.ndarray:
     if spec == "zeros":
         return np.zeros(dim)
@@ -262,11 +257,13 @@ def _parse_pop(spec: str, plan: LayoutPlan, config: RopeConfig) -> TokenPopulati
     raise ValueError(f"bad population {spec!r}, expected constant:C or gaussian:M:SEED")
 
 
-def _emit(path: str | None, text: str) -> None:
-    """Write ``text`` to ``path`` and report it, or print it when unset.
-    A relative path goes under ``ROPEALIGN_OUTPUT_DIR`` when that is set."""
+def _emit(path: str | None, text: str | Iterable[str]) -> None:
+    """Write ``text``, a string or its pieces in order, to ``path`` and
+    report it, or print it when unset.  A relative path goes under
+    ``ROPEALIGN_OUTPUT_DIR`` when that is set."""
+    chunks = [text] if isinstance(text, str) else text
     if not path:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     p = Path(path)
     env = os.environ.get("ROPEALIGN_OUTPUT_DIR")
@@ -274,18 +271,22 @@ def _emit(path: str | None, text: str) -> None:
         p = Path(env) / p
     p.parent.mkdir(parents=True, exist_ok=True)
     with open(p, "w", newline="\n") as f:
-        f.write(text)
+        f.writelines(chunks)
     print(f"wrote {p}")
 
 
 def _plan_from(opts: dict) -> LayoutPlan:
     if opts.get("plan"):
-        return LayoutPlan.from_json(Path(opts["plan"]).read_text())
+        try:
+            return LayoutPlan.from_json(Path(opts["plan"]).read_text())
+        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
+            raise ValueError(f"{opts['plan']}: {exc}") from None
+    opts = _parsed(opts)
     return build_layout(
         pre_text=opts["pre"],
-        input=_parse(opts, "input", _parse_resolution),
-        candidates=_parse(opts, "candidates", _parse_candidates),
-        vit_resolution=_parse(opts, "vit", _parse_resolution),
+        input=opts["input"],
+        candidates=opts["candidates"],
+        vit_resolution=opts["vit"],
         patch_size=opts["patch"],
         post_text=opts["post"],
         row_separators=opts["row_separators"],
@@ -302,7 +303,7 @@ def cmd_simulate_decay(opts: dict) -> int:
     profile = decay_profile(
         mu,
         mu,
-        _parse(opts, "distances", _parse_distances),
+        _parsed(opts)["distances"],
         samples=opts["samples"],
         seed=opts["seed"],
         config=config,
@@ -349,10 +350,7 @@ def cmd_assign_ids(opts: dict) -> int:
             raise ValueError("--mapping-csv needs a plan with both grids")
         if aligned is None:
             raise aligned_error
-        base = None
-        for seg, start, _stop in segment_ranges(plan):
-            if seg is thumb:
-                base = aligned.ids[start]
+        base = aligned.ids[plan.first_slot(thumb)]
         _emit(opts["mapping_csv"], map_highres_ids(thumb.shape, high.shape, base).to_csv())
     _emit(opts["out"], json_text(doc) + "\n")
     return 0
@@ -373,9 +371,9 @@ def cmd_attention_report(opts: dict) -> int:
     for name, idmap in maps.items():
         if opts["dense"]:
             dist = relative_distance_matrix(idmap)
-            _emit(os.path.join(out_dir, f"distance_{name}.csv"), matrix_csv(dist, roles))
-            scores = attention_scores(pop, idmap, config, **score_opts)
-            _emit(os.path.join(out_dir, f"scores_{name}.csv"), scores.to_csv())
+            _emit(os.path.join(out_dir, f"distance_{name}.csv"), matrix_csv_lines(dist, roles))
+            scores = attention_scores(pop, idmap, config, **score_opts).values
+            _emit(os.path.join(out_dir, f"scores_{name}.csv"), matrix_csv_lines(scores, roles))
         summary = attention_summary(pop, idmap, config, **score_opts)
         _emit(os.path.join(out_dir, f"summary_{name}.csv"), summary.to_csv())
     report = alignment_gain_report(plan, policy, **maps)

@@ -15,13 +15,14 @@ bytes depend neither on the thread count nor on the BLAS library.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .codec import csv_text, json_text
+from .codec import csv_lines, csv_text, json_text
 from .idalign import PositionIdMap, assign_position_ids, correspondence_oracle
-from .layout import HighResGrid, LayoutPlan, ThumbnailGrid, segment_ranges
+from .layout import IMAGE_ROLES, LayoutPlan
 from .rope import RopeConfig, apply_rope_many
 
 # Query rows per score block.  Fixed (never tunable): a block's rows are
@@ -84,12 +85,18 @@ def relative_distance_matrix(idmap: PositionIdMap) -> np.ndarray:
     return np.abs(ids[:, None] - ids[None, :])
 
 
+def matrix_csv_lines(values: np.ndarray, roles: tuple[str, ...]) -> Iterator[str]:
+    """The lines of ``matrix_csv``, so a large matrix can be written
+    without holding its text."""
+    if values.ndim != 2 or values.shape[1] != len(roles):
+        raise ValueError("matrix columns must match the role list")
+    return csv_lines(roles, (row.tolist() for row in values))
+
+
 def matrix_csv(values: np.ndarray, roles: tuple[str, ...]) -> str:
     """Dense row-major CSV of an integer or float matrix: a header line of
     slot roles, then one line per matrix row."""
-    if values.ndim != 2 or values.shape[1] != len(roles):
-        raise ValueError("matrix columns must match the role list")
-    return csv_text(roles, (row.tolist() for row in values))
+    return "".join(matrix_csv_lines(values, roles))
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,33 +278,26 @@ class AlignmentGainReport:
 
 def _mode_geometry(plan: LayoutPlan, idmap: PositionIdMap) -> ModeGeometry:
     ids = np.asarray(idmap.ids, dtype=np.int64)
-    roles = plan.slot_roles()
-    thumb_start = high_start = None
-    thumb_seg = high_seg = None
-    for seg, start, _stop in segment_ranges(plan):
-        if isinstance(seg, ThumbnailGrid):
-            thumb_seg, thumb_start = seg, start
-        elif isinstance(seg, HighResGrid):
-            high_seg, high_start = seg, start
-
+    thumb, high = plan.thumbnail(), plan.highres()
     pair_mean = None
-    if thumb_seg is not None and high_seg is not None:
-        row_stride = high_seg.shape.cols + (1 if high_seg.row_separator else 0)
+    if thumb is not None and high is not None:
+        thumb_start, high_start = plan.first_slot(thumb), plan.first_slot(high)
+        _rows, cols, tail = high.runs()
         dists = []
-        for pair in correspondence_oracle(thumb_seg.shape, high_seg.shape):
+        for pair in correspondence_oracle(thumb.shape, high.shape):
             r, c = pair.highres_cell
             tr, tc = pair.thumb_cell
-            hid = ids[high_start + r * row_stride + c]
-            tid = ids[thumb_start + tr * thumb_seg.shape.cols + tc]
+            hid = ids[high_start + r * (cols + tail) + c]
+            tid = ids[thumb_start + tr * thumb.shape.cols + tc]
             dists.append(abs(int(hid) - int(tid)))
         pair_mean = float(np.mean(dists))
 
-    image_slots = [i for i, r in enumerate(roles) if r in ("thumb", "highres")]
+    image_slots = [i for a, b in plan.cell_runs(IMAGE_ROLES) for i in range(a, b)]
     post_mean = None
     post_max = None
     if image_slots:
-        last_image = max(image_slots)
-        post_text = [i for i, r in enumerate(roles) if r == "text" and i > last_image]
+        text_runs = [(a, b) for a, b in plan.cell_runs(("text",)) if a > image_slots[-1]]
+        post_text = [i for a, b in text_runs for i in range(a, b)]
         if post_text:
             d = np.abs(ids[post_text][:, None] - ids[image_slots][None, :])
             post_mean = float(np.mean(d))

@@ -17,13 +17,13 @@ import numpy as np
 
 from .codec import csv_text, json_text
 from .layout import (
+    IMAGE_ROLES,
     GridShape,
     HighResGrid,
     LayoutPlan,
     Separator,
     TextSegment,
     ThumbnailGrid,
-    segment_ranges,
 )
 
 __all__ = [
@@ -240,20 +240,6 @@ class IdSpanReport:
     ratio: float
 
 
-def _image_blocks(plan: LayoutPlan) -> list[tuple[int, int]]:
-    """(first slot, one past last slot) of each run of image cells: the
-    thumbnail, and each high-resolution row or the whole grid when it
-    has no row separators."""
-    blocks = []
-    for seg, start, stop in segment_ranges(plan):
-        if isinstance(seg, HighResGrid) and seg.row_separator:
-            stride = seg.shape.cols + 1
-            blocks.extend((s, s + seg.shape.cols) for s in range(start, stop, stride))
-        elif isinstance(seg, (ThumbnailGrid, HighResGrid)):
-            blocks.append((start, stop))
-    return blocks
-
-
 def id_span_report(
     plan: LayoutPlan,
     separator_policy: str = "inherit-row-end",
@@ -266,7 +252,7 @@ def id_span_report(
     ``baseline`` and ``id_align`` are the plan's maps under this policy
     when the caller already has them; a missing one is computed.
     """
-    blocks = _image_blocks(plan)
+    blocks = plan.cell_runs(IMAGE_ROLES)
 
     def span(idmap: PositionIdMap) -> int:
         if not blocks:

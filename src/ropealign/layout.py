@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import json
 import math
-import operator
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
+from itertools import accumulate
+from typing import ClassVar, get_args
 
-from .codec import json_text
+from .codec import Field, json_text, read_object
 
 __all__ = [
     "Resolution",
@@ -90,67 +91,116 @@ class GridShape:
         return self.rows * self.cols
 
 
+# The segment table.  Each segment kind declares, once: KIND, its JSON
+# "kind" and the role of its cells; FIELDS, its other JSON fields, which
+# ``values()`` gives and ``of(*values)`` builds from; ``runs()``, its
+# slots as (rows, cells per row, separators after each row); and
+# ONE_PER_PLAN, a name when a plan may hold at most one of it.  All a
+# plan knows of its segments derives from these.
+
+
+class _SegmentKind:
+    KIND: ClassVar[str]
+    FIELDS: ClassVar[tuple[Field, ...]]
+    ONE_PER_PLAN: ClassVar[str | None] = None
+
+    @classmethod
+    def of(cls, *values):
+        return cls(*values)
+
+    def values(self) -> tuple:
+        return astuple(self)
+
+
 @dataclass(frozen=True)
-class TextSegment:
+class TextSegment(_SegmentKind):
     length: int
+
+    KIND = "text"
+    FIELDS = (Field("len", int),)
 
     def __post_init__(self) -> None:
         if self.length <= 0:
             raise ValueError("text segment length must be positive")
 
+    def runs(self) -> tuple[int, int, int]:
+        return 1, self.length, 0
+
 
 @dataclass(frozen=True)
-class ThumbnailGrid:
+class ThumbnailGrid(_SegmentKind):
     shape: GridShape
 
+    KIND = "thumb"
+    FIELDS = (Field("rows", int), Field("cols", int))
+    ONE_PER_PLAN = "thumbnail grid"
+
+    @classmethod
+    def of(cls, rows: int, cols: int) -> ThumbnailGrid:
+        return cls(GridShape(rows, cols))
+
+    def values(self) -> tuple:
+        return self.shape.rows, self.shape.cols
+
+    def runs(self) -> tuple[int, int, int]:
+        return self.shape.rows, self.shape.cols, 0
+
 
 @dataclass(frozen=True)
-class HighResGrid:
+class HighResGrid(_SegmentKind):
     """High-resolution feature grid, optionally with one separator token
     appended after each row (the new-line convention)."""
 
     shape: GridShape
     row_separator: bool = True
 
+    KIND = "highres"
+    FIELDS = (Field("rows", int), Field("cols", int), Field("row_separator", bool, True))
+    ONE_PER_PLAN = "high-resolution grid"
+
+    @classmethod
+    def of(cls, rows: int, cols: int, row_separator: bool) -> HighResGrid:
+        return cls(GridShape(rows, cols), row_separator)
+
+    def values(self) -> tuple:
+        return self.shape.rows, self.shape.cols, self.row_separator
+
+    def runs(self) -> tuple[int, int, int]:
+        return self.shape.rows, self.shape.cols, int(self.row_separator)
+
 
 @dataclass(frozen=True)
-class Separator:
+class Separator(_SegmentKind):
     count: int = 1
+
+    KIND = "separator"
+    FIELDS = (Field("count", int, 1),)
 
     def __post_init__(self) -> None:
         if self.count <= 0:
             raise ValueError("separator count must be positive")
 
+    def runs(self) -> tuple[int, int, int]:
+        return 1, self.count, 0
+
 
 Segment = TextSegment | ThumbnailGrid | HighResGrid | Separator
+SEGMENT_KINDS = {cls.KIND: cls for cls in get_args(Segment)}
+IMAGE_ROLES = ("thumb", "highres")
+_KIND_FIELD = Field("kind", tuple(SEGMENT_KINDS))
+_PLAN_FIELDS = (Field("segments", list), Field("patch_size", int))
 
 
-def _segment_slots(seg: Segment) -> list[str]:
-    if isinstance(seg, TextSegment):
-        return ["text"] * seg.length
-    if isinstance(seg, ThumbnailGrid):
-        return ["thumb"] * seg.shape.cells
-    if isinstance(seg, HighResGrid):
-        row = ["highres"] * seg.shape.cols
-        if seg.row_separator:
-            row = row + ["separator"]
-        return row * seg.shape.rows
-    if isinstance(seg, Separator):
-        return ["separator"] * seg.count
-    raise TypeError(f"unknown segment type {type(seg).__name__}")
-
-
-def _segment_counts(seg: Segment) -> tuple[int, int, int]:
-    """(text, image, separator) slots of one segment, without listing them."""
-    if isinstance(seg, TextSegment):
-        return seg.length, 0, 0
-    if isinstance(seg, ThumbnailGrid):
-        return 0, seg.shape.cells, 0
-    if isinstance(seg, HighResGrid):
-        return 0, seg.shape.cells, seg.shape.rows if seg.row_separator else 0
-    if isinstance(seg, Separator):
-        return 0, 0, seg.count
-    raise TypeError(f"unknown segment type {type(seg).__name__}")
+def _read_segment(raw, where: str) -> Segment:
+    # A missing or unknown kind is reported as such, before any other key.
+    fields = (_KIND_FIELD,)
+    if isinstance(raw, dict) and raw.get("kind") in _KIND_FIELD.kind:
+        fields += SEGMENT_KINDS[raw["kind"]].FIELDS
+    kind, *values = read_object(raw, fields, where)
+    try:
+        return SEGMENT_KINDS[kind].of(*values)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -167,85 +217,59 @@ class LayoutPlan:
     def __post_init__(self) -> None:
         if self.patch_size <= 0:
             raise ValueError("patch_size must be positive")
-        if sum(isinstance(s, ThumbnailGrid) for s in self.segments) > 1:
-            raise ValueError("at most one thumbnail grid per plan")
-        if sum(isinstance(s, HighResGrid) for s in self.segments) > 1:
-            raise ValueError("at most one high-resolution grid per plan")
+        for cls in SEGMENT_KINDS.values():
+            if cls.ONE_PER_PLAN and sum(type(s) is cls for s in self.segments) > 1:
+                raise ValueError(f"at most one {cls.ONE_PER_PLAN} per plan")
 
     @property
     def total_tokens(self) -> int:
-        return sum(sum(_segment_counts(s)) for s in self.segments)
+        return sum(stop - start for _seg, start, stop in segment_ranges(self))
 
     def slot_roles(self) -> tuple[str, ...]:
         roles: list[str] = []
         for seg in self.segments:
-            roles.extend(_segment_slots(seg))
+            rows, cells, tail = seg.runs()
+            roles.extend(([seg.KIND] * cells + [Separator.KIND] * tail) * rows)
         return tuple(roles)
 
     def thumbnail(self) -> ThumbnailGrid | None:
-        for seg in self.segments:
-            if isinstance(seg, ThumbnailGrid):
-                return seg
-        return None
+        return next((s for s in self.segments if type(s) is ThumbnailGrid), None)
 
     def highres(self) -> HighResGrid | None:
-        for seg in self.segments:
-            if isinstance(seg, HighResGrid):
-                return seg
-        return None
+        return next((s for s in self.segments if type(s) is HighResGrid), None)
 
     def to_json(self) -> str:
-        out: list[dict] = []
-        for seg in self.segments:
-            if isinstance(seg, TextSegment):
-                out.append({"kind": "text", "len": seg.length})
-            elif isinstance(seg, ThumbnailGrid):
-                out.append({"kind": "thumb", "rows": seg.shape.rows, "cols": seg.shape.cols})
-            elif isinstance(seg, HighResGrid):
-                out.append(
-                    {
-                        "kind": "highres",
-                        "rows": seg.shape.rows,
-                        "cols": seg.shape.cols,
-                        "row_separator": seg.row_separator,
-                    }
-                )
-            else:
-                out.append({"kind": "separator", "count": seg.count})
+        out = [
+            {"kind": seg.KIND} | {f.name: v for f, v in zip(seg.FIELDS, seg.values())}
+            for seg in self.segments
+        ]
         return json_text({"segments": out, "patch_size": self.patch_size})
 
     @classmethod
     def from_json(cls, text: str) -> "LayoutPlan":
-        """Parse a plan.  Integer fields must be JSON integers, never
-        truncated; a missing required field raises KeyError."""
-        doc = json.loads(text)
+        """Parse a plan.  Every field is read by ``codec.read_object``:
+        present unless it has a default, typed, never truncated or
+        coerced, and no unknown keys; an error is a ValueError naming the
+        segment index and the field."""
+        raw_segments, patch_size = read_object(json.loads(text), _PLAN_FIELDS, "plan")
+        segments = (_read_segment(raw, f"plan segment {i}") for i, raw in enumerate(raw_segments))
+        return cls(segments=tuple(segments), patch_size=patch_size)
 
-        def num(raw: dict, key: str) -> int:
-            value = raw[key]
-            try:
-                if not isinstance(value, bool):
-                    return operator.index(value)
-            except TypeError:
-                pass
-            raise ValueError(f"plan field {key} must be an integer, got {value!r}")
+    def first_slot(self, seg: Segment) -> int:
+        """The slot where ``seg``, one of this plan's segments, starts."""
+        return next(start for s, start, _stop in segment_ranges(self) if s is seg)
 
-        segs: list[Segment] = []
-        for raw in doc["segments"]:
-            kind = raw["kind"]
-            if kind == "text":
-                segs.append(TextSegment(num(raw, "len")))
-            elif kind == "thumb":
-                segs.append(ThumbnailGrid(GridShape(num(raw, "rows"), num(raw, "cols"))))
-            elif kind == "highres":
-                sep = raw.get("row_separator", True)
-                if not isinstance(sep, bool):
-                    raise ValueError(f"plan field row_separator must be true or false, got {sep!r}")
-                segs.append(HighResGrid(GridShape(num(raw, "rows"), num(raw, "cols")), sep))
-            elif kind == "separator":
-                segs.append(Separator(num({"count": 1} | raw, "count")))
-            else:
-                raise ValueError(f"unknown segment kind {kind!r}")
-        return cls(segments=tuple(segs), patch_size=num(doc, "patch_size"))
+    def cell_runs(self, roles: tuple[str, ...]) -> list[tuple[int, int]]:
+        """(first slot, one past last slot) of each run of cells whose role
+        is in ``roles``, in slot order: each row of a segment whose rows end
+        in separators, or else the whole segment."""
+        out = []
+        for seg, start, stop in segment_ranges(self):
+            if seg.KIND in roles:
+                _rows, cells, tail = seg.runs()
+                width = cells if tail else stop - start
+                out.extend((s, s + width) for s in range(start, stop, width + tail))
+        return out
 
 
 def segment_ranges(plan: LayoutPlan) -> tuple[tuple[Segment, int, int], ...]:
@@ -254,13 +278,9 @@ def segment_ranges(plan: LayoutPlan) -> tuple[tuple[Segment, int, int], ...]:
     Row separators inside a high-resolution grid count toward that
     segment's range.
     """
-    out = []
-    start = 0
-    for seg in plan.segments:
-        n = sum(_segment_counts(seg))
-        out.append((seg, start, start + n))
-        start += n
-    return tuple(out)
+    runs = [seg.runs() for seg in plan.segments]
+    stops = list(accumulate(rows * (cells + tail) for rows, cells, tail in runs))
+    return tuple(zip(plan.segments, [0, *stops], stops))
 
 
 @dataclass(frozen=True)
@@ -280,16 +300,14 @@ class TokenCounts:
 
 
 def token_counts(plan: LayoutPlan) -> TokenCounts:
-    text = image = sep = 0
-    for seg in plan.segments:
-        t, i, s = _segment_counts(seg)
-        text, image, sep = text + t, image + i, sep + s
-    total = text + image + sep
+    total = plan.total_tokens
+    text = sum(stop - start for start, stop in plan.cell_runs(("text",)))
+    image = sum(stop - start for start, stop in plan.cell_runs(IMAGE_ROLES))
     return TokenCounts(
         total=total,
         text_tokens=text,
         image_tokens=image,
-        separator_tokens=sep,
+        separator_tokens=total - text - image,
         id_span_baseline=total,
     )
 
@@ -395,6 +413,8 @@ def build_layout(
     """
     if pre_text < 0 or post_text < 0:
         raise ValueError("text lengths must be non-negative")
+    if patch_size <= 0:
+        raise ValueError("patch_size must be positive")
     if vit_resolution.height % patch_size or vit_resolution.width % patch_size:
         raise ValueError("vit resolution must be divisible by patch size")
     thumb = ThumbnailGrid(

@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -708,3 +709,114 @@ def test_scores_do_not_depend_on_blas_threads(tmp_path):
         outputs.append({p.name: p.read_bytes() for p in sorted(out_dir.iterdir())})
     assert set(outputs[0]) >= {"scores_baseline.csv", "scores_id_align.csv"}
     assert outputs[0] == outputs[1]
+
+
+class TestDocumentContract:
+    """A malformed plan or config file exits 2 with one ``error:`` line
+    naming the file, the segment where one applies, and the field."""
+
+    @pytest.mark.parametrize("command", ["assign-ids", "attention-report"])
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"patch_size": 14}, "plan: segments is missing"),
+            ({"segments": [{"kind": "text"}], "patch_size": 14}, "plan segment 0: len is missing"),
+            ({"segments": "x", "patch_size": 14}, "plan: segments must be a list, got 'x'"),
+            ({"segments": [1], "patch_size": 14}, "plan segment 0 must be a JSON object, got int"),
+            ([1, 2], "plan must be a JSON object, got list"),
+            (
+                {"segments": [{"kind": "text", "len": 2}, {"kind": "text", "n": 3}], "patch_size": 14},
+                "plan segment 1: len is missing",
+            ),
+            (
+                {"segments": [{"kind": "text", "len": 2, "n": 3}], "patch_size": 14},
+                "plan segment 0: unknown keys: n",
+            ),
+            ({"segments": [], "patch_size": 14, "version": 1}, "plan: unknown keys: version"),
+            (
+                {"segments": [{"kind": "audio"}], "patch_size": 14},
+                "plan segment 0: kind must be one of",
+            ),
+        ],
+    )
+    def test_bad_plan_exits_2(self, tmp_path, capsys, command, doc, message):
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(doc))
+        out = "--out-dir" if command == "attention-report" else "--out"
+        rc = main([command, "--plan", str(path), out, str(tmp_path / "o")])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: {message}")
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[1]", "a config must be a JSON object, got list"),
+            ('"x"', "a config must be a JSON object, got str"),
+            ("{", "Expecting property name enclosed in double quotes"),
+            ('{"patch": 14.5}', "patch must be an integer, got 14.5"),
+            ('{"theta": "1e4"}', "theta must be a number, got '1e4'"),
+            ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+            ('{"theta": 1' + "0" * 400 + "}", "theta must be a number, got 1000"),
+        ],
+        ids=["list", "string", "truncated", "float-patch", "string-theta", "deep", "huge-theta"],
+    )
+    def test_bad_config_exits_2(self, tmp_path, capsys, text, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        command = "simulate-decay" if "theta" in text else "plan-layout"
+        assert main([command, "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: {message}"), captured.err
+
+
+    def test_deeply_nested_plan_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "plan.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert main(["assign-ids", "--plan", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: maximum recursion depth exceeded")
+
+
+# sha256 of `ropealign [COMMAND] --help` at 80 columns.  Moving a spec
+# parser into the option table must not change a byte of it.
+HELP_SHA256 = {
+    None: "abe08986ac69d926915db86aed56a532bf9d00dc9ebe0ce7ecf29cba1b33f397",
+    "simulate-decay": "031dda26a559bf9cc70e7d80c4e761a1233661d98056e4207bb49fdcf273c2cf",
+    "plan-layout": "2d0fc7d846eb5257194766fb614ba8420c6363897ce57f32d9a44fc2531425e1",
+    "assign-ids": "509cac05f72671ea3de67fb1aa2df27ba0e131ba92597e8a89dc612fe5d2f5be",
+    "attention-report": "719c22257acc3dec98e01df975d8a6380693b02885a0858434b00baadaefc054",
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse's layout varies by version")
+@pytest.mark.parametrize("command", list(HELP_SHA256), ids=str)
+def test_help_bytes_pinned(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"] if command else ["--help"])
+    assert exc.value.code == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == HELP_SHA256[command]
+
+
+def test_dense_csv_is_streamed(tmp_path, capsys):
+    """Writing a dense CSV holds a line at a time, not the file's text:
+    peak memory of the write, beyond the matrix already held, stays under
+    a tenth of the file's size."""
+    values = np.random.default_rng(0).standard_normal((400, 400))
+    roles = ("highres",) * 400
+    path = tmp_path / "scores.csv"
+    tracemalloc.start()
+    try:
+        cli._emit(str(path), harness.matrix_csv_lines(values, roles))
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert path.read_text() == harness.matrix_csv(values, roles)
+    assert size > 3_000_000
+    assert peak < size / 10, (peak, size)

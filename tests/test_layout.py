@@ -1,5 +1,8 @@
 """Tests for resolution selection, padding, unpadding and plan building."""
 
+import json
+from typing import get_args
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,7 @@ from ropealign import (
     token_counts,
     unpad_grid,
 )
+from ropealign.layout import SEGMENT_KINDS, Segment
 
 FIVE_CANDIDATES = [
     Resolution(672, 672),
@@ -342,7 +346,13 @@ class TestLayoutPlanJson:
         ],
     )
     def test_missing_field_is_key_error(self, text):
-        with pytest.raises(KeyError):
+        field = {
+            '{"patch_size":14}': "segments",
+            '{"segments":[{"kind":"text"}],"patch_size":14}': "len",
+            '{"segments":[{"kind":"thumb","rows":2}],"patch_size":14}': "cols",
+            '{"segments":[{"kind":"text","len":2}]}': "patch_size",
+        }[text]
+        with pytest.raises(ValueError, match=f"{field} is missing"):
             LayoutPlan.from_json(text)
 
     def test_optional_fields_default(self):
@@ -363,3 +373,57 @@ class TestLayoutPlanJson:
             patch_size=14,
         )
         assert plan.slot_roles() == ("text", "thumb", "thumb", "highres", "highres", "separator")
+
+    @pytest.mark.parametrize(
+        "text, where, field",
+        [
+            ('{"segments":[{"kind":"text","len":2,"size":2}],"patch_size":14}', "segment 0", "size"),
+            ('{"segments":[{"kind":"separator","cnt":1}],"patch_size":14}', "segment 0", "cnt"),
+            ('{"segments":[],"patch_size":14,"version":2}', "plan", "version"),
+        ],
+    )
+    def test_unknown_keys_rejected_by_name(self, text, where, field):
+        with pytest.raises(ValueError, match=f"{where}: unknown keys: {field}"):
+            LayoutPlan.from_json(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[1]", "plan must be a JSON object, got list"),
+            ('{"segments":"x","patch_size":14}', "plan: segments must be a list, got 'x'"),
+            ('{"segments":[1],"patch_size":14}', "plan segment 0 must be a JSON object, got int"),
+            ('{"segments":[{"len":2}],"patch_size":14}', "plan segment 0: kind is missing"),
+            ('{"segments":[{"kind":"text","len":1},{"kind":"text","len":0}],"patch_size":14}',
+             "plan segment 1: text segment length must be positive"),
+        ],
+    )
+    def test_errors_name_segment_and_field(self, text, message):
+        with pytest.raises(ValueError) as exc:
+            LayoutPlan.from_json(text)
+        assert str(exc.value) == message
+
+
+class TestSegmentTable:
+    """Each segment kind is declared once, and everything derives from it."""
+
+    EXAMPLES = (
+        TextSegment(3),
+        ThumbnailGrid(GridShape(2, 3)),
+        HighResGrid(GridShape(3, 4), row_separator=False),
+        Separator(2),
+    )
+
+    def test_every_kind_has_exactly_one_entry(self):
+        # Two classes sharing a KIND would leave one of them out of the table.
+        kinds = get_args(Segment)
+        assert list(SEGMENT_KINDS.values()) == list(kinds)
+        assert {type(seg) for seg in self.EXAMPLES} == set(kinds)
+
+    @pytest.mark.parametrize("seg", EXAMPLES, ids=lambda seg: type(seg).__name__)
+    def test_kind_name_round_trips(self, seg):
+        plan = LayoutPlan(segments=(seg,), patch_size=14)
+        doc = json.loads(plan.to_json())
+        assert doc["segments"][0]["kind"] == seg.KIND
+        assert SEGMENT_KINDS[seg.KIND] is type(seg)
+        assert list(doc["segments"][0])[1:] == [f.name for f in seg.FIELDS]
+        assert LayoutPlan.from_json(plan.to_json()).segments == (seg,)

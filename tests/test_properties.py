@@ -7,7 +7,14 @@ mapping, the counter bookkeeping of the assignment walk, and the
 grouping of the score summary.
 """
 
+import contextlib
+import io
+import json
 import math
+import os
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -41,6 +48,9 @@ from ropealign import (
     segment_ranges,
     token_counts,
 )
+from ropealign import cli, layout
+from ropealign.codec import REQUIRED
+from ropealign.layout import SEGMENT_KINDS
 
 dims = st.sampled_from([2, 4, 8, 64, 128])
 thetas = st.sampled_from([1e4, 1e7])
@@ -428,3 +438,222 @@ def test_apply_rope_matches_reference_bitwise(dim, theta, seed, m):
     config = RopeConfig(dim=dim, theta_base=theta)
     v = _vec(dim, seed)
     assert apply_rope(v, m, config).tobytes() == reference_apply_rope(v, m, config).tobytes()
+
+
+# The segment table, and the CLI contract for every plan, config and argv.
+
+
+@given(layout_plans())
+@settings(max_examples=150, deadline=None)
+def test_plan_json_round_trip(plan):
+    assert LayoutPlan.from_json(plan.to_json()) == plan
+
+
+@given(layout_plans())
+@settings(max_examples=150, deadline=None)
+def test_table_slots_match_slot_roles(plan):
+    """The cells and ranges derived from each kind's ``runs()`` equal
+    enumerating ``slot_roles()``."""
+    roles = plan.slot_roles()
+    for role in ("text", "thumb", "highres"):
+        cells = [i for a, b in plan.cell_runs((role,)) for i in range(a, b)]
+        assert cells == [i for i, r in enumerate(roles) if r == role]
+    for seg, start, stop in segment_ranges(plan):
+        assert plan.first_slot(seg) == start
+        assert set(roles[start:stop]) <= {seg.KIND, "separator"}
+
+
+# Small integers and short strings with no path separator.  The sizes
+# only bound run time: a valid plan or config drawn here is cheap to run,
+# and the reader checks a value's type the same way at any size.  The
+# alphabet keeps every output inside the temp directory.
+_SMALL_INTS = st.integers(min_value=-3, max_value=12)
+_WORDS = st.text(alphabet="abcxhilnrst0123456789:,.-", max_size=5)
+_PLAN_KEYS = ["segments", "patch_size", "kind", "len", "rows", "cols", "row_separator", "count"]
+_KINDS = st.sampled_from(["text", "thumb", "highres", "separator"])
+_OPTION_KEYS = [opt.name for opt in cli.OPTIONS]
+
+
+def _json_docs(keys, words):
+    leaves = st.none() | st.booleans() | _SMALL_INTS | st.floats() | words
+    return st.recursive(
+        leaves,
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(keys, inner, max_size=5),
+        max_leaves=16,
+    )
+
+
+_PLAN_JUNK = _json_docs(st.sampled_from(_PLAN_KEYS) | st.text(max_size=3), _WORDS | _KINDS)
+
+
+@st.composite
+def _mutated_plan_docs(draw):
+    """A valid plan document with one to three edits anywhere in it."""
+    doc = json.loads(draw(layout_plans()).to_json())
+    for _ in range(draw(st.integers(1, 3))):
+        segments = doc.get("segments")
+        objects = [s for s in segments if isinstance(s, dict)] if isinstance(segments, list) else []
+        target = draw(st.sampled_from([doc, *objects]))
+        key = draw(st.sampled_from([*sorted(target), *_PLAN_KEYS]))
+        if draw(st.booleans()):
+            target.pop(key, None)
+        else:
+            target[key] = draw(_PLAN_JUNK)
+    return doc
+
+
+def _run(argv):
+    """(exit code, stderr) of one in-process CLI call; an exception escapes."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:  # argparse's own usage errors, and --help
+            rc = exc.code
+    return rc, err.getvalue()
+
+
+@contextlib.contextmanager
+def _sandbox():
+    """A temp directory that relative outputs are written under."""
+    with tempfile.TemporaryDirectory() as tmp:
+        with mock.patch.dict(os.environ, {"ROPEALIGN_OUTPUT_DIR": tmp}):
+            yield Path(tmp)
+
+
+def _assert_contract(rc, err):
+    assert rc in (0, 2), err
+    if rc == 2:
+        assert err.startswith(("error: ", "usage: ")) and "Traceback" not in err, err
+
+
+@given(_PLAN_JUNK | _mutated_plan_docs())
+@settings(max_examples=300, deadline=None)
+def test_any_plan_document_exits_0_or_2(doc):
+    with _sandbox() as tmp:
+        path = tmp / "plan.json"
+        path.write_text(json.dumps(doc))
+        rc, err = _run(["assign-ids", "--plan", str(path), "--mapping-csv", "m.csv", "--out", "o"])
+    _assert_contract(rc, err)
+
+
+# Flags that keep a config-driven run small whatever the config says.
+_CONFIG_FAST = {
+    "simulate-decay": ["--samples", "8"],
+    "plan-layout": [],
+    "assign-ids": [],
+    "attention-report": [
+        "--input", "28x28", "--candidates", "28x28", "--vit", "28x28",
+        "--patch", "14", "--dim", "4",
+    ],
+}  # fmt: skip
+_CONFIG_DOCS = _json_docs(st.sampled_from(_OPTION_KEYS) | st.text(max_size=3), _WORDS)
+_CONFIG_DOCS |= st.dictionaries(
+    st.sampled_from(_OPTION_KEYS), _SMALL_INTS | _WORDS | st.booleans() | st.none()
+)
+
+
+@given(st.sampled_from(sorted(_CONFIG_FAST)), _CONFIG_DOCS)
+@settings(max_examples=200, deadline=None)
+def test_any_config_document_exits_0_or_2(command, doc):
+    with _sandbox() as tmp:
+        path = tmp / "cfg.json"
+        path.write_text(json.dumps(doc))
+        rc, err = _run([command, "--config", str(path), *_CONFIG_FAST[command]])
+    _assert_contract(rc, err)
+
+
+# Each command's small starting options, given both as flags, which the
+# mutations edit, and as a config file under them, so that a mutation
+# which drops a flag still leaves a small run.
+_ARGV_BASES = {
+    "simulate-decay": {"dim": 4, "samples": 8, "distances": "0,1", "seed": 3},
+    "plan-layout": {"input": "56x28", "candidates": "56x56", "vit": "28x28", "patch": 14},
+    "assign-ids": {"input": "56x28", "candidates": "56x56", "mapping_csv": "m.csv"},
+    "attention-report": {"input": "28x56", "candidates": "28x56", "dim": 4},
+}
+_FLAG_NAMES = sorted(
+    {flag for _opt, flag, _kw in cli._FLAGS}
+    | {"--no-" + opt.name.replace("_", "-") for opt in cli.OPTIONS if opt.kind is bool}
+)
+_TOKENS = st.sampled_from(_FLAG_NAMES) | _SMALL_INTS.map(str) | _WORDS
+
+
+@st.composite
+def _mutated_argv(draw):
+    command = draw(st.sampled_from(sorted(_ARGV_BASES)))
+    tail = [
+        token
+        for key, value in _ARGV_BASES[command].items()
+        for token in ("--" + key.replace("_", "-"), str(value))
+    ]
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(tail)))
+        edit = draw(st.sampled_from(["delete", "replace", "insert"]))
+        if edit == "insert" or i == len(tail):
+            tail.insert(i, draw(_TOKENS))
+        elif edit == "replace":
+            tail[i] = draw(_TOKENS)
+        else:
+            del tail[i]
+    return command, tail
+
+
+@given(_mutated_argv())
+@settings(max_examples=200, deadline=None)
+def test_mutated_argv_exits_0_or_2(command_tail):
+    command, tail = command_tail
+    with _sandbox() as tmp:
+        path = tmp / "cfg.json"
+        path.write_text(json.dumps(_ARGV_BASES[command]))
+        rc, err = _run([command, "--config", str(path), *tail])
+    _assert_contract(rc, err)
+
+
+_BAD_VALUES = {
+    int: ["7", 2.5, True, None, [1]],
+    float: ["1e4", True, None, [1]],
+    bool: [1, "true", None],
+    str: [3, True, [1]],
+    list: ["x", {"a": 1}, None],
+}
+
+
+@given(layout_plans(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_plan_errors_name_the_field(plan, data):
+    """A mistyped, missing or unknown plan field is named, with its segment."""
+    doc = json.loads(plan.to_json())
+    index = data.draw(st.sampled_from([None, *range(len(doc["segments"]))]))
+    if index is None:
+        target, fields, where = doc, layout._PLAN_FIELDS, "plan"
+    else:
+        target, where = doc["segments"][index], f"plan segment {index}"
+        fields = (layout._KIND_FIELD, *SEGMENT_KINDS[target["kind"]].FIELDS)
+    field = data.draw(st.sampled_from(fields))
+    edit = data.draw(st.sampled_from(["mistype", "remove", "unknown"]))
+    if edit == "unknown":
+        target["zz_" + field.name] = 1
+        want = f"{where}: unknown keys: zz_{field.name}"
+    elif edit == "remove" and field.default is REQUIRED:
+        del target[field.name]
+        want = f"{where}: {field.name} is missing"
+    else:
+        target[field.name] = data.draw(st.sampled_from(_BAD_VALUES.get(field.kind, ["audio", 3])))
+        want = f"{where}: {field.name} must be "
+    with pytest.raises(ValueError) as exc:
+        LayoutPlan.from_json(json.dumps(doc))
+    assert str(exc.value).startswith(want), str(exc.value)
+
+
+@given(st.sampled_from(cli.OPTIONS), st.data())
+@settings(max_examples=150, deadline=None)
+def test_config_errors_name_file_and_key(opt, data):
+    """A mistyped config value is named, with its file."""
+    bad = data.draw(st.sampled_from(_BAD_VALUES.get(opt.kind, ["fancy", 3])))
+    with _sandbox() as tmp:
+        path = tmp / "cfg.json"
+        path.write_text(json.dumps({opt.name: bad}))
+        rc, err = _run([opt.commands[0], "--config", str(path)])
+    assert rc == 2
+    assert err.startswith(f"error: {path}: {opt.name} must be "), err
