@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .codec import json_text, read_value
+from .codec import json_text, read_json, read_value
 from .decay import decay_profile
 from .harness import (
     TokenPopulation,
@@ -99,6 +99,19 @@ def _parse_distances(spec: str) -> list[int]:
     return sorted({int(round(v)) for v in vals})
 
 
+def _parse_mu(spec: str) -> float:
+    """The value of every coordinate of the mean preset ``spec``."""
+    if spec == "zeros":
+        return 0.0
+    kind, _, arg = spec.partition(":")
+    if kind == "ones":
+        try:
+            return float(arg) if arg else 1.0
+        except ValueError:
+            pass
+    raise ValueError(f"bad mean preset {spec!r}, expected 'zeros' or 'ones:C'")
+
+
 class Option(NamedTuple):
     """One option: the flag ``--name`` (underscores as dashes) and the
     config key ``name``.  ``kind`` is int, float, bool, str or a tuple of
@@ -135,7 +148,7 @@ OPTIONS = (
     Option("mode", ("baseline", "id_align", "both"), "both", "ID maps to emit", ("assign-ids",)),
     Option("dim", int, 64, "head dimension, even", _ROPE),
     Option("theta", float, 1e4, "frequency base, 1e7 also common", _ROPE),
-    Option("mu", str, "ones:1.0", "mean preset for both vectors: zeros | ones:C", _DECAY),
+    Option("mu", str, "ones:1.0", "mean preset for both vectors: zeros | ones:C", _DECAY, _parse_mu),
     Option(
         "distances", str, "log:0..1024",
         "relative distances: log:A..B[:N] | lin:A..B[:N] | comma list", _DECAY,
@@ -193,10 +206,7 @@ def _merged(args: argparse.Namespace) -> dict:
     options = [opt for opt in OPTIONS if args.command in opt.commands]
     cfg = {}
     if args.config:
-        try:
-            cfg = json.loads(Path(args.config).read_text())
-        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
-            raise ValueError(f"{args.config}: {exc}") from None
+        cfg = read_json(Path(args.config).read_text(), args.config)
         if not isinstance(cfg, dict):
             kind = type(cfg).__name__
             raise ValueError(f"{args.config}: a config must be a JSON object, got {kind}")
@@ -228,18 +238,6 @@ def _parsed(opts: dict) -> dict:
         if opt.parse and opt.name in opts:
             out[opt.name] = _parse(opts, opt.name, opt.parse)
     return out
-
-
-def _parse_mu(spec: str, dim: int) -> np.ndarray:
-    if spec == "zeros":
-        return np.zeros(dim)
-    kind, _, arg = spec.partition(":")
-    if kind == "ones":
-        try:
-            return np.full(dim, float(arg) if arg else 1.0)
-        except ValueError:
-            pass
-    raise ValueError(f"bad mean preset {spec!r}, expected 'zeros' or 'ones:C'")
 
 
 def _parse_pop(spec: str, plan: LayoutPlan, config: RopeConfig) -> TokenPopulation:
@@ -276,11 +274,13 @@ def _emit(path: str | None, text: str | Iterable[str]) -> None:
 
 
 def _plan_from(opts: dict) -> LayoutPlan:
-    if opts.get("plan"):
+    path = opts.get("plan")
+    if path:
+        doc = read_json(Path(path).read_text(), path)
         try:
-            return LayoutPlan.from_json(Path(opts["plan"]).read_text())
-        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
-            raise ValueError(f"{opts['plan']}: {exc}") from None
+            return LayoutPlan.from_doc(doc)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     opts = _parsed(opts)
     return build_layout(
         pre_text=opts["pre"],
@@ -299,11 +299,13 @@ def cmd_simulate_decay(opts: dict) -> int:
     if opts["threads"] < 1:
         raise ValueError(f"threads must be at least 1, got {opts['threads']}")
     config = RopeConfig(dim=opts["dim"], theta_base=opts["theta"])
-    mu = _parse(opts, "mu", _parse_mu, config.dim)
+    opts = _parsed(opts)
+    # Built outside the mu check: a dim numpy cannot allocate is not mu's fault.
+    mu = np.full(config.dim, opts["mu"])
     profile = decay_profile(
         mu,
         mu,
-        _parsed(opts)["distances"],
+        opts["distances"],
         samples=opts["samples"],
         seed=opts["seed"],
         config=config,

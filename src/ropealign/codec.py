@@ -4,8 +4,9 @@ Identical inputs must give identical bytes, so this is the one place the
 format lives.  JSON has no spaces after separators.  A CSV line holds the
 ``str`` of each cell: a name as it is, or a Python int or float
 (``tolist()`` of a numpy row gives these), whose ``str`` is its ``repr``,
-so floats round-trip exactly; lines end in ``\\n``.  Every value read from
-a plan file, a config file or a flag goes through ``read_value``.
+so floats round-trip exactly; lines end in ``\\n``.  Every plan or config
+file is parsed by ``read_json``, and every value read from one or from a
+flag goes through ``read_value``.
 """
 
 from __future__ import annotations
@@ -32,6 +33,15 @@ def csv_lines(header: Sequence[str] | None, rows: Iterable[Iterable]) -> Iterato
 
 def csv_text(header: Sequence[str] | None, rows: Iterable[Iterable]) -> str:
     return "".join(csv_lines(header, rows))
+
+
+def read_json(text: str, where: str):
+    """The JSON document ``text``.  Malformed text, or nesting too deep to
+    parse, raises ValueError naming ``where``."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
+        raise ValueError(f"{where}: {exc}") from None
 
 
 REQUIRED = object()  # the default of a field a document must hold

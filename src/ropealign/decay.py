@@ -9,9 +9,12 @@ separate so they can cross-check each other in tests:
 
 The Monte Carlo draws fixed 16384-sample chunks, chunk c from its own
 Philox substream keyed by word c of a SeedSequence, and evaluates every
-distance of a profile on the same chunks.  Profiles are reproducible bit
-for bit on a given platform, whatever the thread count, and a point is
-the same whichever other distances share its grid.
+distance of a profile on the same chunks.  A chunk of n samples draws an
+(n, dim) block of q, then n normals g: the key noise enters a sample only
+through q . z_k, which given q is N(0, |q|^2), so |q| g has its law
+exactly.  Profiles are reproducible bit for bit on a given platform,
+whatever the thread count, and a point is the same whichever other
+distances share its grid.
 """
 
 from __future__ import annotations
@@ -173,10 +176,14 @@ def _shared_sample_moments(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean and stderr of q . R_m k for each m in ``distances``, on shared samples.
 
-    R_m z_k has the law of z_k (isotropic noise), so a sample is
-    q . z_k + q . R_m mu_k with only the second term depending on m.  Each
-    distance is reduced on its own, and chunk moments merge in chunk order
-    (Chan's update), so neither the grid nor ``max_workers`` changes a value.
+    A sample is q . R_m k with k = mu_k + z_k.  R_m z_k has the law of z_k
+    (isotropic noise), so it is q . z_k + q . R_m mu_k with only the second
+    term depending on m.  Given q, q . z_k is N(0, |q|^2), so a chunk of n
+    samples draws its (n, dim) block of q, then n normals g, and takes
+    q . z_k = |q| g: dim + 1 normals a sample instead of 2 dim, with the
+    joint law over all distances unchanged.  Each distance is reduced on its
+    own, and chunk moments merge in chunk order (Chan's update), so neither
+    the grid nor ``max_workers`` changes a value.
     """
     if samples < 2:
         raise ValueError(f"samples must be at least 2, got {samples}")
@@ -190,7 +197,7 @@ def _shared_sample_moments(
         n = min(_MC_CHUNK, samples - c * _MC_CHUNK)
         rng = np.random.Generator(np.random.Philox(int(chunk_seeds[c])))
         q = mq + rng.standard_normal((n, config.dim))
-        m_free = np.einsum("ij,ij->i", q, rng.standard_normal((n, config.dim)))
+        m_free = np.sqrt(np.einsum("ij,ij->i", q, q)) * rng.standard_normal(n)
         mean, m2 = np.empty((2, len(distances)))
         for i, r in enumerate(rotated):
             # einsum, not BLAS: a BLAS matvec's bits vary with its thread count.
@@ -218,7 +225,10 @@ def monte_carlo_expected_dot(
 
     Draws ``samples`` independent (q, k) pairs with identity covariance,
     chunk c from the Philox substream keyed by word c of
-    ``SeedSequence(seed)``.  Deterministic for a fixed seed.
+    ``SeedSequence(seed)``: the chunk's q block, then one normal g per
+    sample, since q . R_m k = |q| g + q . R_m mu_k in law (given q, the
+    key noise term q . R_m z_k is N(0, |q|^2)).  Deterministic for a fixed
+    seed.
     """
     mean, stderr = _shared_sample_moments(mu_q, mu_k, [int(m)], samples, seed, config, 1)
     return float(mean[0]), float(stderr[0])

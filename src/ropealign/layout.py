@@ -10,13 +10,12 @@ No pixels are touched.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import astuple, dataclass
 from itertools import accumulate
 from typing import ClassVar, get_args
 
-from .codec import Field, json_text, read_object
+from .codec import Field, json_text, read_json, read_object
 
 __all__ = [
     "Resolution",
@@ -83,8 +82,9 @@ class GridShape:
     cols: int
 
     def __post_init__(self) -> None:
-        if self.rows <= 0 or self.cols <= 0:
-            raise ValueError(f"grid shape must be positive, got {self.rows}x{self.cols}")
+        for name, value in (("rows", self.rows), ("cols", self.cols)):
+            if value <= 0:
+                raise ValueError(f"grid {name} must be positive, got {value}")
 
     @property
     def cells(self) -> int:
@@ -247,11 +247,17 @@ class LayoutPlan:
 
     @classmethod
     def from_json(cls, text: str) -> "LayoutPlan":
-        """Parse a plan.  Every field is read by ``codec.read_object``:
-        present unless it has a default, typed, never truncated or
-        coerced, and no unknown keys; an error is a ValueError naming the
-        segment index and the field."""
-        raw_segments, patch_size = read_object(json.loads(text), _PLAN_FIELDS, "plan")
+        """Parse a plan; malformed or too deeply nested JSON is a
+        ValueError, as is every error of ``from_doc``."""
+        return cls.from_doc(read_json(text, "plan"))
+
+    @classmethod
+    def from_doc(cls, doc) -> "LayoutPlan":
+        """The plan of a parsed JSON document.  Every field is read by
+        ``codec.read_object``: present unless it has a default, typed,
+        never truncated or coerced, and no unknown keys; an error is a
+        ValueError naming the segment index and the field."""
+        raw_segments, patch_size = read_object(doc, _PLAN_FIELDS, "plan")
         segments = (_read_segment(raw, f"plan segment {i}") for i, raw in enumerate(raw_segments))
         return cls(segments=tuple(segments), patch_size=patch_size)
 

@@ -31,6 +31,14 @@ SMALL_PLAN_ARGS = [
 class TestSimulateDecay:
     """CSV profile emission."""
 
+    def test_unallocatable_dim_does_not_blame_mu(self, capsys):
+        # Past numpy's maximum dimension: fails before any allocation.
+        rc = main(["simulate-decay", "--dim", "1" + "0" * 30, "--samples", "8"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "bad mean preset" not in err and not err.startswith("error: mu:"), err
+
     def test_matches_library_call(self, tmp_path, capsys):
         out = tmp_path / "decay.csv"
         rc = main([
@@ -773,6 +781,26 @@ class TestDocumentContract:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {path}: {message}"), captured.err
 
+
+    @pytest.mark.parametrize(
+        "segment, message",
+        [
+            ({"kind": "thumb", "rows": 0, "cols": 3}, "grid rows must be positive, got 0"),
+            ({"kind": "thumb", "rows": 2, "cols": -1}, "grid cols must be positive, got -1"),
+            ({"kind": "highres", "rows": -4, "cols": 3}, "grid rows must be positive, got -4"),
+            ({"kind": "highres", "rows": 2, "cols": 0}, "grid cols must be positive, got 0"),
+            ({"kind": "text", "len": 0}, "text segment length must be positive"),
+            ({"kind": "separator", "count": 0}, "separator count must be positive"),
+        ],
+        ids=["thumb-rows", "thumb-cols", "highres-rows", "highres-cols", "text-len", "separator-count"],
+    )
+    def test_plan_range_error_names_the_field(self, tmp_path, capsys, segment, message):
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps({"segments": [{"kind": "text", "len": 1}, segment], "patch_size": 14}))
+        assert main(["assign-ids", "--plan", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: plan segment 1: {message}\n"
 
     def test_deeply_nested_plan_exits_2(self, tmp_path, capsys):
         path = tmp_path / "plan.json"

@@ -402,6 +402,10 @@ class TestLayoutPlanJson:
             LayoutPlan.from_json(text)
         assert str(exc.value) == message
 
+    def test_too_deeply_nested_json_is_a_value_error(self):
+        with pytest.raises(ValueError, match="^plan: maximum recursion depth exceeded"):
+            LayoutPlan.from_json("[" * 100_000)
+
 
 class TestSegmentTable:
     """Each segment kind is declared once, and everything derives from it."""

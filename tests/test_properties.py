@@ -18,7 +18,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ropealign import (
@@ -37,6 +37,7 @@ from ropealign import (
     attention_scores,
     attention_summary,
     correspondence_oracle,
+    decay_profile,
     expected_dot_closed_form,
     id_span_report,
     map_highres_ids,
@@ -423,6 +424,66 @@ def test_decay_csv_matches_reference(points, samples):
         sample_count=samples,
     )
     assert profile.to_csv() == reference_decay_csv(profile)
+
+
+def reference_shared_sample_profile(mu_q, mu_k, distances, samples, seed, config):
+    """Mean and stderr per distance from a plain loop over 16384-sample
+    chunks.  Chunk c draws from Philox keyed by word c of the profile's
+    substream: its (n, dim) block of q, then n normals g.  A sample at
+    distance m is |q| g + q . apply_rope(mu_k, m)."""
+    base = int(np.random.SeedSequence(seed).generate_state(1, dtype=np.uint64)[0])
+    n_chunks = -(-samples // 16384)
+    words = np.random.SeedSequence(base).generate_state(n_chunks, dtype=np.uint64)
+    dots = [[] for _ in distances]
+    for c, word in enumerate(words):
+        n = min(16384, samples - c * 16384)
+        rng = np.random.Generator(np.random.Philox(int(word)))
+        q = mu_q + rng.standard_normal((n, config.dim))
+        g = rng.standard_normal(n)
+        for out, m in zip(dots, distances):
+            out.append(np.linalg.norm(q, axis=1) * g + q @ apply_rope(mu_k, m, config))
+    values = [np.concatenate(chunks) for chunks in dots]
+    return (
+        [v.mean() for v in values],
+        [v.std(ddof=1) / math.sqrt(samples) for v in values],
+        [np.abs(v).max() for v in values],
+    )
+
+
+@given(
+    st.sampled_from([2, 4, 8, 16]),
+    st.lists(st.integers(min_value=0, max_value=100_000), min_size=1, max_size=8, unique=True),
+    st.integers(min_value=2, max_value=3 * 16384 + 7),
+    seeds,
+    seeds,
+)
+@example(16, [0, 5, 4096], 3 * 16384 + 7, 3, 11)  # two full chunks and a partial one
+@example(2, [1], 16384 + 1, 0, 0)
+@settings(max_examples=25, deadline=None)
+def test_decay_profile_matches_per_chunk_reference(dim, grid, samples, seed, mu_seed):
+    config = RopeConfig(dim=dim, theta_base=1e4)
+    mu_q, mu_k = _vec(dim, mu_seed), _vec(dim, mu_seed + 1)
+    grid = sorted(grid)
+    profile = decay_profile(mu_q, mu_k, grid, samples=samples, seed=seed, config=config)
+    means, errs, scales = reference_shared_sample_profile(mu_q, mu_k, grid, samples, seed, config)
+    for got, want, scale in zip(profile.mean_dot, means, scales):
+        # A mean near 0 is judged against the size of its samples.
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12 * scale)
+    for got, want, scale in zip(profile.stderr, errs, scales):
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12 * scale / math.sqrt(samples))
+
+
+def test_decay_stderr_law_with_zero_query_mean():
+    """With mu_q = 0 every sample is |q| g + q . R_m mu_k, of variance
+    |mu_k|^2 + dim: the key mean enters only through the noisy query."""
+    dim, samples = 64, 100_000
+    config = RopeConfig(dim=dim, theta_base=1e4)
+    mu_k = np.linspace(-2.0, 3.0, dim)
+    profile = decay_profile(np.zeros(dim), mu_k, [0, 7, 300, 5000], samples, seed=17, config=config)
+    analytic = math.sqrt((mu_k @ mu_k + dim) / samples)
+    for mean, err in zip(profile.mean_dot, profile.stderr):
+        assert abs(err - analytic) <= 0.05 * analytic
+        assert abs(mean) <= 5 * err
 
 
 @given(grid_sides, grid_sides, grid_sides, grid_sides, st.integers(0, 2**60))
