@@ -28,17 +28,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .codec import json_text, read_json, read_value
+from .codec import csv_lines, json_text, read_json, read_value
 from .decay import decay_profile
 from .harness import (
     TokenPopulation,
     alignment_gain_report,
-    attention_scores,
     attention_summary,
-    matrix_csv_lines,
     population_constant,
     population_gaussian,
-    relative_distance_matrix,
+    score_blocks,
 )
 from .idalign import assign_position_ids, id_span_report, map_highres_ids
 from .layout import LayoutPlan, Resolution, build_layout, token_counts
@@ -224,10 +222,11 @@ def _merged(args: argparse.Namespace) -> dict:
 
 
 def _parse(opts: dict, key: str, parser, *args):
-    """``parser(opts[key], *args)``; a ValueError names the option."""
+    """``parser(opts[key], *args)``; a ValueError, or a size numpy cannot
+    allocate or represent, names the option."""
     try:
         return parser(opts[key], *args)
-    except ValueError as exc:
+    except (ValueError, MemoryError, OverflowError) as exc:
         raise ValueError(f"{key}: {exc}") from None
 
 
@@ -298,10 +297,11 @@ def _plan_from(opts: dict) -> LayoutPlan:
 def cmd_simulate_decay(opts: dict) -> int:
     if opts["threads"] < 1:
         raise ValueError(f"threads must be at least 1, got {opts['threads']}")
+    if opts["seed"] < 0:
+        raise ValueError(f"seed: must be non-negative, got {opts['seed']}")
     config = RopeConfig(dim=opts["dim"], theta_base=opts["theta"])
     opts = _parsed(opts)
-    # Built outside the mu check: a dim numpy cannot allocate is not mu's fault.
-    mu = np.full(config.dim, opts["mu"])
+    mu = _parse(opts, "dim", np.full, opts["mu"])
     profile = decay_profile(
         mu,
         mu,
@@ -368,15 +368,15 @@ def cmd_attention_report(opts: dict) -> int:
         "baseline": assign_position_ids(plan, "baseline", policy),
         "id_align": assign_position_ids(plan, "id_align", policy),
     }
-    roles = plan.slot_roles()
     score_opts = {"normalize": opts["normalize"], "scale": opts["scale"]}
     for name, idmap in maps.items():
-        if opts["dense"]:
-            dist = relative_distance_matrix(idmap)
-            _emit(os.path.join(out_dir, f"distance_{name}.csv"), matrix_csv_lines(dist, roles))
-            scores = attention_scores(pop, idmap, config, **score_opts).values
-            _emit(os.path.join(out_dir, f"scores_{name}.csv"), matrix_csv_lines(scores, roles))
+        # Summed first: a score error then stops the run before any file of the mode is opened.
         summary = attention_summary(pop, idmap, config, **score_opts)
+        if opts["dense"]:  # each matrix streamed a row at a time: no N x N array is held
+            for part, kind in enumerate(("distance", "scores")):
+                blocks = score_blocks(pop, idmap, config, **score_opts)
+                rows = (row.tolist() for block in blocks for row in block[part])
+                _emit(os.path.join(out_dir, f"{kind}_{name}.csv"), csv_lines(pop.roles, rows))
         _emit(os.path.join(out_dir, f"summary_{name}.csv"), summary.to_csv())
     report = alignment_gain_report(plan, policy, **maps)
     _emit(os.path.join(out_dir, "gain_report.json"), report.to_json() + "\n")

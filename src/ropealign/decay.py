@@ -20,6 +20,7 @@ distances share its grid.
 from __future__ import annotations
 
 import concurrent.futures
+import math
 import operator
 from dataclasses import dataclass
 from itertools import repeat
@@ -85,6 +86,9 @@ class DecayProfile:
         object.__setattr__(self, "stderr", tuple(map(float, self.stderr)))
         if not (len(self.distances) == len(self.mean_dot) == len(self.stderr)):
             raise ValueError("distances, mean_dot and stderr must have equal length")
+        for d, m, s in zip(self.distances, self.mean_dot, self.stderr):
+            if not (math.isfinite(m) and math.isfinite(s)):
+                raise ValueError(f"mean_dot and stderr must be finite, got {m} and {s} at distance {d}")
         if any(s < 0 for s in self.stderr):
             raise ValueError("stderr entries must be non-negative")
         if any(b <= a for a, b in zip(self.distances, self.distances[1:])):
@@ -191,7 +195,10 @@ def _shared_sample_moments(
     mk = _check_mean(mu_k, config)
     rotated = apply_rope_many(np.tile(mk, (len(distances), 1)), distances, config)
     n_chunks = -(-samples // _MC_CHUNK)
-    chunk_seeds = np.random.SeedSequence(base).generate_state(n_chunks, dtype=np.uint64)
+    try:
+        chunk_seeds = np.random.SeedSequence(base).generate_state(n_chunks, dtype=np.uint64)
+    except (ValueError, MemoryError) as exc:  # more chunks than numpy can allocate
+        raise ValueError(f"samples {samples}: {exc}") from None
 
     def chunk(c: int) -> tuple[int, np.ndarray, np.ndarray]:
         n = min(_MC_CHUNK, samples - c * _MC_CHUNK)

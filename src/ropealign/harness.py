@@ -1,16 +1,17 @@
 """Desk-scale attention demonstrations over synthetic token populations.
 
 Real-model activations are out of scope; the point is to make the
-geometric consequences of an ID assignment visible: relative-distance
-matrices, rotary-modulated score matrices, a role-by-distance summary of
-the scores, and a small report comparing baseline and aligned
-assignments on the same plan.
+geometric consequences of an ID assignment visible: rotary-modulated
+scores by relative distance, a role-by-distance summary of them, and a
+small report comparing baseline and aligned assignments on the same plan.
 
-Scores are computed in blocks of ``_BLOCK_ROWS`` query rows by one
-private helper.  ``attention_scores`` stacks the blocks into the dense
-matrix; ``attention_summary`` folds each block into per-group counts,
-sums and maxima and drops it, so its memory is O(block * slots) and its
-bytes depend neither on the thread count nor on the BLAS library.
+``score_blocks`` is the one walk over the scores: it yields blocks of
+``_BLOCK_ROWS`` query rows, each block's |id_i - id_j| rows with its
+score rows, so its memory is O(block * slots).  ``attention_summary``
+folds the blocks into per-group counts, sums and maxima;
+``attention_scores`` stacks them into the dense matrix; the CLI's
+``--dense`` writer streams them a row at a time.  The bytes depend
+neither on the thread count nor on the BLAS library.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .codec import csv_lines, csv_text, json_text
+from .codec import csv_text, json_text
 from .idalign import PositionIdMap, assign_position_ids, correspondence_oracle
 from .layout import IMAGE_ROLES, LayoutPlan
 from .rope import RopeConfig, apply_rope_many
@@ -32,17 +33,15 @@ _BLOCK_ROWS = 64
 
 __all__ = [
     "TokenPopulation",
-    "ScoreMatrix",
     "ScoreSummary",
     "ModeGeometry",
     "AlignmentGainReport",
     "population_constant",
     "population_gaussian",
-    "relative_distance_matrix",
+    "score_blocks",
     "attention_scores",
     "attention_summary",
     "alignment_gain_report",
-    "matrix_csv",
 ]
 
 
@@ -79,68 +78,40 @@ def population_gaussian(
     return TokenPopulation(vectors=vectors, roles=roles)
 
 
-def relative_distance_matrix(idmap: PositionIdMap) -> np.ndarray:
-    """|id_i - id_j| for every slot pair."""
-    ids = np.asarray(idmap.ids, dtype=np.int64)
-    return np.abs(ids[:, None] - ids[None, :])
-
-
-def matrix_csv_lines(values: np.ndarray, roles: tuple[str, ...]) -> Iterator[str]:
-    """The lines of ``matrix_csv``, so a large matrix can be written
-    without holding its text."""
-    if values.ndim != 2 or values.shape[1] != len(roles):
-        raise ValueError("matrix columns must match the role list")
-    return csv_lines(roles, (row.tolist() for row in values))
-
-
-def matrix_csv(values: np.ndarray, roles: tuple[str, ...]) -> str:
-    """Dense row-major CSV of an integer or float matrix: a header line of
-    slot roles, then one line per matrix row."""
-    return "".join(matrix_csv_lines(values, roles))
-
-
-@dataclass(frozen=True, eq=False)
-class ScoreMatrix:
-    """Pairwise rotary-modulated scores; rows are queries, columns keys."""
-
-    values: np.ndarray
-    roles: tuple[str, ...]
-    normalized: bool
-
-    def __post_init__(self) -> None:
-        if self.values.ndim != 2 or self.values.shape[0] != self.values.shape[1]:
-            raise ValueError("score matrix must be square")
-        if self.values.shape[1] != len(self.roles):
-            raise ValueError("one role per slot required")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("scores must be finite")
-
-    def to_csv(self) -> str:
-        return matrix_csv(self.values, self.roles)
-
-
-def _rotated(pop: TokenPopulation, idmap: PositionIdMap, config: RopeConfig) -> np.ndarray:
+def score_blocks(
+    pop: TokenPopulation,
+    idmap: PositionIdMap,
+    config: RopeConfig,
+    normalize: bool = False,
+    scale: bool = True,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The distance rows and score rows of each block of ``_BLOCK_ROWS``
+    query rows, in row order: distance(i, j) = |id_i - id_j| and
+    score(i, j) = rotated(v_i, id_i) . rotated(v_j, id_j), optionally
+    divided by sqrt(dim) and row-softmaxed.  The one home of both
+    formulas; the population is rotated once per call.
+    """
     if pop.vectors.shape[0] != len(idmap.ids):
         raise ValueError("population size must match the id map")
     if pop.vectors.shape[1] != config.dim:
         raise ValueError(f"population dim {pop.vectors.shape[1]} != config dim {config.dim}")
-    return apply_rope_many(pop.vectors, np.asarray(idmap.ids, dtype=np.float64), config)
-
-
-def _score_rows(rotated: np.ndarray, lo: int, hi: int, normalize: bool, scale: bool) -> np.ndarray:
-    """Score rows ``[lo, hi)``: the one score formula of the module."""
-    # einsum, not BLAS: a threaded matmul changes the low bits with the
-    # BLAS thread count, and the scores must not.
-    values = np.einsum("ik,jk->ij", rotated[lo:hi], rotated)
-    if scale:
-        values = values / np.sqrt(rotated.shape[1])
-    if normalize:
-        values = values - values.max(axis=1, keepdims=True)
-        np.exp(values, out=values)
-        values = values / values.sum(axis=1, keepdims=True)
-    if not np.all(np.isfinite(values)):
-        raise ValueError("scores must be finite")
-    return values
+    ids = np.asarray(idmap.ids, dtype=np.int64)
+    rotated = apply_rope_many(pop.vectors, ids.astype(np.float64), config)
+    for lo in range(0, len(ids), _BLOCK_ROWS):
+        hi = lo + _BLOCK_ROWS
+        # einsum, not BLAS: a threaded matmul changes the low bits with the
+        # BLAS thread count, and the scores must not.
+        scores = np.einsum("ik,jk->ij", rotated[lo:hi], rotated)
+        if scale:
+            scores = scores / np.sqrt(config.dim)
+        if normalize:
+            scores = scores - scores.max(axis=1, keepdims=True)
+            np.exp(scores, out=scores)
+            scores = scores / scores.sum(axis=1, keepdims=True)
+        if not np.all(np.isfinite(scores)):
+            raise ValueError("scores must be finite")
+        dist = ids[lo:hi, None] - ids
+        yield np.abs(dist, out=dist), scores  # in place: one block-sized temporary fewer at the peak
 
 
 def attention_scores(
@@ -149,20 +120,15 @@ def attention_scores(
     config: RopeConfig,
     normalize: bool = False,
     scale: bool = True,
-) -> ScoreMatrix:
-    """score(i, j) = rotated(v_i, id_i) . rotated(v_j, id_j), optionally
-    divided by sqrt(dim) and row-softmaxed.
+) -> np.ndarray:
+    """The dense matrix of ``score_blocks``' scores; rows are queries,
+    columns keys.
 
     Depends on the IDs only through differences id_i - id_j, which is the
     rotary shift-invariance property the harness exists to exhibit.
     """
-    rotated = _rotated(pop, idmap, config)
-    n = len(rotated)
-    values = np.empty((n, n))
-    for lo in range(0, n, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, n)
-        values[lo:hi] = _score_rows(rotated, lo, hi, normalize, scale)
-    return ScoreMatrix(values=values, roles=pop.roles, normalized=normalize)
+    blocks = [scores for _dist, scores in score_blocks(pop, idmap, config, normalize, scale)]
+    return np.concatenate(blocks) if blocks else np.empty((0, 0))
 
 
 @dataclass(frozen=True)
@@ -193,7 +159,7 @@ def attention_summary(
     normalize: bool = False,
     scale: bool = True,
 ) -> ScoreSummary:
-    """The scores of ``attention_scores`` grouped as ``ScoreSummary``
+    """The scores of ``score_blocks`` grouped as ``ScoreSummary``
     describes, without holding the dense matrix.
 
     Each block is folded into one table per (role pair, exact distance):
@@ -204,7 +170,6 @@ def attention_summary(
     which for the maps ``assign_position_ids`` builds is below the slot
     count.
     """
-    rotated = _rotated(pop, idmap, config)
     ids = np.asarray(idmap.ids, dtype=np.int64)
     names, codes = np.unique(np.asarray(pop.roles, dtype=str), return_inverse=True)
     names = names.tolist()
@@ -216,11 +181,11 @@ def attention_summary(
     maxima = np.full(size, -np.inf)
     query_base = codes * (n_roles * width)
     key_base = codes * width
-    for lo in range(0, len(ids), _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, len(ids))
-        scores = _score_rows(rotated, lo, hi, normalize, scale).ravel()
-        dist = np.abs(ids[lo:hi, None] - ids[None, :])
-        group = (dist + query_base[lo:hi, None] + key_base[None, :]).ravel()
+    blocks = score_blocks(pop, idmap, config, normalize, scale)
+    # The walk first in zip, so its input checks run even for an empty map.
+    for (dist, scores), lo in zip(blocks, range(0, len(ids), _BLOCK_ROWS)):
+        scores = scores.ravel()
+        group = (dist + query_base[lo : lo + len(dist), None] + key_base).ravel()
         counts += np.bincount(group, minlength=size)
         sums += np.bincount(group, weights=scores, minlength=size)
         np.maximum.at(maxima, group, scores)

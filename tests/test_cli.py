@@ -21,6 +21,7 @@ import ropealign
 from ropealign import LayoutPlan, RopeConfig, decay_profile, harness, idalign
 from ropealign import cli
 from ropealign.cli import main
+from ropealign.codec import csv_lines, csv_text
 
 SMALL_PLAN_ARGS = [
     "--pre", "2", "--input", "56x56", "--candidates", "56x56",
@@ -38,6 +39,39 @@ class TestSimulateDecay:
         assert rc == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "bad mean preset" not in err and not err.startswith("error: mu:"), err
+
+    @pytest.mark.parametrize(
+        "flags, key",
+        [
+            (["--dim", "1" + "0" * 30], "dim"),
+            (["--samples", "1" + "0" * 30], "samples"),
+            (["--samples", "1" + "0" * 20], "samples"),
+            (["--distances", "log:0..5:1" + "0" * 14], "distances"),
+            (["--distances", "log:0..5:1" + "0" * 400], "distances"),
+        ],
+        ids=[
+            "dim-past-max-dimension", "samples-past-max-dimension", "samples-43PiB", "distances-728TiB",
+            "distances-past-float-range",
+        ],
+    )
+    def test_unallocatable_count_names_the_option(self, flags, key, tmp_path, capsys):
+        # Each is past numpy's maximum dimension or the float range, or asks
+        # for more than 128 TiB, beyond the 64-bit address space, so it fails
+        # before any allocation whatever the overcommit mode.
+        argv = ["simulate-decay", "--dim", "4", "--distances", "0", "--samples", "8", *flags]
+        rc = main(argv + ["--out", str(tmp_path / "decay.csv")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: {key}") and err.count("\n") == 1, err
+        assert not (tmp_path / "decay.csv").exists()
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_overflowing_mean_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "decay.csv"
+        argv = ["simulate-decay", "--dim", "4", "--samples", "2", "--distances", "0", "--mu", "ones:1e308"]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines()[-1].startswith("error: mean_dot and stderr must be finite")
+        assert not out.exists()
 
     def test_matches_library_call(self, tmp_path, capsys):
         out = tmp_path / "decay.csv"
@@ -105,6 +139,7 @@ class TestSimulateDecay:
         (["attention-report", "--pop", "gaussian:x:1"], "pop", "gaussian:x:1"),
         (["attention-report", "--pop", "gaussian:0.5:x"], "pop", "gaussian:0.5:x"),
         (["attention-report", "--pop", "constant:x"], "pop", "constant:x"),
+        (["simulate-decay", "--seed", "-1"], "seed", -1),
     ],
 )
 def test_bad_spec_names_option_and_spec(argv, key, spec, tmp_path, capsys):
@@ -335,6 +370,14 @@ class TestAttentionReport:
             row = [float(x) for x in line.split(",")]
             assert abs(sum(row) - 1.0) < 1e-9
 
+    def test_non_finite_scores_write_no_file(self, tmp_path, capsys):
+        """Each mode's scores are summed before any of its files is opened,
+        so an overflowing score stops --dense before a partial matrix."""
+        argv = ["attention-report"] + SMALL_PLAN_ARGS + ["--dim", "8", "--pop", "constant:1e200", "--dense"]
+        assert main(argv + ["--out-dir", str(tmp_path / "rep")]) == 2
+        assert capsys.readouterr().err == "error: scores must be finite\n"
+        assert not (tmp_path / "rep").exists()
+
     def test_files_equal_library_text(self, tmp_path, capsys):
         """By default only the summaries and the gain report are written;
         --dense adds the dense CSVs.  Each equals the library's text."""
@@ -352,7 +395,7 @@ class TestAttentionReport:
             summary = harness.attention_summary(pop, idmap, config, normalize=True).to_csv()
             assert (tmp_path / "default" / f"summary_{mode}.csv").read_text() == summary
             assert (tmp_path / "dense" / f"summary_{mode}.csv").read_text() == summary
-            scores = harness.attention_scores(pop, idmap, config, normalize=True).to_csv()
+            scores = csv_text(pop.roles, harness.attention_scores(pop, idmap, config, normalize=True).tolist())
             assert (tmp_path / "dense" / f"scores_{mode}.csv").read_text() == scores
 
 
@@ -840,11 +883,35 @@ def test_dense_csv_is_streamed(tmp_path, capsys):
     path = tmp_path / "scores.csv"
     tracemalloc.start()
     try:
-        cli._emit(str(path), harness.matrix_csv_lines(values, roles))
+        cli._emit(str(path), csv_lines(roles, (row.tolist() for row in values)))
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     size = path.stat().st_size
-    assert path.read_text() == harness.matrix_csv(values, roles)
+    assert path.read_text() == csv_text(roles, values.tolist())
     assert size > 3_000_000
     assert peak < size / 10, (peak, size)
+
+
+def test_dense_report_holds_no_dense_matrix(tmp_path, capsys):
+    """--dense streams both matrices from the score walk: on the 617-slot
+    benchmark plan its peak traced memory is at most N^2 * 8 / 4 bytes, a
+    quarter of one N x N float matrix, above the same run without it."""
+    plan = tmp_path / "plan.json"
+    assert main([
+        "plan-layout", "--input", "336x672", "--candidates", "clip336", "--patch", "24",
+        "--pre", "10", "--post", "5", "--out", str(plan),
+    ]) == 0
+    n = LayoutPlan.from_json(plan.read_text()).total_tokens
+    assert n == 617
+    argv = ["attention-report", "--plan", str(plan), "--pop", "gaussian:0.5:3", "--out-dir", str(tmp_path / "rep")]
+    assert main(argv) == 0  # untraced warm-up: first-call allocations count in neither run
+    peaks = []
+    for extra in ([], ["--dense"]):
+        tracemalloc.start()
+        try:
+            assert main(argv + extra) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= n * n * 8 / 4, peaks

@@ -273,6 +273,21 @@ class TestDecayProfile:
             DecayProfile(distances=(0, 1), mean_dot=(0.0,), stderr=(0.0, 0.0), sample_count=10)
         with pytest.raises(ValueError):
             DecayProfile(distances=(0, 1), mean_dot=(0.0, 0.0), stderr=(0.0, -1.0), sample_count=10)
+        for mean, err in [(np.nan, 0.0), (np.inf, 0.0), (0.0, np.inf), (0.0, np.nan)]:
+            with pytest.raises(ValueError, match="must be finite"):
+                DecayProfile(distances=(0, 1), mean_dot=(0.0, mean), stderr=(0.0, err), sample_count=10)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_overflowing_mean_rejected(self):
+        """A mean whose products overflow float64 is an error, not a NaN row."""
+        mu = np.full(4, 1e308)
+        with pytest.raises(ValueError, match="must be finite"):
+            decay_profile(mu, mu, [0], samples=2, seed=0, config=RopeConfig(dim=4))
+
+    def test_unallocatable_samples_named(self):
+        # More chunk seeds than the 64-bit address space holds: fails before allocating.
+        with pytest.raises(ValueError, match="^samples 100000000000000000000: "):
+            decay_profile(np.ones(4), np.ones(4), [0], samples=10**20, seed=0, config=RopeConfig(dim=4))
 
     def test_numpy_scalars_write_the_same_bytes(self):
         plain = DecayProfile(distances=(1, 4), mean_dot=(0.5, -2.25), stderr=(0.1, 0.0), sample_count=10)

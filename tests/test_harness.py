@@ -1,4 +1,4 @@
-"""Tests for distance matrices, score matrices, score summaries and the
+"""Tests for the score walk, score matrices, score summaries and the
 gain report."""
 
 import tracemalloc
@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ropealign import harness
+from ropealign.codec import csv_text
 from ropealign import (
     GridShape,
     HighResGrid,
@@ -21,11 +22,10 @@ from ropealign import (
     assign_position_ids,
     attention_scores,
     attention_summary,
-    matrix_csv,
     population_constant,
     population_gaussian,
-    relative_distance_matrix,
     rope_dot,
+    score_blocks,
 )
 
 
@@ -41,12 +41,19 @@ def trace_plan(high_shape=GridShape(2, 2)):
     )
 
 
+def distance_matrix(idmap: PositionIdMap) -> np.ndarray:
+    """The distance rows of the score walk, stacked."""
+    config = RopeConfig(dim=2)
+    pop = TokenPopulation(vectors=np.zeros((len(idmap.ids), 2)), roles=("text",) * len(idmap.ids))
+    return np.concatenate([dist for dist, _scores in score_blocks(pop, idmap, config)])
+
+
 class TestRelativeDistanceMatrix:
-    """Pairwise |id_i - id_j|."""
+    """Pairwise |id_i - id_j| from the score walk."""
 
     def test_sequential_toeplitz(self):
         idmap = PositionIdMap(ids=(0, 1, 2, 3), max_pid=4, mode="baseline")
-        d = relative_distance_matrix(idmap)
+        d = distance_matrix(idmap)
         want = np.abs(np.subtract.outer(np.arange(4), np.arange(4)))
         assert np.array_equal(d, want)
 
@@ -54,13 +61,13 @@ class TestRelativeDistanceMatrix:
         """On the worked trace, high-res slot (r,c) sits at distance 0
         from thumbnail slot (r,c): slots 6..9 mirror slots 2..5."""
         idmap = assign_position_ids(trace_plan(), "id_align")
-        d = relative_distance_matrix(idmap)
+        d = distance_matrix(idmap)
         for offset in range(4):
             assert d[2 + offset, 6 + offset] == 0
 
     def test_baseline_corresponding_pairs_at_distance_four(self):
         idmap = assign_position_ids(trace_plan(), "baseline")
-        d = relative_distance_matrix(idmap)
+        d = distance_matrix(idmap)
         for offset in range(4):
             assert d[2 + offset, 6 + offset] == 4
 
@@ -74,10 +81,10 @@ class TestAttentionScores:
         pop = population_constant(plan, config, value=0.0)
         idmap = assign_position_ids(plan, "baseline")
         scores = attention_scores(pop, idmap, config)
-        assert np.all(scores.values == 0.0)
+        assert np.all(scores == 0.0)
         soft = attention_scores(pop, idmap, config, normalize=True)
         n = plan.total_tokens
-        assert np.allclose(soft.values, 1.0 / n, atol=1e-12)
+        assert np.allclose(soft, 1.0 / n, atol=1e-12)
 
     def test_constant_population_depends_only_on_distance(self):
         plan = trace_plan()
@@ -85,11 +92,11 @@ class TestAttentionScores:
         pop = population_constant(plan, config)
         idmap = assign_position_ids(plan, "baseline")
         scores = attention_scores(pop, idmap, config)
-        d = relative_distance_matrix(idmap)
+        d = distance_matrix(idmap)
         by_distance = {}
         for i in range(d.shape[0]):
             for j in range(d.shape[1]):
-                by_distance.setdefault(int(d[i, j]), []).append(scores.values[i, j])
+                by_distance.setdefault(int(d[i, j]), []).append(scores[i, j])
         for vals in by_distance.values():
             assert max(vals) - min(vals) < 1e-9
 
@@ -103,7 +110,7 @@ class TestAttentionScores:
         scores = attention_scores(pop, idmap, config)
         for offset in range(4):
             query = 6 + offset
-            thumb_scores = scores.values[query, 2:6]
+            thumb_scores = scores[query, 2:6]
             assert int(np.argmax(thumb_scores)) == offset
 
     def test_constant_id_shift_leaves_scores_unchanged(self):
@@ -116,7 +123,7 @@ class TestAttentionScores:
         )
         a = attention_scores(pop, base, config)
         b = attention_scores(pop, shifted, config)
-        assert np.allclose(a.values, b.values, rtol=0, atol=1e-9)
+        assert np.allclose(a, b, rtol=0, atol=1e-9)
 
     def test_softmax_rows_sum_to_one(self):
         plan = trace_plan()
@@ -124,8 +131,7 @@ class TestAttentionScores:
         pop = population_gaussian(plan, config, seed=17)
         idmap = assign_position_ids(plan, "id_align")
         soft = attention_scores(pop, idmap, config, normalize=True)
-        assert np.allclose(soft.values.sum(axis=1), 1.0, atol=1e-9)
-        assert soft.normalized
+        assert np.allclose(soft.sum(axis=1), 1.0, atol=1e-9)
 
     def test_unscaled_matches_rope_dot(self):
         plan = trace_plan()
@@ -136,7 +142,7 @@ class TestAttentionScores:
         for i in (0, 3, 7):
             for j in (1, 5, 10):
                 want = rope_dot(pop.vectors[i], idmap.ids[i], pop.vectors[j], idmap.ids[j], config)
-                assert scores.values[i, j] == pytest.approx(want, abs=1e-9)
+                assert scores[i, j] == pytest.approx(want, abs=1e-9)
 
     def test_population_idmap_length_mismatch(self):
         plan = trace_plan()
@@ -185,8 +191,36 @@ class TestAttentionSummary:
         if normalize:
             want = np.exp(want - want.max(axis=1, keepdims=True))
             want = want / want.sum(axis=1, keepdims=True)
-        got = attention_scores(pop, idmap, config, normalize=normalize).values
+        got = attention_scores(pop, idmap, config, normalize=normalize)
         assert got.tobytes() == want.tobytes()
+
+    def test_walk_yields_blocks_in_row_order_and_rotates_once(self, monkeypatch):
+        """Full blocks then a short one, each block's distance rows beside
+        its score rows, from one rotation of the population."""
+        plan = grid_plan(6)  # 203 slots: three full blocks and 11 rows
+        config = RopeConfig(dim=8)
+        pop = population_gaussian(plan, config, seed=3)
+        idmap = assign_position_ids(plan, "id_align")
+        calls = []
+        rotate = harness.apply_rope_many
+
+        def counting(*args):
+            calls.append(args)
+            return rotate(*args)
+
+        monkeypatch.setattr(harness, "apply_rope_many", counting)
+        blocks = list(score_blocks(pop, idmap, config))
+        assert len(calls) == 1
+        assert [len(dist) for dist, _scores in blocks] == [64, 64, 64, 11]
+        ids = np.asarray(idmap.ids)
+        want = np.abs(np.subtract.outer(ids, ids))
+        assert np.array_equal(np.concatenate([dist for dist, _scores in blocks]), want)
+
+    def test_empty_plan_gives_empty_matrix(self):
+        plan = LayoutPlan(segments=(), patch_size=14)
+        config = RopeConfig(dim=4)
+        pop = population_constant(plan, config)
+        assert attention_scores(pop, assign_position_ids(plan, "baseline"), config).shape == (0, 0)
 
     def test_worked_example_bytes(self):
         """Three text slots with zero vectors: distances 0, 1 and 2."""
@@ -246,24 +280,22 @@ class TestAttentionSummary:
         plan = trace_plan()
         config = RopeConfig(dim=8)
         pop = population_constant(plan, config)
-        with pytest.raises(ValueError):
-            attention_summary(pop, PositionIdMap(ids=(0, 1), max_pid=2, mode="baseline"), config)
+        for ids in [(0, 1), ()]:
+            with pytest.raises(ValueError):
+                attention_summary(pop, PositionIdMap(ids=ids, max_pid=len(ids), mode="baseline"), config)
 
 
 class TestMatrixCsv:
-    """Dense serialization."""
+    """Dense serialization: a header of slot roles, then the rows as
+    ``tolist()`` gives them."""
 
     def test_integer_matrix(self):
-        text = matrix_csv(np.array([[0, 2], [2, 0]]), ("text", "thumb"))
+        text = csv_text(("text", "thumb"), np.array([[0, 2], [2, 0]]).tolist())
         assert text == "text,thumb\n0,2\n2,0\n"
 
     def test_float_matrix_uses_repr(self):
-        text = matrix_csv(np.array([[0.5, 1.0]]), ("a", "b"))
+        text = csv_text(("a", "b"), np.array([[0.5, 1.0]]).tolist())
         assert text == "a,b\n0.5,1.0\n"
-
-    def test_column_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            matrix_csv(np.zeros((2, 2)), ("only",))
 
 
 class TestTokenPopulation:
