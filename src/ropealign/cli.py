@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .codec import csv_lines, json_text, read_json, read_value
+from .codec import csv_lines, csv_text, json_text, read_json, read_value
 from .decay import decay_profile
 from .harness import (
     TokenPopulation,
@@ -38,7 +38,7 @@ from .harness import (
     population_gaussian,
     score_blocks,
 )
-from .idalign import assign_position_ids, id_span_report, map_highres_ids
+from .idalign import assign_position_ids, id_span_report
 from .layout import LayoutPlan, Resolution, build_layout, token_counts
 from .rope import RopeConfig
 
@@ -81,7 +81,7 @@ def _parse_distances(spec: str) -> list[int]:
         n = int(parts[1]) if len(parts) > 1 else 16
         a_str, _, b_str = parts[0].partition("..")
         a, b = int(a_str), int(b_str)
-        if a < 0 or b < a or n < 1:
+        if a < 0 or b < a or n < 1 or len(parts) > 2:
             raise ValueError
     except ValueError:
         raise ValueError(
@@ -346,14 +346,13 @@ def cmd_assign_ids(opts: dict) -> int:
         span = id_span_report(plan, policy, baseline=baseline, id_align=aligned)
         doc["span"] = asdict(span) | {"ratio": None if math.isinf(span.ratio) else span.ratio}
     if opts["mapping_csv"]:
-        thumb = plan.thumbnail()
         high = plan.highres()
-        if thumb is None or high is None:
+        if plan.thumbnail() is None or high is None:
             raise ValueError("--mapping-csv needs a plan with both grids")
         if aligned is None:
             raise aligned_error
-        base = aligned.ids[plan.first_slot(thumb)]
-        _emit(opts["mapping_csv"], map_highres_ids(thumb.shape, high.shape, base).to_csv())
+        grid = np.asarray(aligned.ids)[plan.cell_slots(high)]
+        _emit(opts["mapping_csv"], csv_text(None, grid.tolist()))
     _emit(opts["out"], json_text(doc) + "\n")
     return 0
 

@@ -45,6 +45,10 @@ __all__ = [
 # it would change every archived profile.
 _MC_CHUNK = 16384
 
+# The largest |distance| accepted: past 2**53 not every integer is a
+# float, so a distance could be rotated by a neighbouring one.
+_MAX_DISTANCE = 2**53
+
 
 @dataclass(frozen=True)
 class AbelReport:
@@ -187,10 +191,14 @@ def _shared_sample_moments(
     q . z_k = |q| g: dim + 1 normals a sample instead of 2 dim, with the
     joint law over all distances unchanged.  Each distance is reduced on its
     own, and chunk moments merge in chunk order (Chan's update), so neither
-    the grid nor ``max_workers`` changes a value.
+    the grid nor ``max_workers`` changes a value.  A distance past 2**53 in
+    magnitude, or moments that overflow float64, are a ValueError.
     """
     if samples < 2:
         raise ValueError(f"samples must be at least 2, got {samples}")
+    for d in distances:
+        if abs(d) > _MAX_DISTANCE:
+            raise ValueError(f"distances must be at most 2**53 in magnitude, got {d}")
     mq = _check_mean(mu_q, config)
     mk = _check_mean(mu_k, config)
     rotated = apply_rope_many(np.tile(mk, (len(distances), 1)), distances, config)
@@ -203,18 +211,22 @@ def _shared_sample_moments(
     def chunk(c: int) -> tuple[int, np.ndarray, np.ndarray]:
         n = min(_MC_CHUNK, samples - c * _MC_CHUNK)
         rng = np.random.Generator(np.random.Philox(int(chunk_seeds[c])))
-        q = mq + rng.standard_normal((n, config.dim))
-        m_free = np.sqrt(np.einsum("ij,ij->i", q, q)) * rng.standard_normal(n)
         mean, m2 = np.empty((2, len(distances)))
-        for i, r in enumerate(rotated):
-            # einsum, not BLAS: a BLAS matvec's bits vary with its thread count.
-            dots = m_free + np.einsum("ij,j->i", q, r)
-            mean[i] = dots.mean()
-            m2[i] = np.square(dots - mean[i]).sum()
+        # Set in the worker thread, which a caller's errstate does not reach:
+        # an overflow is reported once, as the ValueError below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = mq + rng.standard_normal((n, config.dim))
+            m_free = np.sqrt(np.einsum("ij,ij->i", q, q)) * rng.standard_normal(n)
+            for i, r in enumerate(rotated):
+                # einsum, not BLAS: a BLAS matvec's bits vary with its thread count.
+                dots = m_free + np.einsum("ij,j->i", q, r)
+                mean[i] = dots.mean()
+                m2[i] = np.square(dots - mean[i]).sum()
         return n, mean, m2
 
     count, mean, m2 = 0, np.zeros(len(distances)), np.zeros(len(distances))
-    with concurrent.futures.ThreadPoolExecutor(max_workers=max_workers) as pool:
+    pool = concurrent.futures.ThreadPoolExecutor(max_workers=max_workers)
+    with pool, np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, n_chunks, max_workers):  # at most max_workers chunks in flight
             batch = range(lo, min(lo + max_workers, n_chunks))
             for n, chunk_mean, chunk_m2 in pool.map(chunk, batch):
@@ -222,7 +234,11 @@ def _shared_sample_moments(
                 mean = mean + delta * (n / (count + n))
                 m2 = m2 + chunk_m2 + delta * delta * (count * n / (count + n))
                 count += n
-    return mean, np.sqrt(m2 / (samples - 1)) / np.sqrt(samples)
+        stderr = np.sqrt(m2 / (samples - 1)) / np.sqrt(samples)
+    for d, m, s in zip(distances, mean.tolist(), stderr.tolist()):
+        if not (math.isfinite(m) and math.isfinite(s)):
+            raise ValueError(f"mean_dot and stderr must be finite, got {m} and {s} at distance {d}")
+    return mean, stderr
 
 
 def monte_carlo_expected_dot(

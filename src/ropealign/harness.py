@@ -23,7 +23,7 @@ import numpy as np
 
 from .codec import csv_text, json_text
 from .idalign import PositionIdMap, assign_position_ids, correspondence_oracle
-from .layout import IMAGE_ROLES, LayoutPlan
+from .layout import LayoutPlan, segment_ranges
 from .rope import RopeConfig, apply_rope_many
 
 # Query rows per score block.  Fixed (never tunable): a block's rows are
@@ -181,14 +181,14 @@ def attention_summary(
     maxima = np.full(size, -np.inf)
     query_base = codes * (n_roles * width)
     key_base = codes * width
-    blocks = score_blocks(pop, idmap, config, normalize, scale)
-    # The walk first in zip, so its input checks run even for an empty map.
-    for (dist, scores), lo in zip(blocks, range(0, len(ids), _BLOCK_ROWS)):
+    lo = 0
+    for dist, scores in score_blocks(pop, idmap, config, normalize, scale):
         scores = scores.ravel()
         group = (dist + query_base[lo : lo + len(dist), None] + key_base).ravel()
         counts += np.bincount(group, minlength=size)
         sums += np.bincount(group, weights=scores, minlength=size)
         np.maximum.at(maxima, group, scores)
+        lo += len(dist)
 
     # Bucket b >= 1 holds distances [2**(b-1), 2**b); frexp's exponent of
     # d is exactly that b, and 0 for d = 0.
@@ -246,27 +246,32 @@ def _mode_geometry(plan: LayoutPlan, idmap: PositionIdMap) -> ModeGeometry:
     thumb, high = plan.thumbnail(), plan.highres()
     pair_mean = None
     if thumb is not None and high is not None:
-        thumb_start, high_start = plan.first_slot(thumb), plan.first_slot(high)
-        _rows, cols, tail = high.runs()
-        dists = []
-        for pair in correspondence_oracle(thumb.shape, high.shape):
-            r, c = pair.highres_cell
-            tr, tc = pair.thumb_cell
-            hid = ids[high_start + r * (cols + tail) + c]
-            tid = ids[thumb_start + tr * thumb.shape.cols + tc]
-            dists.append(abs(int(hid) - int(tid)))
-        pair_mean = float(np.mean(dists))
+        thumb_ids, high_ids = ids[plan.cell_slots(thumb)], ids[plan.cell_slots(high)]
+        pairs = correspondence_oracle(thumb.shape, high.shape)
+        r, c, tr, tc = np.array([p.highres_cell + p.thumb_cell for p in pairs]).T
+        pair_mean = float(np.mean(np.abs(high_ids[r, c] - thumb_ids[tr, tc])))
 
-    image_slots = [i for a, b in plan.cell_runs(IMAGE_ROLES) for i in range(a, b)]
+    image = [plan.cell_slots(s).ravel() for s in (thumb, high) if s is not None]
     post_mean = None
     post_max = None
-    if image_slots:
-        text_runs = [(a, b) for a, b in plan.cell_runs(("text",)) if a > image_slots[-1]]
-        post_text = [i for a, b in text_runs for i in range(a, b)]
-        if post_text:
-            d = np.abs(ids[post_text][:, None] - ids[image_slots][None, :])
-            post_mean = float(np.mean(d))
-            post_max = int(np.max(d))
+    if image:
+        image = np.concatenate(image)
+        # A text segment's cells fill its range.
+        post = [
+            np.arange(start, stop)
+            for seg, start, stop in segment_ranges(plan)
+            if seg.KIND == "text" and start > image.max()
+        ]
+        if post:
+            # With the n image IDs x sorted and k of them below p, the sum of
+            # |p - x| is p (2k - n) - 2 (sum of those k) + (sum of all n):
+            # exact integers, and no post-text x image matrix.
+            p, x = ids[np.concatenate(post)], np.sort(ids[image])
+            below = np.searchsorted(x, p)
+            prefix = np.concatenate(([0], np.cumsum(x)))
+            total = int(np.sum(p * (2 * below - len(x)) - 2 * prefix[below] + prefix[-1]))
+            post_mean = total / (len(p) * len(x))
+            post_max = int(max(p.max() - x[0], x[-1] - p.min()))
     return ModeGeometry(
         pair_mean_distance=pair_mean,
         post_text_mean_image_distance=post_mean,

@@ -17,7 +17,6 @@ import numpy as np
 
 from .codec import csv_text, json_text
 from .layout import (
-    IMAGE_ROLES,
     GridShape,
     HighResGrid,
     LayoutPlan,
@@ -252,14 +251,11 @@ def id_span_report(
     ``baseline`` and ``id_align`` are the plan's maps under this policy
     when the caller already has them; a missing one is computed.
     """
-    blocks = plan.cell_runs(IMAGE_ROLES)
+    slots = [plan.cell_slots(s).ravel() for s in (plan.thumbnail(), plan.highres()) if s is not None]
+    slots = np.concatenate(slots) if slots else None
 
     def span(idmap: PositionIdMap) -> int:
-        if not blocks:
-            return 0
-        lo = min(min(idmap.ids[a:b]) for a, b in blocks)
-        hi = max(max(idmap.ids[a:b]) for a, b in blocks)
-        return hi - lo
+        return 0 if slots is None else int(np.ptp(np.asarray(idmap.ids)[slots]))
 
     if baseline is None:
         baseline = assign_position_ids(plan, "baseline", separator_policy)

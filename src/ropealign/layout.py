@@ -15,6 +15,8 @@ from dataclasses import astuple, dataclass
 from itertools import accumulate
 from typing import ClassVar, get_args
 
+import numpy as np
+
 from .codec import Field, json_text, read_json, read_object
 
 __all__ = [
@@ -261,21 +263,15 @@ class LayoutPlan:
         segments = (_read_segment(raw, f"plan segment {i}") for i, raw in enumerate(raw_segments))
         return cls(segments=tuple(segments), patch_size=patch_size)
 
-    def first_slot(self, seg: Segment) -> int:
-        """The slot where ``seg``, one of this plan's segments, starts."""
-        return next(start for s, start, _stop in segment_ranges(self) if s is seg)
-
-    def cell_runs(self, roles: tuple[str, ...]) -> list[tuple[int, int]]:
-        """(first slot, one past last slot) of each run of cells whose role
-        is in ``roles``, in slot order: each row of a segment whose rows end
-        in separators, or else the whole segment."""
-        out = []
-        for seg, start, stop in segment_ranges(self):
-            if seg.KIND in roles:
-                _rows, cells, tail = seg.runs()
-                width = cells if tail else stop - start
-                out.extend((s, s + width) for s in range(start, stop, width + tail))
-        return out
+    def cell_slots(self, seg: Segment) -> np.ndarray:
+        """The slots of ``seg``'s cells as a (rows, cells per row) array;
+        separators are skipped, so a grid's array is in raster order.
+        ``seg`` is one of this plan's segment objects, not an equal one."""
+        start = next((start for s, start, _stop in segment_ranges(self) if s is seg), None)
+        if start is None:
+            raise ValueError("segment is not in this plan")
+        rows, cells, tail = seg.runs()
+        return start + (cells + tail) * np.arange(rows)[:, None] + np.arange(cells)
 
 
 def segment_ranges(plan: LayoutPlan) -> tuple[tuple[Segment, int, int], ...]:
@@ -307,8 +303,9 @@ class TokenCounts:
 
 def token_counts(plan: LayoutPlan) -> TokenCounts:
     total = plan.total_tokens
-    text = sum(stop - start for start, stop in plan.cell_runs(("text",)))
-    image = sum(stop - start for start, stop in plan.cell_runs(IMAGE_ROLES))
+    # A segment's cells: rows times cells per row, separators excluded.
+    text = sum(math.prod(s.runs()[:2]) for s in plan.segments if s.KIND == "text")
+    image = sum(math.prod(s.runs()[:2]) for s in plan.segments if s.KIND in IMAGE_ROLES)
     return TokenCounts(
         total=total,
         text_tokens=text,

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import ropealign
-from ropealign import LayoutPlan, RopeConfig, decay_profile, harness, idalign
+from ropealign import GridShape, LayoutPlan, RopeConfig, decay_profile, harness, idalign
 from ropealign import cli
 from ropealign.cli import main
 from ropealign.codec import csv_lines, csv_text
@@ -48,16 +48,18 @@ class TestSimulateDecay:
             (["--samples", "1" + "0" * 20], "samples"),
             (["--distances", "log:0..5:1" + "0" * 14], "distances"),
             (["--distances", "log:0..5:1" + "0" * 400], "distances"),
+            (["--distances", "0," + "1" + "0" * 30], "distances"),
         ],
         ids=[
             "dim-past-max-dimension", "samples-past-max-dimension", "samples-43PiB", "distances-728TiB",
-            "distances-past-float-range",
+            "distances-past-float-range", "distance-past-2**53",
         ],
     )
     def test_unallocatable_count_names_the_option(self, flags, key, tmp_path, capsys):
         # Each is past numpy's maximum dimension or the float range, or asks
         # for more than 128 TiB, beyond the 64-bit address space, so it fails
-        # before any allocation whatever the overcommit mode.
+        # before any allocation whatever the overcommit mode.  A distance past
+        # 2**53, where not every integer is a float, fails the same way.
         argv = ["simulate-decay", "--dim", "4", "--distances", "0", "--samples", "8", *flags]
         rc = main(argv + ["--out", str(tmp_path / "decay.csv")])
         err = capsys.readouterr().err
@@ -65,13 +67,34 @@ class TestSimulateDecay:
         assert err.startswith(f"error: {key}") and err.count("\n") == 1, err
         assert not (tmp_path / "decay.csv").exists()
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    OVERFLOWING_MEAN = [
+        "simulate-decay", "--dim", "4", "--samples", "2", "--distances", "0", "--mu", "ones:1e308",
+    ]
+
     def test_overflowing_mean_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "decay.csv"
-        argv = ["simulate-decay", "--dim", "4", "--samples", "2", "--distances", "0", "--mu", "ones:1e308"]
-        assert main(argv + ["--out", str(out)]) == 2
-        assert capsys.readouterr().err.splitlines()[-1].startswith("error: mean_dot and stderr must be finite")
+        assert main(self.OVERFLOWING_MEAN + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: mean_dot and stderr must be finite") and err.count("\n") == 1, err
         assert not out.exists()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_overflowing_mean_prints_one_line(self, threads, tmp_path):
+        """A numpy warning raised in a pool thread bypasses capsys, so the
+        whole stderr of a separate process is checked."""
+        src = str(Path(ropealign.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k != "ROPEALIGN_OUTPUT_DIR"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        # Three chunks, so with two threads the pool runs chunks side by side.
+        argv = [*self.OVERFLOWING_MEAN, "--samples", "40000", "--threads", threads]
+        proc = subprocess.run(
+            [sys.executable, "-m", "ropealign", *argv, "--out", str(tmp_path / "decay.csv")],
+            env=env, capture_output=True, text=True,
+        )  # fmt: skip
+        assert proc.returncode == 2
+        assert proc.stdout == "" and not (tmp_path / "decay.csv").exists()
+        assert proc.stderr.startswith("error: mean_dot and stderr must be finite"), proc.stderr
+        assert proc.stderr.count("\n") == 1, proc.stderr
 
     def test_matches_library_call(self, tmp_path, capsys):
         out = tmp_path / "decay.csv"
@@ -140,6 +163,7 @@ class TestSimulateDecay:
         (["attention-report", "--pop", "gaussian:0.5:x"], "pop", "gaussian:0.5:x"),
         (["attention-report", "--pop", "constant:x"], "pop", "constant:x"),
         (["simulate-decay", "--seed", "-1"], "seed", -1),
+        (["simulate-decay", "--distances", "log:0..10:4:junk"], "distances", "log:0..10:4:junk"),
     ],
 )
 def test_bad_spec_names_option_and_spec(argv, key, spec, tmp_path, capsys):
@@ -230,6 +254,39 @@ class TestAssignIds:
         assert len(rows) == 4
         # thumbnail base is 2 (two leading text tokens), nested 2x refinement
         assert rows[0] == "2,2,3,3"
+
+    @pytest.mark.parametrize("policy, base", [("inherit-row-end", 1), ("sequential-after-image", 3)])
+    def test_mapping_csv_after_leading_separators(self, policy, base, tmp_path, capsys):
+        """The thumbnail's first slot is 3 but its first ID is ``base``:
+        the three leading separators share one ID, or take one each."""
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(
+            '{"segments":[{"kind":"separator","count":3},{"kind":"thumb","rows":2,"cols":3},'
+            '{"kind":"highres","rows":5,"cols":4,"row_separator":true},'
+            '{"kind":"text","len":2}],"patch_size":14}'
+        )
+        out = tmp_path / "map.csv"
+        argv = ["assign-ids", "--plan", str(plan_path), "--separator-policy", policy]
+        assert main(argv + ["--mapping-csv", str(out)]) == 0
+        want = idalign.map_highres_ids(GridShape(2, 3), GridShape(5, 4), base=base).to_csv()
+        assert out.read_text() == want
+
+    def test_mapping_csv_maps_the_grid_once(self, tmp_path, monkeypatch, capsys):
+        """The CSV is read from the aligned map, not mapped a second time."""
+        real = idalign.map_highres_ids
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(idalign, "map_highres_ids", counting)
+        monkeypatch.setattr(cli, "map_highres_ids", counting, raising=False)  # were it imported
+        out = tmp_path / "map.csv"
+        rc = main(["assign-ids"] + SMALL_PLAN_ARGS + ["--mode", "both", "--mapping-csv", str(out)])
+        assert rc == 0
+        assert len(calls) == 1
+        assert out.read_text() == real(*calls[0]).to_csv()
 
     def test_high_without_thumbnail_fails(self, tmp_path, capsys):
         plan_path = tmp_path / "plan.json"

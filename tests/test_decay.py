@@ -277,12 +277,32 @@ class TestDecayProfile:
             with pytest.raises(ValueError, match="must be finite"):
                 DecayProfile(distances=(0, 1), mean_dot=(0.0, mean), stderr=(0.0, err), sample_count=10)
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_mean_rejected(self):
-        """A mean whose products overflow float64 is an error, not a NaN row."""
+        """A mean whose products overflow float64 is an error, not a NaN
+        row, and numpy warns of nothing on the way."""
         mu = np.full(4, 1e308)
+        config = RopeConfig(dim=4)
         with pytest.raises(ValueError, match="must be finite"):
-            decay_profile(mu, mu, [0], samples=2, seed=0, config=RopeConfig(dim=4))
+            decay_profile(mu, mu, [0], samples=2, seed=0, config=config)
+        # An infinite chunk mean: the merge multiplies inf by the zero count.
+        with pytest.raises(ValueError, match="got inf and nan"):
+            decay_profile(np.full(4, 1e200), np.full(4, 1e200), [0], samples=2, seed=2, config=config)
+        with pytest.raises(ValueError, match="must be finite"):
+            decay_profile(mu, mu, [0, 1], samples=40000, seed=0, config=config, max_workers=2)
+        with pytest.raises(ValueError, match="must be finite"):
+            monte_carlo_expected_dot(mu, mu, 0, samples=2, seed=0, config=config)
+
+    def test_distance_past_2_53_rejected(self):
+        """Past 2**53 not every integer is a float: such a distance is
+        named, never rotated as a neighbouring one."""
+        config = RopeConfig(dim=4)
+        for far in (2**53 + 1, 10**30):
+            with pytest.raises(ValueError, match=f"^distances must be at most 2\\*\\*53.*got {far}$"):
+                decay_profile(np.ones(4), np.ones(4), [0, far], samples=8, seed=0, config=config)
+            with pytest.raises(ValueError, match=f"got -?{far}$"):
+                monte_carlo_expected_dot(np.ones(4), np.ones(4), -far, samples=8, seed=0, config=config)
+        decay_profile(np.ones(4), np.ones(4), [0, 2**53], samples=8, seed=0, config=config)
 
     def test_unallocatable_samples_named(self):
         # More chunk seeds than the 64-bit address space holds: fails before allocating.

@@ -13,6 +13,7 @@ from ropealign import (
     HighResGrid,
     LayoutPlan,
     PositionIdMap,
+    Resolution,
     RopeConfig,
     TextSegment,
     ThumbnailGrid,
@@ -22,10 +23,12 @@ from ropealign import (
     assign_position_ids,
     attention_scores,
     attention_summary,
+    build_layout,
     population_constant,
     population_gaussian,
     rope_dot,
     score_blocks,
+    token_counts,
 )
 
 
@@ -396,6 +399,27 @@ class TestAlignmentGainReport:
         assert alignment_gain_report(thumb_only).to_json() == (
             f'{{"baseline":{geometry},"id_align":{geometry}}}'
         )
+
+    def test_post_text_statistics_hold_no_matrix(self):
+        """On the README geometry with 5000 post-text tokens (7938 slots),
+        the report's peak stays far below the 5000 x 2880 int64 |delta id|
+        matrix (115 MB) that the post-text statistics once built."""
+        plan = build_layout(
+            10, Resolution(672, 672), [Resolution(672, 672), Resolution(336, 672)],
+            Resolution(336, 336), 14, 5000,
+        )  # fmt: skip
+        maps = {mode: assign_position_ids(plan, mode) for mode in ("baseline", "id_align")}
+        image = token_counts(plan).image_tokens
+        assert (plan.total_tokens, image) == (7938, 2880)
+        tracemalloc.start()
+        try:
+            report = alignment_gain_report(plan, **maps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5000 * image * 8 / 16
+        assert report.baseline.post_text_max_image_distance == 7927
+        assert report.id_align.post_text_mean_image_distance == 2788.0
 
     @pytest.mark.parametrize("policy", ["inherit-row-end", "sequential-after-image"])
     def test_given_maps_are_used(self, policy, monkeypatch):

@@ -27,6 +27,7 @@ from ropealign import (
     GridShape,
     HighResGrid,
     LayoutPlan,
+    PositionIdMap,
     RopeConfig,
     Separator,
     TextSegment,
@@ -47,7 +48,7 @@ from ropealign import (
     segment_ranges,
     token_counts,
 )
-from ropealign import cli, layout
+from ropealign import cli, harness, layout
 from ropealign.codec import REQUIRED, csv_lines
 from ropealign.layout import SEGMENT_KINDS
 
@@ -514,15 +515,62 @@ def test_plan_json_round_trip(plan):
 @given(layout_plans())
 @settings(max_examples=150, deadline=None)
 def test_table_slots_match_slot_roles(plan):
-    """The cells and ranges derived from each kind's ``runs()`` equal
-    enumerating ``slot_roles()``."""
+    """Each segment's ``cell_slots`` are, row by row, the slots that
+    enumerating ``slot_roles()`` gives its role inside its range."""
     roles = plan.slot_roles()
-    for role in ("text", "thumb", "highres"):
-        cells = [i for a, b in plan.cell_runs((role,)) for i in range(a, b)]
-        assert cells == [i for i, r in enumerate(roles) if r == role]
     for seg, start, stop in segment_ranges(plan):
-        assert plan.first_slot(seg) == start
         assert set(roles[start:stop]) <= {seg.KIND, "separator"}
+        rows, cells, _tail = seg.runs()
+        want = [i for i in range(start, stop) if roles[i] == seg.KIND]
+        assert plan.cell_slots(seg).tolist() == [want[r * cells : (r + 1) * cells] for r in range(rows)]
+
+
+def test_cell_slots_of_a_foreign_segment_rejected():
+    plan = LayoutPlan(segments=(TextSegment(2),), patch_size=14)
+    with pytest.raises(ValueError, match="not in this plan"):
+        plan.cell_slots(TextSegment(2))
+
+
+@given(layout_plans(), policies)
+@settings(max_examples=150, deadline=None)
+def test_mode_geometry_matches_matrix_reference(plan, policy):
+    """The gain report's geometry equals the dense formulas over slots
+    found by enumerating ``slot_roles()``: the mean of |id(high) -
+    id(thumb)| over the oracle's pairs, and the mean and max of the
+    post-text x image |delta id| matrix."""
+    roles = plan.slot_roles()
+    thumb, high = plan.thumbnail(), plan.highres()
+    n = len(roles)
+    # A caller may pass any map: the reversed one puts post-text IDs below the image's.
+    idmaps = [PositionIdMap(ids=tuple(range(n - 1, -1, -1)), max_pid=n, mode="baseline")]
+    for mode in ("baseline", "id_align"):
+        with contextlib.suppress(ValueError):
+            idmaps.append(assign_position_ids(plan, mode, policy))
+    for idmap in idmaps:
+        ids = np.asarray(idmap.ids)
+        got = harness._mode_geometry(plan, idmap)
+        want_pair = None
+        if thumb is not None and high is not None:
+            grid = {
+                kind: ids[[i for i, r in enumerate(roles) if r == kind]].reshape(g.shape.rows, g.shape.cols)
+                for kind, g in (("thumb", thumb), ("highres", high))
+            }
+            dists = [
+                abs(int(grid["highres"][p.highres_cell]) - int(grid["thumb"][p.thumb_cell]))
+                for p in correspondence_oracle(thumb.shape, high.shape)
+            ]
+            want_pair = float(np.mean(dists))
+        assert got.pair_mean_distance == want_pair
+        image = [i for i, r in enumerate(roles) if r in ("thumb", "highres")]
+        post = [i for i, r in enumerate(roles) if r == "text" and image and i > image[-1]]
+        if post:
+            d = np.abs(ids[post][:, None] - ids[image][None, :])
+            assert got.post_text_mean_image_distance == float(np.mean(d))
+            assert got.post_text_max_image_distance == int(np.max(d))
+        else:
+            assert got.post_text_mean_image_distance is None
+            assert got.post_text_max_image_distance is None
+        assert got.max_id == (int(ids.max()) if len(ids) else 0)
 
 
 # Small integers and short strings with no path separator.  The sizes
