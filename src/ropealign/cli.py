@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -28,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .codec import csv_lines, csv_text, json_text, read_json, read_value
+from .codec import csv_lines, json_chunks, json_text, read_json, read_value
 from .decay import decay_profile
 from .harness import (
     TokenPopulation,
@@ -351,22 +352,23 @@ def cmd_assign_ids(opts: dict) -> int:
             raise ValueError("--mapping-csv needs a plan with both grids")
         if aligned is None:
             raise aligned_error
-        grid = np.asarray(aligned.ids)[plan.cell_slots(high)]
-        _emit(opts["mapping_csv"], csv_text(None, grid.tolist()))
-    _emit(opts["out"], json_text(doc) + "\n")
+        grid = aligned.ids[plan.cell_slots(high)]
+        _emit(opts["mapping_csv"], csv_lines(None, (row.tolist() for row in grid)))
+    _emit(opts["out"], itertools.chain(json_chunks(doc), ["\n"]))
     return 0
 
 
 def cmd_attention_report(opts: dict) -> int:
     plan = _plan_from(opts)
     config = RopeConfig(dim=opts["dim"], theta_base=opts["theta"])
-    pop = _parse(opts, "pop", _parse_pop, plan, config)
     policy = opts["separator_policy"]
     out_dir = opts["out_dir"]
+    # The maps first: a plan too large to allocate is reported as such, not under "pop".
     maps = {
         "baseline": assign_position_ids(plan, "baseline", policy),
         "id_align": assign_position_ids(plan, "id_align", policy),
     }
+    pop = _parse(opts, "pop", _parse_pop, plan, config)
     score_opts = {"normalize": opts["normalize"], "scale": opts["scale"]}
     for name, idmap in maps.items():
         # Summed first: a score error then stops the run before any file of the mode is opened.

@@ -4,9 +4,10 @@ Identical inputs must give identical bytes, so this is the one place the
 format lives.  JSON has no spaces after separators.  A CSV line holds the
 ``str`` of each cell: a name as it is, or a Python int or float
 (``tolist()`` of a numpy row gives these), whose ``str`` is its ``repr``,
-so floats round-trip exactly; lines end in ``\\n``.  Every plan or config
-file is parsed by ``read_json``, and every value read from one or from a
-flag goes through ``read_value``.
+so floats round-trip exactly; lines end in ``\\n``.  An integer array in a
+JSON document is written as the list ``tolist()`` gives, a chunk at a
+time.  Every plan or config file is parsed by ``read_json``, and every
+value read from one or from a flag goes through ``read_value``.
 """
 
 from __future__ import annotations
@@ -16,10 +17,35 @@ import operator
 from collections.abc import Iterable, Iterator, Sequence
 from typing import NamedTuple
 
+import numpy as np
+
+# Array entries rendered per piece by ``json_chunks``: fixed, so a
+# writer's memory does not grow with the array.
+_JSON_CHUNK = 8192
+
 
 def json_text(doc) -> str:
     """``doc`` as compact JSON, without a trailing newline."""
     return json.dumps(doc, separators=(",", ":"))
+
+
+def json_chunks(doc) -> Iterator[str]:
+    """The text of ``json_text(doc)``, in pieces, where ``doc`` may hold
+    1-D integer arrays as values of its objects (or be one): each is
+    written as its list a fixed chunk of entries at a time, so neither the
+    list nor its text is ever held whole."""
+    if isinstance(doc, np.ndarray):
+        yield "["
+        for lo in range(0, len(doc), _JSON_CHUNK):
+            yield ("," if lo else "") + ",".join(map(str, doc[lo : lo + _JSON_CHUNK].tolist()))
+        yield "]"
+    elif isinstance(doc, dict):
+        for i, (key, value) in enumerate(doc.items()):
+            yield ("," if i else "{") + json_text(key) + ":"
+            yield from json_chunks(value)
+        yield "}" if doc else "{}"
+    else:
+        yield json_text(doc)
 
 
 def csv_lines(header: Sequence[str] | None, rows: Iterable[Iterable]) -> Iterator[str]:

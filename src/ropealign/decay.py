@@ -15,6 +15,10 @@ through q . z_k, which given q is N(0, |q|^2), so |q| g has its law
 exactly.  Profiles are reproducible bit for bit on a given platform,
 whatever the thread count, and a point is the same whichever other
 distances share its grid.
+
+Distances, like rotary positions, are integers: each is read by
+``codec.read_value``, so a numpy integer is a Python int and a float such
+as 2.9 is a ValueError, never floored.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .codec import csv_text
+from .codec import Field, csv_text, read_value
 from .rope import RopeConfig, apply_rope_many, rope_frequencies
 
 __all__ = [
@@ -123,6 +127,7 @@ def abel_partial_sums(delta: int, config: RopeConfig) -> np.ndarray:
     S_j = sum over the first j pairs of exp(1j * delta * freq).  At
     delta = 0 every term is 1, so |S_j| = j.
     """
+    delta = read_value(Field("delta", int), delta)
     if delta < 0:
         raise ValueError(f"delta must be non-negative, got {delta}")
     phases = np.exp(1j * delta * rope_frequencies(config))
@@ -140,6 +145,7 @@ def abel_bound_check(q, k, delta: int, config: RopeConfig) -> AbelReport:
     the summed partial-sum magnitudes.  The inequality is algebraic;
     a violation beyond rounding means a bug, and raises.
     """
+    delta = read_value(Field("delta", int), delta)
     qv = np.asarray(q, dtype=np.float64)
     kv = np.asarray(k, dtype=np.float64)
     if qv.shape != (config.dim,) or kv.shape != (config.dim,):
@@ -155,7 +161,7 @@ def abel_bound_check(q, k, delta: int, config: RopeConfig) -> AbelReport:
             f"summation-by-parts bound violated: lhs={lhs!r} > bound={bound!r} at delta={delta}"
         )
     return AbelReport(
-        relative_distance=int(delta),
+        relative_distance=delta,
         lhs_magnitude=lhs,
         bound_value=bound,
         partial_sum_mean=float(np.mean(sums)),
@@ -171,6 +177,7 @@ def expected_dot_closed_form(mu_q, mu_k, m: int, config: RopeConfig) -> float:
     Equals mu_q . apply_rope(mu_k, m); the noise terms vanish in
     expectation because the covariance is the identity.
     """
+    m = read_value(Field("m", int), m)
     mq = _check_mean(mu_q, config)
     mk = _check_mean(mu_k, config)
     a = mq[0::2] * mk[0::2] + mq[1::2] * mk[1::2]
@@ -253,7 +260,8 @@ def monte_carlo_expected_dot(
     key noise term q . R_m z_k is N(0, |q|^2)).  Deterministic for a fixed
     seed.
     """
-    mean, stderr = _shared_sample_moments(mu_q, mu_k, [int(m)], samples, seed, config, 1)
+    m = read_value(Field("m", int), m)
+    mean, stderr = _shared_sample_moments(mu_q, mu_k, [m], samples, seed, config, 1)
     return float(mean[0]), float(stderr[0])
 
 
@@ -267,7 +275,7 @@ def decay_profile(
     ``SeedSequence(seed)``, whatever else is in the grid.  Chunks may run
     on ``max_workers`` threads without changing the result.
     """
-    dist = [int(d) for d in distances]
+    dist = [read_value(Field("distance", int), d) for d in distances]
     if not dist:
         raise ValueError("distances must be non-empty")
     if any(d < 0 for d in dist):

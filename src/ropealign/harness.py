@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .codec import csv_text, json_text
-from .idalign import PositionIdMap, assign_position_ids, correspondence_oracle
+from .idalign import PositionIdMap, _axis_partners, assign_position_ids
 from .layout import LayoutPlan, segment_ranges
 from .rope import RopeConfig, apply_rope_many
 
@@ -95,7 +95,7 @@ def score_blocks(
         raise ValueError("population size must match the id map")
     if pop.vectors.shape[1] != config.dim:
         raise ValueError(f"population dim {pop.vectors.shape[1]} != config dim {config.dim}")
-    ids = np.asarray(idmap.ids, dtype=np.int64)
+    ids = idmap.ids
     rotated = apply_rope_many(pop.vectors, ids.astype(np.float64), config)
     for lo in range(0, len(ids), _BLOCK_ROWS):
         hi = lo + _BLOCK_ROWS
@@ -170,7 +170,7 @@ def attention_summary(
     which for the maps ``assign_position_ids`` builds is below the slot
     count.
     """
-    ids = np.asarray(idmap.ids, dtype=np.int64)
+    ids = idmap.ids
     names, codes = np.unique(np.asarray(pop.roles, dtype=str), return_inverse=True)
     names = names.tolist()
     n_roles = len(names)
@@ -242,14 +242,17 @@ class AlignmentGainReport:
 
 
 def _mode_geometry(plan: LayoutPlan, idmap: PositionIdMap) -> ModeGeometry:
-    ids = np.asarray(idmap.ids, dtype=np.int64)
+    ids = idmap.ids
     thumb, high = plan.thumbnail(), plan.highres()
     pair_mean = None
     if thumb is not None and high is not None:
-        thumb_ids, high_ids = ids[plan.cell_slots(thumb)], ids[plan.cell_slots(high)]
-        pairs = correspondence_oracle(thumb.shape, high.shape)
-        r, c, tr, tc = np.array([p.highres_cell + p.thumb_cell for p in pairs]).T
-        pair_mean = float(np.mean(np.abs(high_ids[r, c] - thumb_ids[tr, tc])))
+        # The overlapping pairs are row partners x column partners, so one
+        # np.ix_ read per grid gives every pair's |delta id|.
+        r, tr = _axis_partners(thumb.shape.rows, high.shape.rows)
+        c, tc = _axis_partners(thumb.shape.cols, high.shape.cols)
+        high_ids = ids[plan.cell_slots(high)][np.ix_(r, c)]
+        d = np.abs(high_ids - ids[plan.cell_slots(thumb)][np.ix_(tr, tc)])
+        pair_mean = int(d.sum()) / d.size
 
     image = [plan.cell_slots(s).ravel() for s in (thumb, high) if s is not None]
     post_mean = None

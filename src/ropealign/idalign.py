@@ -15,14 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import csv_text, json_text
+from .codec import Field, csv_text, json_chunks, read_value
 from .layout import (
     GridShape,
     HighResGrid,
     LayoutPlan,
     Separator,
-    TextSegment,
     ThumbnailGrid,
+    allocating_slots,
 )
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "PositionIdMap",
     "CorrespondencePair",
     "IdSpanReport",
-    "thumbnail_id_grid",
     "map_highres_ids",
     "correspondence_oracle",
     "assign_position_ids",
@@ -67,33 +66,42 @@ class GridMapping:
         return csv_text(None, self.ids.tolist())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PositionIdMap:
     """One position ID per sequence slot plus the final running counter.
 
-    ``max_pid`` is where the next sequential token would go: one past the
-    largest assigned ID.
+    ``ids`` is stored as a read-only 1-D int64 array, whatever integer
+    sequence or array was passed.  ``max_pid`` is where the next
+    sequential token would go: one past the largest assigned ID.
     """
 
-    ids: tuple[int, ...]
+    ids: np.ndarray
     max_pid: int
     mode: str
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.ids and min(self.ids) < 0:
+        ids = np.array(self.ids)  # a copy: the map owns its IDs
+        if ids.ndim != 1 or (ids.size and ids.dtype.kind not in "iu"):
+            raise ValueError(f"ids must be a 1-D sequence of integers, got {ids.dtype} {ids.shape}")
+        ids = ids.astype(np.int64, copy=False)
+        ids.flags.writeable = False
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "max_pid", read_value(Field("max_pid", int), self.max_pid))
+        if ids.size and ids.min() < 0:
             raise ValueError("position ids must be non-negative")
-        expected = max(self.ids) + 1 if self.ids else 0
+        expected = int(ids.max()) + 1 if ids.size else 0
         if self.max_pid != expected:
             raise ValueError(f"max_pid must be {expected}, got {self.max_pid}")
 
     def to_doc(self) -> dict:
-        """The JSON document of the map (``asdict`` is much slower on long maps)."""
-        return {"ids": list(self.ids), "max_pid": self.max_pid, "mode": self.mode}
+        """The JSON document of the map, with ``ids`` as the array, for
+        ``codec.json_chunks``."""
+        return {"ids": self.ids, "max_pid": self.max_pid, "mode": self.mode}
 
     def to_json(self) -> str:
-        return json_text(self.to_doc())
+        return "".join(json_chunks(self.to_doc()))
 
 
 @dataclass(frozen=True)
@@ -103,13 +111,6 @@ class CorrespondencePair:
 
     highres_cell: tuple[int, int]
     thumb_cell: tuple[int, int]
-
-
-def thumbnail_id_grid(shape: GridShape, base: int = 0) -> np.ndarray:
-    """Raster-order IDs base .. base + cells - 1 as a (rows, cols) matrix."""
-    if base < 0:
-        raise ValueError("base must be non-negative")
-    return base + np.arange(shape.cells, dtype=np.int64).reshape(shape.rows, shape.cols)
 
 
 def _axis_targets(n0: int, n1: int) -> np.ndarray:
@@ -133,30 +134,32 @@ def map_highres_ids(thumb: GridShape, high: GridShape, base: int = 0) -> GridMap
     return GridMapping(shape=high, ids=ids, base=base)
 
 
-def _axis_partners(n0: int, n1: int) -> list[list[int]]:
-    # Fine cell j = [j/n1, (j+1)/n1) overlaps coarse cell t = [t/n0, (t+1)/n0)
-    # iff j*n0 < (t+1)*n1 and t*n1 < (j+1)*n0; exact in integers.
-    out: list[list[int]] = []
-    for j in range(n1):
-        out.append([t for t in range(n0) if j * n0 < (t + 1) * n1 and t * n1 < (j + 1) * n0])
-    return out
+def _axis_partners(n0: int, n1: int) -> tuple[np.ndarray, np.ndarray]:
+    """(fine, coarse) index arrays of every overlapping cell pair along
+    one axis cut into n1 fine and n0 coarse cells, fine-major.
+
+    Fine cell j = [j/n1, (j+1)/n1) overlaps coarse cell t = [t/n0, (t+1)/n0)
+    iff j*n0 < (t+1)*n1 and t*n1 < (j+1)*n0, that is iff t lies in
+    [floor(j*n0/n1), ceil((j+1)*n0/n1)); exact in integers.
+    """
+    fine = np.arange(n1)
+    lo = fine * n0 // n1
+    counts = -(-(fine + 1) * n0 // n1) - lo
+    starts = np.cumsum(counts) - counts
+    fine = np.repeat(fine, counts)
+    return fine, np.arange(len(fine)) + np.repeat(lo - starts, counts)
 
 
 def correspondence_oracle(thumb: GridShape, high: GridShape) -> frozenset[CorrespondencePair]:
     """All (high cell, thumb cell) pairs with positive-area overlap.
 
     Both grids are uniform partitions of the same unit square; the
-    per-axis interval test runs in exact integer arithmetic.
+    per-axis interval test runs in exact integer arithmetic, and the
+    pairs are its row pairs times its column pairs.
     """
-    row_p = _axis_partners(thumb.rows, high.rows)
-    col_p = _axis_partners(thumb.cols, high.cols)
-    pairs = set()
-    for r in range(high.rows):
-        for c in range(high.cols):
-            for tr in row_p[r]:
-                for tc in col_p[c]:
-                    pairs.add(CorrespondencePair((r, c), (tr, tc)))
-    return frozenset(pairs)
+    rows = list(zip(*(a.tolist() for a in _axis_partners(thumb.rows, high.rows))))
+    cols = list(zip(*(a.tolist() for a in _axis_partners(thumb.cols, high.cols))))
+    return frozenset(CorrespondencePair((r, c), (tr, tc)) for r, tr in rows for c, tc in cols)
 
 
 def assign_position_ids(
@@ -170,10 +173,12 @@ def assign_position_ids(
     counter, which advances past every assigned ID but never skips ahead
     for inherited ones.  Separators inside the high-res grid either
     repeat the ID of the last token of their row (default) or take fresh
-    sequential IDs, per ``separator_policy``.
+    sequential IDs, per ``separator_policy``.  The map is one array per
+    segment, concatenated.
 
     In aligned mode a high-resolution grid must be preceded by the
-    thumbnail grid that defines its IDs; otherwise ValueError.
+    thumbnail grid that defines its IDs; otherwise ValueError.  A plan
+    too large to allocate is a ValueError naming its slot count.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -181,53 +186,49 @@ def assign_position_ids(
         raise ValueError(
             f"separator_policy must be one of {SEPARATOR_POLICIES}, got {separator_policy!r}"
         )
-    if mode == "baseline":
-        n = plan.total_tokens
-        return PositionIdMap(ids=tuple(range(n)), max_pid=n, mode=mode)
+    with allocating_slots(plan):
+        if mode == "baseline":
+            n = plan.total_tokens
+            return PositionIdMap(ids=np.arange(n), max_pid=n, mode=mode)
+        pieces, counter = _aligned_pieces(plan, separator_policy == "sequential-after-image")
+        return PositionIdMap(ids=np.concatenate(pieces) if pieces else (), max_pid=counter, mode=mode)
 
-    ids: list[int] = []
+
+def _aligned_pieces(plan: LayoutPlan, sequential_separators: bool) -> tuple[list[np.ndarray], int]:
+    """The aligned IDs of each segment, in order, and the final counter.
+    ``counter`` is one past the largest ID so far; fresh IDs start there."""
+    pieces: list[np.ndarray] = []
     counter = 0
     thumb_shape: GridShape | None = None
     thumb_base = 0
-    sequential_separators = separator_policy == "sequential-after-image"
-
-    def emit_separators(count: int) -> None:
-        nonlocal counter
-        if sequential_separators:
-            ids.extend(range(counter, counter + count))
-            counter += count
-        elif ids:
-            ids.extend([ids[-1]] * count)
-        else:
-            # Nothing to inherit yet: all of them share one fresh ID.
-            ids.extend([counter] * count)
-            counter += 1
-
     for seg in plan.segments:
-        if isinstance(seg, TextSegment):
-            ids.extend(range(counter, counter + seg.length))
-            counter += seg.length
-        elif isinstance(seg, ThumbnailGrid):
-            thumb_base, thumb_shape = counter, seg.shape
-            ids.extend(range(counter, counter + seg.shape.cells))
-            counter += seg.shape.cells
-        elif isinstance(seg, HighResGrid):
+        if isinstance(seg, HighResGrid):
             if thumb_shape is None:
                 raise ValueError(
                     "id_align mode requires a thumbnail grid before the high-resolution grid"
                 )
-            mapping = map_highres_ids(thumb_shape, seg.shape, thumb_base)
-            # Rows are nondecreasing, so a row's largest ID is its last.
-            for row in mapping.ids.tolist():
-                ids.extend(row)
-                counter = max(counter, row[-1] + 1)
-                if seg.row_separator:
-                    emit_separators(1)
-        elif isinstance(seg, Separator):
-            emit_separators(seg.count)
-        else:
-            raise TypeError(f"unknown segment type {type(seg).__name__}")
-    return PositionIdMap(ids=tuple(ids), max_pid=counter, mode=mode)
+            grid = map_highres_ids(thumb_shape, seg.shape, thumb_base).ids
+            if seg.row_separator:
+                # Rows are nondecreasing, so a row's largest ID is its last.
+                last = grid[:, -1]
+                if sequential_separators:
+                    # Row r's separator is fresh: one past both the previous
+                    # separator and row r's last ID.
+                    r = np.arange(len(last))
+                    last = r + np.maximum(counter, np.maximum.accumulate(last + 1 - r))
+                grid = np.column_stack((grid, last))
+            piece = grid.ravel()
+        elif isinstance(seg, Separator) and not sequential_separators:
+            # Inherit the last ID; with nothing before, all share one fresh ID.
+            piece = np.full(seg.count, pieces[-1][-1] if pieces else counter)
+        else:  # text, thumbnail or sequential separators: fresh IDs
+            if isinstance(seg, ThumbnailGrid):
+                thumb_base, thumb_shape = counter, seg.shape
+            rows, cells, _tail = seg.runs()
+            piece = np.arange(counter, counter + rows * cells)
+        pieces.append(piece)
+        counter = max(counter, int(piece.max()) + 1)
+    return pieces, counter
 
 
 @dataclass(frozen=True)
@@ -255,7 +256,7 @@ def id_span_report(
     slots = np.concatenate(slots) if slots else None
 
     def span(idmap: PositionIdMap) -> int:
-        return 0 if slots is None else int(np.ptp(np.asarray(idmap.ids)[slots]))
+        return 0 if slots is None else int(np.ptp(idmap.ids[slots]))
 
     if baseline is None:
         baseline = assign_position_ids(plan, "baseline", separator_policy)

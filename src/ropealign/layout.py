@@ -11,13 +11,15 @@ No pixels are touched.
 from __future__ import annotations
 
 import math
+import sys
+from contextlib import contextmanager
 from dataclasses import astuple, dataclass
 from itertools import accumulate
 from typing import ClassVar, get_args
 
 import numpy as np
 
-from .codec import Field, json_text, read_json, read_object
+from .codec import Field, json_text, read_json, read_object, read_value
 
 __all__ = [
     "Resolution",
@@ -38,6 +40,15 @@ __all__ = [
 ]
 
 
+def _read_fields(obj, **kinds) -> None:
+    """Store each named field of the frozen dataclass ``obj`` as read by
+    ``codec.read_value`` with its kind: an int through ``operator.index``
+    (a numpy integer becomes a Python int; a bool or 2.5 is a ValueError
+    naming the field), a bool only as a bool."""
+    for name, kind in kinds.items():
+        object.__setattr__(obj, name, read_value(Field(name, kind), getattr(obj, name)))
+
+
 @dataclass(frozen=True)
 class Resolution:
     """Pixel dimensions, height first."""
@@ -46,6 +57,7 @@ class Resolution:
     width: int
 
     def __post_init__(self) -> None:
+        _read_fields(self, height=int, width=int)
         if self.height <= 0 or self.width <= 0:
             raise ValueError(f"resolution must be positive, got {self.height}x{self.width}")
 
@@ -84,6 +96,7 @@ class GridShape:
     cols: int
 
     def __post_init__(self) -> None:
+        _read_fields(self, rows=int, cols=int)
         for name, value in (("rows", self.rows), ("cols", self.cols)):
             if value <= 0:
                 raise ValueError(f"grid {name} must be positive, got {value}")
@@ -122,6 +135,7 @@ class TextSegment(_SegmentKind):
     FIELDS = (Field("len", int),)
 
     def __post_init__(self) -> None:
+        _read_fields(self, length=int)
         if self.length <= 0:
             raise ValueError("text segment length must be positive")
 
@@ -160,6 +174,9 @@ class HighResGrid(_SegmentKind):
     FIELDS = (Field("rows", int), Field("cols", int), Field("row_separator", bool, True))
     ONE_PER_PLAN = "high-resolution grid"
 
+    def __post_init__(self) -> None:
+        _read_fields(self, row_separator=bool)
+
     @classmethod
     def of(cls, rows: int, cols: int, row_separator: bool) -> HighResGrid:
         return cls(GridShape(rows, cols), row_separator)
@@ -179,6 +196,7 @@ class Separator(_SegmentKind):
     FIELDS = (Field("count", int, 1),)
 
     def __post_init__(self) -> None:
+        _read_fields(self, count=int)
         if self.count <= 0:
             raise ValueError("separator count must be positive")
 
@@ -217,8 +235,13 @@ class LayoutPlan:
     patch_size: int
 
     def __post_init__(self) -> None:
+        _read_fields(self, patch_size=int)
         if self.patch_size <= 0:
             raise ValueError("patch_size must be positive")
+        object.__setattr__(self, "segments", tuple(self.segments))
+        for seg in self.segments:
+            if not isinstance(seg, _SegmentKind):
+                raise ValueError(f"segments must be layout segments, got {seg!r}")
         for cls in SEGMENT_KINDS.values():
             if cls.ONE_PER_PLAN and sum(type(s) is cls for s in self.segments) > 1:
                 raise ValueError(f"at most one {cls.ONE_PER_PLAN} per plan")
@@ -228,10 +251,13 @@ class LayoutPlan:
         return sum(stop - start for _seg, start, stop in segment_ranges(self))
 
     def slot_roles(self) -> tuple[str, ...]:
+        """The role of each slot; a plan too large to allocate is a
+        ValueError naming its slot count."""
         roles: list[str] = []
-        for seg in self.segments:
-            rows, cells, tail = seg.runs()
-            roles.extend(([seg.KIND] * cells + [Separator.KIND] * tail) * rows)
+        with allocating_slots(self):
+            for seg in self.segments:
+                rows, cells, tail = seg.runs()
+                roles.extend(([seg.KIND] * cells + [Separator.KIND] * tail) * rows)
         return tuple(roles)
 
     def thumbnail(self) -> ThumbnailGrid | None:
@@ -272,6 +298,22 @@ class LayoutPlan:
             raise ValueError("segment is not in this plan")
         rows, cells, tail = seg.runs()
         return start + (cells + tail) * np.arange(rows)[:, None] + np.arange(cells)
+
+
+@contextmanager
+def allocating_slots(plan: LayoutPlan):
+    """A block that builds arrays of one 8-byte entry per slot of
+    ``plan``: a plan too large for that is a ValueError naming its slot
+    count, whether the allocation fails or the size is past the address
+    space (where numpy may return an empty array instead of failing)."""
+    n = plan.total_tokens
+    error = ValueError(f"a plan of {n} slots cannot be allocated")
+    if n > sys.maxsize // 8:
+        raise error
+    try:
+        yield
+    except MemoryError:
+        raise error from None
 
 
 def segment_ranges(plan: LayoutPlan) -> tuple[tuple[Segment, int, int], ...]:

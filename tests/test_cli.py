@@ -288,6 +288,46 @@ class TestAssignIds:
         assert len(calls) == 1
         assert out.read_text() == real(*calls[0]).to_csv()
 
+    @pytest.mark.parametrize("policy", ["inherit-row-end", "sequential-after-image"])
+    def test_long_ids_json_equals_json_dumps(self, policy, tmp_path, capsys):
+        """ids.json is written a chunk of IDs at a time; across many chunks
+        its bytes are still those of ``json.dumps`` of the lists."""
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(
+            '{"segments":[{"kind":"text","len":7},{"kind":"thumb","rows":24,"cols":24},'
+            '{"kind":"highres","rows":101,"cols":203},{"kind":"text","len":5}],"patch_size":14}'
+        )
+        out, csv = tmp_path / "ids.json", tmp_path / "map.csv"
+        argv = ["assign-ids", "--plan", str(plan_path), "--separator-policy", policy]
+        assert main(argv + ["--out", str(out), "--mapping-csv", str(csv)]) == 0
+        plan = LayoutPlan.from_json(plan_path.read_text())
+        maps = {mode: idalign.assign_position_ids(plan, mode, policy) for mode in ("baseline", "id_align")}
+        span = idalign.id_span_report(plan, policy, **maps)
+        want = {mode: {"ids": m.ids.tolist(), "max_pid": m.max_pid, "mode": mode} for mode, m in maps.items()}
+        want["span"] = {"baseline_span": span.baseline_span, "id_align_span": span.id_align_span, "ratio": span.ratio}
+        assert out.read_text() == json.dumps(want, separators=(",", ":")) + "\n"
+        grid = maps["id_align"].ids[plan.cell_slots(plan.highres())]
+        assert csv.read_text() == csv_text(None, grid.tolist())
+
+    @pytest.mark.parametrize("command", ["assign-ids", "attention-report"])
+    @pytest.mark.parametrize("n", [10**15, 2**63 - 1])
+    def test_unallocatable_plan_is_one_error_line(self, command, n, tmp_path):
+        """A plan whose slots cannot be allocated exits 2 with one line
+        naming the count: no MemoryError traceback, no empty "pop:" cause.
+        A separate process, since the failure is an allocation."""
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps({"segments": [{"kind": "text", "len": n}], "patch_size": 14}))
+        src = str(Path(ropealign.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k != "ROPEALIGN_OUTPUT_DIR"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ropealign", command, "--plan", str(plan_path)],
+            env=env, capture_output=True, text=True, cwd=tmp_path,
+        )  # fmt: skip
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: a plan of {n} slots cannot be allocated\n"
+
     def test_high_without_thumbnail_fails(self, tmp_path, capsys):
         plan_path = tmp_path / "plan.json"
         plan_path.write_text(

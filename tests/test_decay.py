@@ -74,6 +74,15 @@ class TestAbelPartialSums:
         with pytest.raises(ValueError):
             abel_partial_sums(-1, RopeConfig(dim=4))
 
+    @pytest.mark.parametrize("delta", [2.5, 3.0, np.float64(3.0), True, "3"])
+    def test_non_integer_delta_rejected(self, delta):
+        with pytest.raises(ValueError, match="^delta must be an integer"):
+            abel_partial_sums(delta, RopeConfig(dim=4))
+
+    def test_numpy_integer_delta_accepted(self):
+        config = RopeConfig(dim=8)
+        assert np.array_equal(abel_partial_sums(np.int64(5), config), abel_partial_sums(5, config))
+
 
 class TestAbelBoundCheck:
     """Summation-by-parts inequality."""
@@ -125,6 +134,15 @@ class TestAbelBoundCheck:
         with pytest.raises(ValueError):
             abel_bound_check(np.ones(4), np.ones(6), 1, RopeConfig(dim=4))
 
+    def test_non_integer_delta_rejected(self):
+        with pytest.raises(ValueError, match="^delta must be an integer, got 2.5"):
+            abel_bound_check(np.ones(4), np.ones(4), 2.5, RopeConfig(dim=4))
+
+    def test_numpy_integer_delta_gives_a_python_int(self):
+        report = abel_bound_check(np.ones(4), np.ones(4), np.int32(7), RopeConfig(dim=4))
+        assert report == abel_bound_check(np.ones(4), np.ones(4), 7, RopeConfig(dim=4))
+        assert type(report.relative_distance) is int
+
 
 class TestExpectedDotClosedForm:
     """Per-pair cosine/sine expansion of the expectation."""
@@ -159,6 +177,20 @@ class TestExpectedDotClosedForm:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             expected_dot_closed_form(np.ones(4), np.ones(8), 0, RopeConfig(dim=4))
+
+    @pytest.mark.parametrize("m", [2.9, 2.0, np.float64(2.0), False])
+    def test_non_integer_distance_rejected(self, m):
+        """2.9 used to be evaluated as 2.9 here and floored to 2 by the
+        Monte Carlo route, so the two routes disagreed on one input."""
+        with pytest.raises(ValueError, match="^m must be an integer"):
+            expected_dot_closed_form(np.ones(8), np.ones(8), m, RopeConfig(dim=8))
+
+    def test_numpy_integer_distance_accepted(self):
+        config = RopeConfig(dim=8)
+        mu = np.ones(8)
+        assert expected_dot_closed_form(mu, mu, np.uint16(3), config) == expected_dot_closed_form(
+            mu, mu, 3, config
+        )
 
 
 class TestMonteCarloExpectedDot:
@@ -207,6 +239,18 @@ class TestMonteCarloExpectedDot:
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
             monte_carlo_expected_dot(np.ones(4), np.ones(4), 0, samples=1, seed=0, config=RopeConfig(dim=4))
+
+    @pytest.mark.parametrize("m", [2.9, 2.0, np.float64(2.0), True])
+    def test_non_integer_distance_rejected(self, m):
+        """Never floored: m = 2.9 used to give the m = 2 estimate."""
+        with pytest.raises(ValueError, match="^m must be an integer"):
+            monte_carlo_expected_dot(np.ones(8), np.ones(8), m, samples=1000, seed=0, config=RopeConfig(dim=8))
+
+    def test_numpy_integer_distance_accepted(self):
+        config = RopeConfig(dim=8)
+        mu = np.ones(8)
+        want = monte_carlo_expected_dot(mu, mu, 2, samples=1000, seed=0, config=config)
+        assert monte_carlo_expected_dot(mu, mu, np.int64(2), samples=1000, seed=0, config=config) == want
 
 
 class TestDecayProfile:
@@ -324,6 +368,18 @@ class TestDecayProfile:
     def test_non_integer_distance_rejected(self):
         with pytest.raises(ValueError, match="integers"):
             DecayProfile(distances=(0.5,), mean_dot=(0.0,), stderr=(0.0,), sample_count=10)
+
+    @pytest.mark.parametrize("grid", [[0.5, 1.7], [0, 1.0], [0, True], [np.float64(1)]])
+    def test_non_integer_grid_rejected(self, grid):
+        """[0.5, 1.7] used to be profiled at distances (0, 1)."""
+        with pytest.raises(ValueError, match="^distance must be an integer"):
+            decay_profile(np.ones(4), np.ones(4), grid, samples=8, seed=0, config=RopeConfig(dim=4))
+
+    def test_numpy_integer_grid_writes_the_same_bytes(self):
+        config = RopeConfig(dim=4)
+        plain = decay_profile(np.ones(4), np.ones(4), [0, 3], samples=8, seed=0, config=config)
+        from_numpy = decay_profile(np.ones(4), np.ones(4), np.array([0, 3]), samples=8, seed=0, config=config)
+        assert from_numpy.to_csv() == plain.to_csv()
 
 
 class TestSharedSamples:

@@ -6,6 +6,9 @@ cell, with overlap decided by an independent floating-point rectangle
 check where the library's integer oracle is itself under test.
 """
 
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,8 +25,25 @@ from ropealign import (
     correspondence_oracle,
     id_span_report,
     map_highres_ids,
-    thumbnail_id_grid,
 )
+from ropealign.codec import json_chunks
+from ropealign.idalign import _axis_partners
+
+
+def thumbnail_id_grid(shape, base=0):
+    """Raster-order IDs base .. base + cells - 1 as a (rows, cols) matrix:
+    the thumbnail's IDs, the reference the mapped grid is read against."""
+    if base < 0:
+        raise ValueError("base must be non-negative")
+    return base + np.arange(shape.cells, dtype=np.int64).reshape(shape.rows, shape.cols)
+
+
+def assert_id_array(ids, want):
+    """``ids`` is a read-only int64 array equal to ``want``."""
+    assert isinstance(ids, np.ndarray)
+    assert ids.dtype == np.int64
+    assert not ids.flags.writeable
+    assert np.array_equal(ids, want)
 
 
 def float_overlap_oracle(thumb, high):
@@ -144,6 +164,18 @@ class TestCorrespondenceOracle:
             high = GridShape(int(rng.integers(1, 9)), int(rng.integers(1, 9)))
             assert set(correspondence_oracle(thumb, high)) == float_overlap_oracle(thumb, high)
 
+    def test_axis_partners_are_the_interval_test(self):
+        """The per-axis (fine, coarse) arrays list, fine-major, exactly the
+        pairs the integer interval test admits."""
+        for n0 in range(1, 25):
+            for n1 in range(1, 25):
+                want = [
+                    (j, t) for j in range(n1) for t in range(n0)
+                    if j * n0 < (t + 1) * n1 and t * n1 < (j + 1) * n0
+                ]  # fmt: skip
+                fine, coarse = _axis_partners(n0, n1)
+                assert list(zip(fine.tolist(), coarse.tolist())) == want
+
 
 def trace_plan(high_shape=GridShape(2, 2), row_separator=False):
     return LayoutPlan(
@@ -232,7 +264,8 @@ class TestAssignPositionIds:
         )
         a = assign_position_ids(plan, "baseline")
         b = assign_position_ids(plan, "id_align")
-        assert a.ids == b.ids
+        assert_id_array(a.ids, b.ids)
+        assert_id_array(b.ids, np.arange(14))
         assert a.max_pid == b.max_pid
 
     def test_inheritance_stays_in_thumb_range(self):
@@ -263,6 +296,41 @@ class TestAssignPositionIds:
         with pytest.raises(ValueError):
             assign_position_ids(trace_plan(), "aligned")
 
+    @pytest.mark.parametrize("mode", ["baseline", "id_align"])
+    @pytest.mark.parametrize("n", [10**15, 2**63 - 1, 10**30])
+    def test_unallocatable_plan_named(self, mode, n):
+        """10**15 slots fail to allocate; at 2**63 - 1 numpy's arange
+        returns an empty array instead of failing, and 10**30 is past its
+        index range.  Each is one ValueError naming the count."""
+        plan = LayoutPlan(segments=(TextSegment(n),), patch_size=14)
+        with pytest.raises(ValueError, match=f"^a plan of {n} slots cannot be allocated$"):
+            assign_position_ids(plan, mode)
+        with pytest.raises(ValueError, match=f"^a plan of {n} slots cannot be allocated$"):
+            plan.slot_roles()
+
+    def test_memory_per_slot(self, tmp_path):
+        """Both maps of a 126k-slot plan and their ids.json hold about four
+        int64 entries a slot at the peak (32.0 bytes measured with
+        tracemalloc); a Python list of the IDs and its JSON text took 119."""
+        plan = LayoutPlan(
+            segments=(
+                TextSegment(10),
+                ThumbnailGrid(GridShape(24, 24)),
+                HighResGrid(GridShape(250, 500)),
+                TextSegment(5),
+            ),
+            patch_size=14,
+        )
+        tracemalloc.start()
+        try:
+            doc = {mode: assign_position_ids(plan, mode).to_doc() for mode in ("baseline", "id_align")}
+            with open(tmp_path / "ids.json", "w") as f:
+                f.writelines(json_chunks(doc))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / plan.total_tokens < 40
+
     def test_bad_policy_rejected(self):
         with pytest.raises(ValueError):
             assign_position_ids(trace_plan(), "id_align", "drop")
@@ -274,6 +342,57 @@ class TestPositionIdMap:
     def test_json_format(self):
         idmap = PositionIdMap(ids=(0, 1, 2), max_pid=3, mode="baseline")
         assert idmap.to_json() == '{"ids":[0,1,2],"max_pid":3,"mode":"baseline"}'
+
+    def test_json_of_a_long_map_equals_json_dumps(self):
+        ids = np.random.Generator(np.random.Philox(5)).integers(0, 2**40, 20_000)
+        idmap = PositionIdMap(ids=ids, max_pid=int(ids.max()) + 1, mode="id_align")
+        want = {"ids": ids.tolist(), "max_pid": idmap.max_pid, "mode": "id_align"}
+        assert idmap.to_json() == json.dumps(want, separators=(",", ":"))
+
+    @pytest.mark.parametrize(
+        "ids",
+        [(0, 2, 1), [0, 2, 1], np.array([0, 2, 1], dtype=np.int32), np.array([0, 2, 1], dtype=np.uint8)],
+        ids=["tuple", "list", "int32", "uint8"],
+    )
+    def test_ids_stored_as_read_only_int64(self, ids):
+        idmap = PositionIdMap(ids=ids, max_pid=np.int64(3), mode="baseline")
+        assert_id_array(idmap.ids, [0, 2, 1])
+        assert type(idmap.max_pid) is int
+        with pytest.raises(ValueError):
+            idmap.ids[0] = 5
+
+    def test_callers_array_is_copied(self):
+        ids = np.arange(4)
+        idmap = PositionIdMap(ids=ids, max_pid=4, mode="baseline")
+        ids[0] = 9
+        assert ids.flags.writeable
+        assert idmap.ids.tolist() == [0, 1, 2, 3]
+
+    def test_empty_map(self):
+        idmap = PositionIdMap(ids=(), max_pid=0, mode="baseline")
+        assert_id_array(idmap.ids, [])
+        assert idmap.to_json() == '{"ids":[],"max_pid":0,"mode":"baseline"}'
+
+    @pytest.mark.parametrize(
+        "ids",
+        [np.array([0.0, 1.0]), (0, 1.5), np.array([True, False]), np.zeros((2, 2), dtype=np.int64), (0, 2**64)],
+        ids=["float-array", "float-in-tuple", "bool-array", "2-D", "past-int64"],
+    )
+    def test_non_integer_ids_rejected(self, ids):
+        with pytest.raises(ValueError, match="^ids must be a 1-D sequence of integers"):
+            PositionIdMap(ids=ids, max_pid=2, mode="baseline")
+
+    @pytest.mark.parametrize("max_pid", [3.0, True, "3"])
+    def test_non_integer_max_pid_rejected(self, max_pid):
+        with pytest.raises(ValueError, match="^max_pid must be an integer"):
+            PositionIdMap(ids=(0, 1, 2), max_pid=max_pid, mode="baseline")
+
+    def test_compared_by_identity(self):
+        """Like ``GridMapping``, a map holding an array is not compared by value."""
+        a = PositionIdMap(ids=(0, 1), max_pid=2, mode="baseline")
+        b = PositionIdMap(ids=(0, 1), max_pid=2, mode="baseline")
+        assert a == a and a != b
+        assert len({a, b}) == 2
 
     def test_max_pid_must_match_ids(self):
         with pytest.raises(ValueError):

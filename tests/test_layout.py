@@ -5,6 +5,7 @@ from typing import get_args
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ropealign import (
     GridShape,
@@ -15,6 +16,7 @@ from ropealign import (
     Separator,
     TextSegment,
     ThumbnailGrid,
+    TokenCounts,
     build_layout,
     fit_with_padding,
     select_resolution,
@@ -69,6 +71,80 @@ class TestValidation:
         thumb = ThumbnailGrid(GridShape(2, 2))
         with pytest.raises(ValueError):
             LayoutPlan(segments=(thumb, thumb), patch_size=14)
+
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            pytest.param(lambda: Resolution(2.5, 3), "height", id="Resolution-2.5"),
+            pytest.param(lambda: Resolution(336, "336"), "width", id="Resolution-str"),
+            pytest.param(lambda: GridShape(2.5, 3), "rows", id="GridShape-2.5"),
+            pytest.param(lambda: GridShape(2, np.float64(3)), "cols", id="GridShape-float64"),
+            pytest.param(lambda: TextSegment(True), "length", id="TextSegment-True"),
+            pytest.param(lambda: TextSegment(2.5), "length", id="TextSegment-2.5"),
+            pytest.param(lambda: Separator(False), "count", id="Separator-False"),
+            pytest.param(lambda: HighResGrid(GridShape(2, 2), 1), "row_separator", id="HighResGrid-1"),
+            pytest.param(lambda: LayoutPlan((TextSegment(2),), 14.0), "patch_size", id="LayoutPlan-14.0"),
+            pytest.param(lambda: LayoutPlan((TextSegment(2),), True), "patch_size", id="LayoutPlan-True"),
+        ],
+    )  # fmt: skip
+    def test_non_integer_field_named(self, build, field):
+        """A count is an integer, never a bool or a float (2.5 used to
+        give a plan of 16.5 tokens, True one whose JSON holds true)."""
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            build()
+
+    @pytest.mark.parametrize("junk", ["x", GridShape(2, 2), None])
+    def test_plan_refuses_non_segments(self, junk):
+        with pytest.raises(ValueError, match="^segments must be layout segments"):
+            LayoutPlan(segments=(TextSegment(2), junk), patch_size=14)
+
+    def test_numpy_integers_stored_as_python_ints(self):
+        plan = LayoutPlan(
+            segments=[TextSegment(np.int64(3)), ThumbnailGrid(GridShape(np.int32(2), np.uint8(3)))],
+            patch_size=np.int16(14),
+        )
+        assert plan == LayoutPlan(
+            segments=(TextSegment(3), ThumbnailGrid(GridShape(2, 3))), patch_size=14
+        )
+        assert type(plan.segments) is tuple
+        assert plan.to_json() == (
+            '{"segments":[{"kind":"text","len":3},{"kind":"thumb","rows":2,"cols":3}],"patch_size":14}'
+        )
+        assert type(Resolution(np.int64(336), 672).height) is int
+
+
+# Python and numpy integers alike, as a caller might pass them.
+_counts = st.integers(1, 40).flatmap(
+    lambda n: st.sampled_from([n, np.int64(n), np.int32(n), np.uint16(n)])
+)
+_segments = st.one_of(
+    st.builds(TextSegment, _counts),
+    st.builds(Separator, _counts),
+    st.builds(lambda r, c: ThumbnailGrid(GridShape(r, c)), _counts, _counts),
+    st.builds(lambda r, c, sep: HighResGrid(GridShape(r, c), sep), _counts, _counts, st.booleans()),
+)
+
+
+@st.composite
+def _plans(draw):
+    segments, seen = [], set()
+    for seg in draw(st.lists(_segments, max_size=6)):
+        if not (seg.ONE_PER_PLAN and seg.KIND in seen):  # at most one grid of each kind
+            segments.append(seg)
+            seen.add(seg.KIND)
+    return LayoutPlan(segments=tuple(segments), patch_size=draw(_counts))
+
+
+@given(_plans())
+@settings(max_examples=200, deadline=None)
+def test_plans_of_any_integers_round_trip(plan):
+    """A plan built from Python or numpy integers writes JSON that reads
+    back as an equal plan, and its token counts are Python ints."""
+    assert LayoutPlan.from_json(plan.to_json()) == plan
+    counts = token_counts(plan)
+    for name in TokenCounts.__dataclass_fields__:
+        assert type(getattr(counts, name)) is int
+    assert type(plan.total_tokens) is int
 
 
 class TestSelectResolution:

@@ -1,5 +1,8 @@
 """The package's public names, pinned: a change that adds or removes one
-shows it in this file's diff."""
+shows it in this file's diff; and the README's library tour, run."""
+
+import re
+from pathlib import Path
 
 import ropealign
 
@@ -14,8 +17,8 @@ PUBLIC = [
     "Separator", "LayoutPlan", "TokenCounts", "select_resolution", "fit_with_padding", "unpad_grid",
     "build_layout", "token_counts", "segment_ranges",
     # idalign
-    "GridMapping", "PositionIdMap", "CorrespondencePair", "IdSpanReport", "thumbnail_id_grid",
-    "map_highres_ids", "correspondence_oracle", "assign_position_ids", "id_span_report",
+    "GridMapping", "PositionIdMap", "CorrespondencePair", "IdSpanReport", "map_highres_ids",
+    "correspondence_oracle", "assign_position_ids", "id_span_report",
     # harness
     "TokenPopulation", "ScoreSummary", "ModeGeometry", "AlignmentGainReport", "population_constant",
     "population_gaussian", "score_blocks", "attention_scores", "attention_summary",
@@ -26,3 +29,12 @@ PUBLIC = [
 def test_public_names_pinned():
     assert ropealign.__all__ == PUBLIC
     assert all(hasattr(ropealign, name) for name in PUBLIC)
+
+
+def test_readme_library_tour_runs(capsys):
+    """The tour's Python block runs as written, and its asserts hold."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    tour = readme.split("## Library tour", 1)[1]
+    code = re.search(r"```python\n(.*?)```", tour, re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    assert "rel_distance,mean_dot,stderr,samples" in capsys.readouterr().out

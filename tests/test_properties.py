@@ -48,8 +48,8 @@ from ropealign import (
     segment_ranges,
     token_counts,
 )
-from ropealign import cli, harness, layout
-from ropealign.codec import REQUIRED, csv_lines
+from ropealign import cli, codec, harness, layout
+from ropealign.codec import REQUIRED, csv_lines, json_chunks
 from ropealign.layout import SEGMENT_KINDS
 
 dims = st.sampled_from([2, 4, 8, 64, 128])
@@ -246,8 +246,10 @@ def test_aligned_assignment_matches_slot_by_slot_reference(plan, policy):
             assign_position_ids(plan, "id_align", policy)
         return
     got = assign_position_ids(plan, "id_align", policy)
-    assert got.ids == tuple(want_ids)
-    assert all(type(i) is int for i in got.ids)
+    assert isinstance(got.ids, np.ndarray)
+    assert got.ids.dtype == np.int64
+    assert not got.ids.flags.writeable
+    assert got.ids.tolist() == want_ids
     assert got.max_pid == want_max
 
 
@@ -408,6 +410,33 @@ def test_matrix_csv_matches_reference(values, data):
     roles = tuple(data.draw(st.lists(_roles, min_size=values.shape[1], max_size=values.shape[1])))
     text = "".join(csv_lines(roles, (row.tolist() for row in values)))
     assert text == reference_matrix_csv(values, roles)
+
+
+_id_arrays = arrays(st.sampled_from([np.int64, np.int32, np.uint64, np.uint8]), st.integers(0, 40))
+_json_leaves = st.none() | st.booleans() | st.integers() | _finite_floats | st.text(max_size=4)
+_json_docs = st.recursive(
+    _id_arrays | _json_leaves,
+    lambda inner: st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+def _as_lists(doc):
+    if isinstance(doc, np.ndarray):
+        return doc.tolist()
+    if isinstance(doc, dict):
+        return {key: _as_lists(value) for key, value in doc.items()}
+    return doc
+
+
+@given(_json_docs, st.integers(1, 9))
+@settings(max_examples=300, deadline=None)
+def test_json_chunks_equal_json_dumps(doc, chunk):
+    """Whatever the chunk size, the pieces join to ``json.dumps`` compact
+    of the document with each array as its list."""
+    with mock.patch.object(codec, "_JSON_CHUNK", chunk):
+        text = "".join(json_chunks(doc))
+    assert text == json.dumps(_as_lists(doc), separators=(",", ":"))
 
 
 @given(
