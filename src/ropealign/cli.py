@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .codec import csv_lines, json_chunks, json_text, read_json, read_value
+from .codec import csv_lines, int_chunks, json_chunks, json_text, read_json, read_value
 from .decay import decay_profile
 from .harness import (
     TokenPopulation,
@@ -352,8 +352,7 @@ def cmd_assign_ids(opts: dict) -> int:
             raise ValueError("--mapping-csv needs a plan with both grids")
         if aligned is None:
             raise aligned_error
-        grid = aligned.ids[plan.cell_slots(high)]
-        _emit(opts["mapping_csv"], csv_lines(None, (row.tolist() for row in grid)))
+        _emit(opts["mapping_csv"], int_chunks(aligned.ids[plan.cell_slots(high)]))
     _emit(opts["out"], itertools.chain(json_chunks(doc), ["\n"]))
     return 0
 
@@ -373,11 +372,13 @@ def cmd_attention_report(opts: dict) -> int:
     for name, idmap in maps.items():
         # Summed first: a score error then stops the run before any file of the mode is opened.
         summary = attention_summary(pop, idmap, config, **score_opts)
-        if opts["dense"]:  # each matrix streamed a row at a time: no N x N array is held
-            for part, kind in enumerate(("distance", "scores")):
-                blocks = score_blocks(pop, idmap, config, **score_opts)
-                rows = (row.tolist() for block in blocks for row in block[part])
-                _emit(os.path.join(out_dir, f"{kind}_{name}.csv"), csv_lines(pop.roles, rows))
+        if opts["dense"]:  # each matrix streamed a block at a time: no N x N array is held
+            blocks = functools.partial(score_blocks, pop, idmap, config, **score_opts)
+            distance = (text for dist, _scores in blocks() for text in int_chunks(dist))
+            scores = csv_lines(None, (row.tolist() for _dist, block in blocks() for row in block))
+            for kind, body in (("distance", distance), ("scores", scores)):
+                path = os.path.join(out_dir, f"{kind}_{name}.csv")
+                _emit(path, itertools.chain(csv_lines(pop.roles, ()), body))
         _emit(os.path.join(out_dir, f"summary_{name}.csv"), summary.to_csv())
     report = alignment_gain_report(plan, policy, **maps)
     _emit(os.path.join(out_dir, "gain_report.json"), report.to_json() + "\n")

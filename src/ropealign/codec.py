@@ -4,10 +4,12 @@ Identical inputs must give identical bytes, so this is the one place the
 format lives.  JSON has no spaces after separators.  A CSV line holds the
 ``str`` of each cell: a name as it is, or a Python int or float
 (``tolist()`` of a numpy row gives these), whose ``str`` is its ``repr``,
-so floats round-trip exactly; lines end in ``\\n``.  An integer array in a
-JSON document is written as the list ``tolist()`` gives, a chunk at a
-time.  Every plan or config file is parsed by ``read_json``, and every
-value read from one or from a flag goes through ``read_value``.
+so floats round-trip exactly; lines end in ``\\n``.  Integer arrays (the ID
+lists of ``ids.json``, the ``map.csv`` grid, ``--dense`` distances) are
+written by one numpy kernel, ``int_lines``, which gives the same bytes as
+``str`` of each entry without a Python object per entry, a fixed chunk of
+entries at a time.  Every plan or config file is parsed by ``read_json``,
+and every value read from one or from a flag goes through ``read_value``.
 """
 
 from __future__ import annotations
@@ -19,9 +21,69 @@ from typing import NamedTuple
 
 import numpy as np
 
-# Array entries rendered per piece by ``json_chunks``: fixed, so a
-# writer's memory does not grow with the array.
+# Array entries rendered per piece by ``int_chunks`` (a piece of an
+# ``ids.json`` list, rows of ``map.csv``): fixed, so a writer's memory does
+# not grow with the array.
 _JSON_CHUNK = 8192
+
+# Row k: the four ASCII digits of k, zero-padded.  Built in uint8, with no
+# wider temporary.  ``_DIGITS[k]`` is that row read as one uint32, and
+# ``_SHOWN[k]`` marks, in the same four bytes, the digits of k after its
+# leading zeros (none for 0).
+_DIGIT_ROWS = np.ascontiguousarray((np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1) + 48).T)
+_DIGITS = _DIGIT_ROWS.view(np.uint32).ravel()
+_SHOWN = np.maximum.accumulate(_DIGIT_ROWS != ord("0"), axis=1).view(np.uint32).ravel()
+
+
+def int_lines(values: np.ndarray) -> str:
+    """``csv_text(None, values.tolist())`` of a 2-D integer array, of any
+    integer dtype, computed in numpy: each magnitude is cut into base-10**4
+    limbs whose digits come from a table, and one mask drops the leading
+    zeros.  Anything but a 2-D integer array is a TypeError."""
+    if not isinstance(values, np.ndarray) or values.ndim != 2 or values.dtype.kind not in "iu":
+        kind = getattr(values, "dtype", type(values).__name__)
+        raise TypeError(f"int_lines needs a 2-D integer array, got {kind} {np.shape(values)}")
+    rows, cols = values.shape
+    if not values.size:
+        return "\n" * rows
+    flat = values.ravel()
+    neg = flat < 0
+    mag = flat.astype(np.uint64)
+    np.negative(mag, out=mag, where=neg)  # modulo 2**64, so exact for the int64 minimum too
+    limbs = -(-len(str(mag.max())) // 4)
+    # Each entry is four bytes (the separator before it, two unused, its
+    # sign) then four per limb, most significant first.
+    text = np.empty((flat.size, limbs + 1), np.uint32)
+    keep = np.zeros_like(text)
+    rest = mag
+    for j in range(limbs, 0, -1):  # least significant limb first; the top one has nothing above it
+        rest, limb = np.divmod(rest, 10**4) if j > 1 else (0, rest)
+        limb = limb.view(np.int64)  # below 10**4, and int64 indexes faster
+        text[:, j] = _DIGITS[limb]
+        keep[:, j] = np.where(rest > 0, np.uint32(0xFFFFFFFF), _SHOWN[limb])
+    text, keep = text.view(np.uint8), keep.view(bool)
+    text[:, 0] = ord(",")
+    text.reshape(rows, cols, -1)[:, 0, 0] = ord("\n")  # a row's first entry follows a line end
+    text[:, 3] = ord("-")
+    keep[1:, 0] = True
+    keep[:, 3] = neg
+    keep[:, -1] = True  # the units digit, shown even for 0
+    return text[keep].tobytes().decode("ascii") + "\n"
+
+
+def int_chunks(values: np.ndarray) -> Iterator[str]:
+    """The text of ``int_lines(values)`` in pieces of at most ``_JSON_CHUNK``
+    entries: whole rows, or pieces of one row when it is longer."""
+    rows, cols = values.shape
+    if cols <= _JSON_CHUNK:
+        step = _JSON_CHUNK // max(cols, 1)
+        for lo in range(0, rows, step):
+            yield int_lines(values[lo : lo + step])
+        return
+    for row in values:
+        for lo in range(0, cols, _JSON_CHUNK):
+            text = int_lines(row[None, lo : lo + _JSON_CHUNK])
+            yield text if lo + _JSON_CHUNK >= cols else text[:-1] + ","
 
 
 def json_text(doc) -> str:
@@ -32,12 +94,12 @@ def json_text(doc) -> str:
 def json_chunks(doc) -> Iterator[str]:
     """The text of ``json_text(doc)``, in pieces, where ``doc`` may hold
     1-D integer arrays as values of its objects (or be one): each is
-    written as its list a fixed chunk of entries at a time, so neither the
-    list nor its text is ever held whole."""
+    written by ``int_chunks`` as one row, so neither its list nor its text
+    is ever held whole."""
     if isinstance(doc, np.ndarray):
         yield "["
-        for lo in range(0, len(doc), _JSON_CHUNK):
-            yield ("," if lo else "") + ",".join(map(str, doc[lo : lo + _JSON_CHUNK].tolist()))
+        for piece in int_chunks(doc[None]):
+            yield piece.removesuffix("\n")
         yield "]"
     elif isinstance(doc, dict):
         for i, (key, value) in enumerate(doc.items()):

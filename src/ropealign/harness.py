@@ -254,11 +254,10 @@ def _mode_geometry(plan: LayoutPlan, idmap: PositionIdMap) -> ModeGeometry:
         d = np.abs(high_ids - ids[plan.cell_slots(thumb)][np.ix_(tr, tc)])
         pair_mean = int(d.sum()) / d.size
 
-    image = [plan.cell_slots(s).ravel() for s in (thumb, high) if s is not None]
+    image = plan.image_slots()
     post_mean = None
     post_max = None
-    if image:
-        image = np.concatenate(image)
+    if image.size:
         # A text segment's cells fill its range.
         post = [
             np.arange(start, stop)

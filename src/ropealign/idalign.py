@@ -63,6 +63,10 @@ class GridMapping:
             raise ValueError("mapped ids must be nondecreasing along rows and columns")
 
     def to_csv(self) -> str:
+        """The grid as CSV, one ``str`` per entry on purpose: it is the
+        independent reference that the benchmark's output checks compare
+        ``map.csv``, written by ``codec.int_lines``, against, so it must
+        not share that kernel."""
         return csv_text(None, self.ids.tolist())
 
 
@@ -252,11 +256,10 @@ def id_span_report(
     ``baseline`` and ``id_align`` are the plan's maps under this policy
     when the caller already has them; a missing one is computed.
     """
-    slots = [plan.cell_slots(s).ravel() for s in (plan.thumbnail(), plan.highres()) if s is not None]
-    slots = np.concatenate(slots) if slots else None
+    slots = plan.image_slots()
 
     def span(idmap: PositionIdMap) -> int:
-        return 0 if slots is None else int(np.ptp(idmap.ids[slots]))
+        return int(np.ptp(idmap.ids[slots])) if slots.size else 0
 
     if baseline is None:
         baseline = assign_position_ids(plan, "baseline", separator_policy)

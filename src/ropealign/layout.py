@@ -299,6 +299,12 @@ class LayoutPlan:
         rows, cells, tail = seg.runs()
         return start + (cells + tail) * np.arange(rows)[:, None] + np.arange(cells)
 
+    def image_slots(self) -> np.ndarray:
+        """The slots of the thumbnail's cells, then of the high-res grid's,
+        as one 1-D array; empty when the plan has neither grid."""
+        grids = [seg for seg in (self.thumbnail(), self.highres()) if seg is not None]
+        return np.concatenate([np.zeros(0, np.int64)] + [self.cell_slots(seg).ravel() for seg in grids])
+
 
 @contextmanager
 def allocating_slots(plan: LayoutPlan):

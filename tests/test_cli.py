@@ -13,13 +13,14 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import ropealign
 from ropealign import GridShape, LayoutPlan, RopeConfig, decay_profile, harness, idalign
-from ropealign import cli
+from ropealign import cli, codec
 from ropealign.cli import main
 from ropealign.codec import csv_lines, csv_text
 
@@ -988,6 +989,39 @@ def test_dense_csv_is_streamed(tmp_path, capsys):
     assert path.read_text() == csv_text(roles, values.tolist())
     assert size > 3_000_000
     assert peak < size / 10, (peak, size)
+
+
+def test_mapping_csv_is_written_a_chunk_at_a_time(tmp_path, capsys):
+    """map.csv of a 400 x 5000 grid (2.0 M entries, six digits each) is
+    written by ``int_chunks``, whose traced peak above what is held when
+    writing starts (the grid among it) is at most 64 bytes per entry of
+    one chunk: about 0.5 MB, where one kernel call on the whole grid
+    takes about 65 MB."""
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"segments": [
+        {"kind": "text", "len": 100_000}, {"kind": "thumb", "rows": 24, "cols": 24},
+        {"kind": "highres", "rows": 400, "cols": 5000},
+    ], "patch_size": 14}))  # fmt: skip
+    peaks = []
+
+    def measured(grid):
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        yield from codec.int_chunks(grid)
+        peaks.append(tracemalloc.get_traced_memory()[1] - held)
+
+    argv = ["assign-ids", "--plan", str(plan), "--mode", "id_align", "--out", str(tmp_path / "ids.json")]
+    tracemalloc.start()
+    try:
+        with mock.patch.object(cli, "int_chunks", measured):
+            assert main(argv + ["--mapping-csv", str(tmp_path / "map.csv")]) == 0
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 1 and peaks[0] <= 64 * codec._JSON_CHUNK, peaks
+    with open(tmp_path / "map.csv") as f:
+        first = f.readline()
+        assert first.startswith("100000,100000,") and len(first) == 7 * 5000
+        assert sum(1 for _ in f) == 399
 
 
 def test_dense_report_holds_no_dense_matrix(tmp_path, capsys):

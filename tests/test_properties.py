@@ -49,7 +49,7 @@ from ropealign import (
     token_counts,
 )
 from ropealign import cli, codec, harness, layout
-from ropealign.codec import REQUIRED, csv_lines, json_chunks
+from ropealign.codec import REQUIRED, csv_lines, csv_text, int_chunks, int_lines, json_chunks
 from ropealign.layout import SEGMENT_KINDS
 
 dims = st.sampled_from([2, 4, 8, 64, 128])
@@ -439,6 +439,68 @@ def test_json_chunks_equal_json_dumps(doc, chunk):
     assert text == json.dumps(_as_lists(doc), separators=(",", ":"))
 
 
+_INT_DTYPES = (np.int8, np.int32, np.int64, np.uint8, np.uint64)
+# Every 10**k - 1 and 10**k a uint64 holds, and their negatives.
+_DECIMAL_EDGES = sorted({s * (10**k + e) for k in range(20) for e in (-1, 0) for s in (1, -1)})
+_INT_EDGES = _DECIMAL_EDGES + [-(2**63), 2**63 - 1, 2**64 - 1]
+
+
+def _int_arrays(dtype, shape=_shapes):
+    """Arrays of ``dtype`` whose entries favour the decimal edges, sign and
+    the dtype's limits."""
+    info = np.iinfo(dtype)
+    edges = [v for v in _INT_EDGES + [info.min, info.max] if info.min <= v <= info.max]
+    elements = st.one_of(st.sampled_from(edges), st.integers(info.min, info.max))
+    return arrays(dtype, shape, elements=elements)
+
+
+@given(st.sampled_from(_INT_DTYPES).flatmap(_int_arrays))
+@settings(max_examples=500, deadline=None)
+def test_int_lines_equal_str_of_each_entry(values):
+    assert int_lines(values) == csv_text(None, values.tolist())
+
+
+@pytest.mark.parametrize("dtype", _INT_DTYPES + (np.int16, np.uint16, np.uint32), ids=lambda t: t.__name__)
+def test_int_lines_at_every_decimal_edge(dtype):
+    """Each 10**k - 1 and 10**k, the limits of the dtype (int64's minimum
+    has no positive counterpart, uint64's maximum has 20 digits), in one
+    row, in one column, and in shapes with no rows or no columns."""
+    info = np.iinfo(dtype)
+    edges = np.array([v for v in _INT_EDGES + [info.min, info.max] if info.min <= v <= info.max], dtype)
+    for values in (edges[None], edges[:, None], edges[: len(edges) // 2 * 2].reshape(2, -1)):
+        assert int_lines(values) == csv_text(None, values.tolist())
+    for shape in ((0, 0), (0, 3), (3, 0)):
+        assert int_lines(np.zeros(shape, dtype)) == csv_text(None, np.zeros(shape, dtype).tolist())
+
+
+@pytest.mark.parametrize(
+    "values",
+    [np.zeros((2, 2)), np.zeros((2, 2), bool), np.zeros(3, np.int64), np.zeros((1, 1, 1), np.int64), [[1]]],
+    ids=["float", "bool", "1-D", "3-D", "list"],
+)
+def test_int_lines_refuses_other_arrays(values):
+    with pytest.raises(TypeError, match="2-D integer array"):
+        int_lines(values)
+
+
+_wide_shapes = st.tuples(st.integers(0, 4), st.integers(0, 12))
+
+
+@given(st.sampled_from(_INT_DTYPES).flatmap(lambda dtype: _int_arrays(dtype, _wide_shapes)), st.integers(1, 9))
+@settings(max_examples=300, deadline=None)
+def test_int_chunks_join_to_int_lines(values, chunk):
+    """Pieces of whole rows, or of one row cut where it is longer than a
+    chunk, join to the kernel's text, and no piece holds more entries than
+    a chunk."""
+    calls = []
+    with mock.patch.object(codec, "_JSON_CHUNK", chunk), mock.patch.object(
+        codec, "int_lines", side_effect=lambda v: calls.append(v.size) or int_lines(v)
+    ):
+        text = "".join(int_chunks(values))
+    assert text == int_lines(values)
+    assert max(calls, default=0) <= chunk
+
+
 @given(
     st.lists(
         st.tuples(st.integers(0, 2**62), _finite_floats, _finite_floats.map(abs)), max_size=8
@@ -545,13 +607,17 @@ def test_plan_json_round_trip(plan):
 @settings(max_examples=150, deadline=None)
 def test_table_slots_match_slot_roles(plan):
     """Each segment's ``cell_slots`` are, row by row, the slots that
-    enumerating ``slot_roles()`` gives its role inside its range."""
+    enumerating ``slot_roles()`` gives its role inside its range, and
+    ``image_slots`` are the thumbnail's slots, then the high-res grid's."""
     roles = plan.slot_roles()
     for seg, start, stop in segment_ranges(plan):
         assert set(roles[start:stop]) <= {seg.KIND, "separator"}
         rows, cells, _tail = seg.runs()
         want = [i for i in range(start, stop) if roles[i] == seg.KIND]
         assert plan.cell_slots(seg).tolist() == [want[r * cells : (r + 1) * cells] for r in range(rows)]
+    image = plan.image_slots()
+    assert image.dtype == np.int64
+    assert image.tolist() == [i for kind in ("thumb", "highres") for i, r in enumerate(roles) if r == kind]
 
 
 def test_cell_slots_of_a_foreign_segment_rejected():
