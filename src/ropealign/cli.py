@@ -8,7 +8,8 @@ attention-report.  Outputs are CSV for profiles, score summaries and
 Every option is declared once, in ``OPTIONS``.  Parameter precedence per
 subcommand: command-line flags, then an optional JSON config file
 (``--config``), then the table's defaults; whatever its source, each
-value is read through one typed check.  If the environment variable
+value is read through one typed check and, for a spec string, parsed
+right after it.  If the environment variable
 ``ROPEALIGN_OUTPUT_DIR`` is set, relative output paths are created under
 it; input paths are untouched.
 """
@@ -33,13 +34,14 @@ from .codec import csv_lines, int_chunks, json_chunks, json_text, read_json, rea
 from .decay import decay_profile
 from .harness import (
     TokenPopulation,
+    _distance_blocks,
     alignment_gain_report,
     attention_summary,
     population_constant,
     population_gaussian,
     score_blocks,
 )
-from .idalign import assign_position_ids, id_span_report
+from .idalign import MODES, SEPARATOR_POLICIES, assign_position_ids, id_span_report
 from .layout import LayoutPlan, Resolution, build_layout, token_counts
 from .rope import RopeConfig
 
@@ -144,7 +146,7 @@ OPTIONS = (
         "cap the selection score at the input's native pixel count", _PLAN,
     ),
     Option("order", ("thumb-first", "high-first"), "thumb-first", "image block order", _PLAN),
-    Option("mode", ("baseline", "id_align", "both"), "both", "ID maps to emit", ("assign-ids",)),
+    Option("mode", (*MODES, "both"), "both", "ID maps to emit", ("assign-ids",)),
     Option("dim", int, 64, "head dimension, even", _ROPE),
     Option("theta", float, 1e4, "frequency base, 1e7 also common", _ROPE),
     Option("mu", str, "ones:1.0", "mean preset for both vectors: zeros | ones:C", _DECAY, _parse_mu),
@@ -164,8 +166,8 @@ OPTIONS = (
         "also write the dense N x N distance and score CSVs (large: N^2 cells each)", _REPORT,
     ),
     Option(
-        "separator_policy", ("inherit-row-end", "sequential-after-image"), "inherit-row-end",
-        "separator IDs in aligned mode", _MAPS,
+        "separator_policy", SEPARATOR_POLICIES, "inherit-row-end", "separator IDs in aligned mode",
+        _MAPS,
     ),
     Option(
         "mapping_csv", str, None, "also write the high-res ID mapping grid as CSV", ("assign-ids",)
@@ -200,8 +202,9 @@ _FLAGS = [(opt, *_flag(opt)) for opt in OPTIONS]
 
 
 def _merged(args: argparse.Namespace) -> dict:
-    """Typed values of the options of ``args.command``: flag over config
-    over default, each read by ``codec.read_value``."""
+    """Final values of the options of ``args.command``: flag over config
+    over default, each read by ``codec.read_value`` and then, for a spec
+    string, by its option's ``parse``."""
     options = [opt for opt in OPTIONS if args.command in opt.commands]
     cfg = {}
     if args.config:
@@ -219,6 +222,8 @@ def _merged(args: argparse.Namespace) -> dict:
             out[opt.name] = read_value(opt, flag)
         else:  # a default never fails, so only a config value is named with its file
             out[opt.name] = read_value(opt, cfg.get(opt.name, opt.default), args.config or "")
+        if opt.parse:
+            out[opt.name] = _parse(out, opt.name, opt.parse)
     return out
 
 
@@ -229,15 +234,6 @@ def _parse(opts: dict, key: str, parser, *args):
         return parser(opts[key], *args)
     except (ValueError, MemoryError, OverflowError) as exc:
         raise ValueError(f"{key}: {exc}") from None
-
-
-def _parsed(opts: dict) -> dict:
-    """``opts`` with each spec string read by its option's ``parse``."""
-    out = dict(opts)
-    for opt in OPTIONS:
-        if opt.parse and opt.name in opts:
-            out[opt.name] = _parse(opts, opt.name, opt.parse)
-    return out
 
 
 def _parse_pop(spec: str, plan: LayoutPlan, config: RopeConfig) -> TokenPopulation:
@@ -281,7 +277,6 @@ def _plan_from(opts: dict) -> LayoutPlan:
             return LayoutPlan.from_doc(doc)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-    opts = _parsed(opts)
     return build_layout(
         pre_text=opts["pre"],
         input=opts["input"],
@@ -301,7 +296,6 @@ def cmd_simulate_decay(opts: dict) -> int:
     if opts["seed"] < 0:
         raise ValueError(f"seed: must be non-negative, got {opts['seed']}")
     config = RopeConfig(dim=opts["dim"], theta_base=opts["theta"])
-    opts = _parsed(opts)
     mu = _parse(opts, "dim", np.full, opts["mu"])
     profile = decay_profile(
         mu,
@@ -363,19 +357,16 @@ def cmd_attention_report(opts: dict) -> int:
     policy = opts["separator_policy"]
     out_dir = opts["out_dir"]
     # The maps first: a plan too large to allocate is reported as such, not under "pop".
-    maps = {
-        "baseline": assign_position_ids(plan, "baseline", policy),
-        "id_align": assign_position_ids(plan, "id_align", policy),
-    }
+    maps = {mode: assign_position_ids(plan, mode, policy) for mode in MODES}
     pop = _parse(opts, "pop", _parse_pop, plan, config)
     score_opts = {"normalize": opts["normalize"], "scale": opts["scale"]}
     for name, idmap in maps.items():
         # Summed first: a score error then stops the run before any file of the mode is opened.
         summary = attention_summary(pop, idmap, config, **score_opts)
         if opts["dense"]:  # each matrix streamed a block at a time: no N x N array is held
-            blocks = functools.partial(score_blocks, pop, idmap, config, **score_opts)
-            distance = (text for dist, _scores in blocks() for text in int_chunks(dist))
-            scores = csv_lines(None, (row.tolist() for _dist, block in blocks() for row in block))
+            distance = (text for dist in _distance_blocks(idmap.ids) for text in int_chunks(dist))
+            blocks = score_blocks(pop, idmap, config, **score_opts)
+            scores = csv_lines(None, (row.tolist() for _dist, block in blocks for row in block))
             for kind, body in (("distance", distance), ("scores", scores)):
                 path = os.path.join(out_dir, f"{kind}_{name}.csv")
                 _emit(path, itertools.chain(csv_lines(pop.roles, ()), body))

@@ -5,13 +5,15 @@ geometric consequences of an ID assignment visible: rotary-modulated
 scores by relative distance, a role-by-distance summary of them, and a
 small report comparing baseline and aligned assignments on the same plan.
 
-``score_blocks`` is the one walk over the scores: it yields blocks of
-``_BLOCK_ROWS`` query rows, each block's |id_i - id_j| rows with its
-score rows, so its memory is O(block * slots).  ``attention_summary``
-folds the blocks into per-group counts, sums and maxima;
-``attention_scores`` stacks them into the dense matrix; the CLI's
-``--dense`` writer streams them a row at a time.  The bytes depend
-neither on the thread count nor on the BLAS library.
+``_distance_blocks`` is the one home of |id_i - id_j|: it yields blocks
+of ``_BLOCK_ROWS`` query rows from the IDs alone.  ``score_blocks`` is
+the one walk over the scores: it pairs each of those distance blocks
+with its score rows, so its memory is O(block * slots).
+``attention_summary`` folds the pairs into per-group counts, sums and
+maxima; ``attention_scores`` stacks the scores into the dense matrix.
+The CLI's ``--dense`` writer streams the score rows a row at a time and
+the distance rows straight from ``_distance_blocks``, with no rotation.
+The bytes depend neither on the thread count nor on the BLAS library.
 """
 
 from __future__ import annotations
@@ -78,6 +80,14 @@ def population_gaussian(
     return TokenPopulation(vectors=vectors, roles=roles)
 
 
+def _distance_blocks(ids: np.ndarray) -> Iterator[np.ndarray]:
+    """|id_i - id_j| for each block of ``_BLOCK_ROWS`` query rows, in
+    row order; the one home of the distance formula."""
+    for lo in range(0, len(ids), _BLOCK_ROWS):
+        dist = ids[lo : lo + _BLOCK_ROWS, None] - ids
+        yield np.abs(dist, out=dist)  # in place: one block-sized temporary fewer at the peak
+
+
 def score_blocks(
     pop: TokenPopulation,
     idmap: PositionIdMap,
@@ -86,10 +96,10 @@ def score_blocks(
     scale: bool = True,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The distance rows and score rows of each block of ``_BLOCK_ROWS``
-    query rows, in row order: distance(i, j) = |id_i - id_j| and
-    score(i, j) = rotated(v_i, id_i) . rotated(v_j, id_j), optionally
-    divided by sqrt(dim) and row-softmaxed.  The one home of both
-    formulas; the population is rotated once per call.
+    query rows, in row order: the distance block is ``_distance_blocks``'
+    |id_i - id_j|, and score(i, j) = rotated(v_i, id_i) . rotated(v_j, id_j),
+    optionally divided by sqrt(dim) and row-softmaxed.  The one home of
+    the score formula; the population is rotated once per call.
     """
     if pop.vectors.shape[0] != len(idmap.ids):
         raise ValueError("population size must match the id map")
@@ -97,11 +107,11 @@ def score_blocks(
         raise ValueError(f"population dim {pop.vectors.shape[1]} != config dim {config.dim}")
     ids = idmap.ids
     rotated = apply_rope_many(pop.vectors, ids.astype(np.float64), config)
+    distances = _distance_blocks(ids)
     for lo in range(0, len(ids), _BLOCK_ROWS):
-        hi = lo + _BLOCK_ROWS
         # einsum, not BLAS: a threaded matmul changes the low bits with the
         # BLAS thread count, and the scores must not.
-        scores = np.einsum("ik,jk->ij", rotated[lo:hi], rotated)
+        scores = np.einsum("ik,jk->ij", rotated[lo : lo + _BLOCK_ROWS], rotated)
         if scale:
             scores = scores / np.sqrt(config.dim)
         if normalize:
@@ -110,8 +120,7 @@ def score_blocks(
             scores = scores / scores.sum(axis=1, keepdims=True)
         if not np.all(np.isfinite(scores)):
             raise ValueError("scores must be finite")
-        dist = ids[lo:hi, None] - ids
-        yield np.abs(dist, out=dist), scores  # in place: one block-sized temporary fewer at the peak
+        yield next(distances), scores  # drawn after the scores, as their peak has passed
 
 
 def attention_scores(

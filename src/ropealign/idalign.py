@@ -3,10 +3,11 @@
 Baseline assignment numbers every slot sequentially.  The aligned mode
 instead gives each high-resolution token the ID of the thumbnail token
 covering the same image region, so the ID span of the image stays at the
-thumbnail's size no matter how many high-resolution tokens follow.  A
-brute-force rectangle-intersection oracle defines "same image region"
-independently of the interpolation arithmetic, so the two can be checked
-against each other.
+thumbnail's size no matter how many high-resolution tokens follow.
+``correspondence_oracle`` defines "same image region" by an exact
+per-axis interval test in integers, independently of the interpolation
+arithmetic, so the two can be checked against each other; the tests
+check that oracle in turn against a floating-point rectangle overlap.
 """
 
 from __future__ import annotations

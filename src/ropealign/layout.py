@@ -382,23 +382,15 @@ def select_resolution(
     input's own pixel count, which stops upscaling beyond native size
     from counting as gain.
     """
-    cands = list(candidates)
-    if not cands:
+    if not candidates:
         raise ValueError("candidate list must be non-empty")
-    best = cands[0]
-    best_effective = -1
-    best_wasted = 0
-    for cand in cands:
+
+    def score(cand: Resolution) -> tuple[int, int]:
         h, w = _scaled_size(input, cand)
-        effective = h * w
-        if cap_effective_at_input:
-            effective = min(effective, input.area)
-        wasted = cand.area - effective
-        if effective > best_effective or (effective == best_effective and wasted < best_wasted):
-            best = cand
-            best_effective = effective
-            best_wasted = wasted
-    return best
+        effective = min(h * w, input.area) if cap_effective_at_input else h * w
+        return effective, effective - cand.area  # the second is minus the wasted area
+
+    return max(candidates, key=score)  # max keeps the first of equal scores
 
 
 def fit_with_padding(input: Resolution, target: Resolution) -> PaddedPlacement:

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import ropealign
-from ropealign import GridShape, LayoutPlan, RopeConfig, decay_profile, harness, idalign
+from ropealign import GridShape, LayoutPlan, Resolution, RopeConfig, decay_profile, harness, idalign
 from ropealign import cli, codec
 from ropealign.cli import main
 from ropealign.codec import csv_lines, csv_text
@@ -174,6 +174,67 @@ def test_bad_spec_names_option_and_spec(argv, key, spec, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key}: ") and repr(spec) in err, err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["simulate-decay", "--mu", "ones:nan"], "error: mean vector entries must be finite\n"),
+        (["simulate-decay", "--distances", "3,1"], "error: distances must be strictly increasing\n"),
+        (["simulate-decay", "--seed", "-1"], "error: seed: must be non-negative, got -1\n"),
+        (["simulate-decay", "--threads", "0"], "error: threads must be at least 1, got 0\n"),
+        (["plan-layout", "--patch", "0"], "error: patch_size must be positive\n"),
+    ],
+)
+def test_bad_value_is_one_error_line(argv, err, tmp_path, capsys):
+    small = ["--dim", "4", "--samples", "8"] if argv[0] == "simulate-decay" else []
+    assert main(argv + small + ["--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == err
+    assert not (tmp_path / "o").exists()
+
+
+def test_plan_file_with_zero_patch_size_exits_2(tmp_path, capsys):
+    plan = tmp_path / "plan.json"
+    plan.write_text('{"segments":[{"kind":"thumb","rows":2,"cols":3}],"patch_size":0}')
+    assert main(["assign-ids", "--plan", str(plan), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {plan}: patch_size must be positive\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_lin_distances_and_zero_mean(tmp_path, capsys):
+    """``lin:0..10:3`` is the distances 0, 5, 10, and ``--mu zeros`` the
+    zero mean, as the library computes them."""
+    argv = ["simulate-decay", "--dim", "4", "--samples", "8", "--seed", "2"]
+    config = RopeConfig(dim=4)
+    assert main(argv + ["--distances", "lin:0..10:3", "--out", str(tmp_path / "lin.csv")]) == 0
+    want = decay_profile(np.ones(4), np.ones(4), [0, 5, 10], samples=8, seed=2, config=config)
+    assert (tmp_path / "lin.csv").read_text() == want.to_csv()
+    assert main(argv + ["--distances", "0,1", "--mu", "zeros", "--out", str(tmp_path / "zeros.csv")]) == 0
+    want = decay_profile(np.zeros(4), np.zeros(4), [0, 1], samples=8, seed=2, config=config)
+    assert (tmp_path / "zeros.csv").read_text() == want.to_csv()
+
+
+@pytest.mark.parametrize("command", ["assign-ids", "attention-report"])
+@pytest.mark.parametrize(
+    "flag, spec, err",
+    [
+        ("--input", "axb", "error: input: bad resolution 'axb', expected HEIGHTxWIDTH\n"),
+        ("--vit", "1x", "error: vit: bad resolution '1x', expected HEIGHTxWIDTH\n"),
+        ("--candidates", "zz", "error: candidates: bad resolution 'zz', expected HEIGHTxWIDTH\n"),
+    ],
+    ids=["input", "vit", "candidates"],
+)
+def test_bad_inline_plan_flag_beside_plan_exits_2(command, flag, spec, err, tmp_path, capsys):
+    """A spec string is parsed as it is read, so a malformed inline plan
+    flag is an error even where ``--plan`` leaves it unused."""
+    plan = tmp_path / "plan.json"
+    plan.write_text('{"segments":[{"kind":"thumb","rows":2,"cols":3}],"patch_size":14}')
+    out = tmp_path / "o"
+    argv = [command, "--plan", str(plan), "--out-dir" if command == "attention-report" else "--out", str(out)]
+    assert main(argv + [flag, spec]) == 2
+    assert capsys.readouterr().err == err
+    assert not out.exists()
+    assert main(argv) == 0 and out.exists()
 
 
 class TestPlanLayout:
@@ -476,6 +537,21 @@ class TestAttentionReport:
         assert capsys.readouterr().err == "error: scores must be finite\n"
         assert not (tmp_path / "rep").exists()
 
+    def test_dense_rotates_twice_per_mode(self, tmp_path, capsys):
+        """--dense walks the scores once more per mode, for the score
+        matrix; the distance matrix is |id_i - id_j| of the IDs alone."""
+        argv = ["attention-report"] + SMALL_PLAN_ARGS + ["--dim", "8", "--out-dir", str(tmp_path)]
+        with mock.patch.object(harness, "apply_rope_many", wraps=harness.apply_rope_many) as rope:
+            assert main(argv) == 0
+            assert rope.call_count == 2
+            assert main(argv + ["--dense"]) == 0
+            assert rope.call_count == 2 + 4
+        plan = cli._plan_from(cli._merged(cli.build_parser().parse_args(argv)))
+        for mode in ("baseline", "id_align"):
+            ids = idalign.assign_position_ids(plan, mode).ids
+            want = csv_text(plan.slot_roles(), np.abs(ids[:, None] - ids).tolist())
+            assert (tmp_path / f"distance_{mode}.csv").read_text() == want
+
     def test_files_equal_library_text(self, tmp_path, capsys):
         """By default only the summaries and the gain report are written;
         --dense adds the dense CSVs.  Each equals the library's text."""
@@ -639,6 +715,16 @@ DEFAULTS = {
     "scale": True, "dense": False, "separator_policy": "inherit-row-end", "out_dir": ".",
     "plan": None, "mapping_csv": None, "out": None,
 }  # fmt: skip
+# What ``_merged`` holds for the defaults that are spec strings: their parsed values.
+PARSED_DEFAULTS = {
+    "input": Resolution(336, 336), "vit": Resolution(336, 336),
+    "candidates": [
+        Resolution(672, 672), Resolution(336, 672), Resolution(672, 336),
+        Resolution(1008, 336), Resolution(336, 1008),
+    ],
+    "distances": [0, 1, 2, 3, 4, 6, 10, 16, 25, 40, 64, 102, 161, 256, 406, 645, 1024],
+    "mu": 1.0,
+}  # fmt: skip
 
 
 class TestOptionTable:
@@ -671,8 +757,13 @@ class TestOptionTable:
 
     @pytest.mark.parametrize("command", sorted(CONFIG_KEYS))
     def test_defaults(self, command):
+        """``_merged`` holds each option's final value: the default, or for
+        a spec string the default parsed, of exactly the default's type."""
         args = cli.build_parser().parse_args([command])
-        assert cli._merged(args) == {k: DEFAULTS[k] for k in CONFIG_KEYS[command]}
+        got = cli._merged(args)
+        want = {k: PARSED_DEFAULTS.get(k, DEFAULTS[k]) for k in CONFIG_KEYS[command]}
+        assert got == want
+        assert {k: type(v) for k, v in got.items()} == {k: type(v) for k, v in want.items()}
 
     def test_main_calls_share_one_parser(self, monkeypatch, capsys):
         """The parser is built once per process, and a call's flags do not

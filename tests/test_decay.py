@@ -312,11 +312,18 @@ class TestDecayProfile:
         with pytest.raises(ValueError):
             decay_profile(np.zeros(4), np.zeros(4), [3, 3], samples=100, seed=0, config=RopeConfig(dim=4))
 
+    def test_negative_distance_rejected(self):
+        with pytest.raises(ValueError, match="distances must be non-negative"):
+            decay_profile(np.zeros(4), np.zeros(4), [-1, 0], samples=100, seed=0, config=RopeConfig(dim=4))
+
     def test_profile_validation(self):
         with pytest.raises(ValueError):
             DecayProfile(distances=(0, 1), mean_dot=(0.0,), stderr=(0.0, 0.0), sample_count=10)
         with pytest.raises(ValueError):
             DecayProfile(distances=(0, 1), mean_dot=(0.0, 0.0), stderr=(0.0, -1.0), sample_count=10)
+        for distances in [(1, 1), (2, 1)]:
+            with pytest.raises(ValueError, match="strictly increasing"):
+                DecayProfile(distances=distances, mean_dot=(0.0, 0.0), stderr=(0.0, 0.0), sample_count=10)
         for mean, err in [(np.nan, 0.0), (np.inf, 0.0), (0.0, np.inf), (0.0, np.nan)]:
             with pytest.raises(ValueError, match="must be finite"):
                 DecayProfile(distances=(0, 1), mean_dot=(0.0, mean), stderr=(0.0, err), sample_count=10)

@@ -321,6 +321,15 @@ class TestTokenPopulation:
         with pytest.raises(ValueError):
             TokenPopulation(vectors=np.array([[np.inf, 0.0]]), roles=("text",))
 
+    @pytest.mark.parametrize(
+        "vectors, n_roles, message",
+        [(np.zeros(3), 3, "2D array"), (np.zeros((3, 2)), 2, "one role per vector")],
+        ids=["1-D", "role-count"],
+    )
+    def test_bad_shape_rejected(self, vectors, n_roles, message):
+        with pytest.raises(ValueError, match=message):
+            TokenPopulation(vectors=vectors, roles=("text",) * n_roles)
+
 
 class TestAlignmentGainReport:
     """Geometry comparison between the two modes."""

@@ -14,6 +14,7 @@ import pytest
 
 from ropealign import (
     CorrespondencePair,
+    GridMapping,
     GridShape,
     HighResGrid,
     LayoutPlan,
@@ -134,6 +135,25 @@ class TestMapHighresIds:
     def test_csv_rows(self):
         m = map_highres_ids(GridShape(2, 2), GridShape(2, 2), base=0)
         assert m.to_csv() == "0,1\n2,3\n"
+
+
+class TestGridMapping:
+    """A mapping checks its own grid, whatever built it."""
+
+    @pytest.mark.parametrize(
+        "ids, base, message",
+        [
+            ([[0, 1, 2]], 0, "does not match the declared shape"),
+            ([[0, 1], [2, 3]], -1, "base must be non-negative"),
+            ([[4, 5], [6, 7]], 5, "at least base"),
+            ([[1, 0], [2, 3]], 0, "nondecreasing"),
+            ([[2, 3], [0, 1]], 0, "nondecreasing"),
+        ],
+        ids=["shape", "negative-base", "below-base", "row-decreases", "column-decreases"],
+    )
+    def test_bad_mapping_rejected(self, ids, base, message):
+        with pytest.raises(ValueError, match=message):
+            GridMapping(shape=GridShape(2, 2), ids=np.array(ids), base=base)
 
 
 class TestCorrespondenceOracle:
@@ -393,6 +413,11 @@ class TestPositionIdMap:
         b = PositionIdMap(ids=(0, 1), max_pid=2, mode="baseline")
         assert a == a and a != b
         assert len({a, b}) == 2
+
+    @pytest.mark.parametrize("mode", ["both", "aligned", ""])
+    def test_bad_mode_rejected(self, mode):
+        with pytest.raises(ValueError, match="mode must be one of"):
+            PositionIdMap(ids=[0, 1], max_pid=2, mode=mode)
 
     def test_max_pid_must_match_ids(self):
         with pytest.raises(ValueError):

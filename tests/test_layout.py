@@ -67,6 +67,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             PaddedPlacement(Resolution(10, 10), Resolution(8, 8), offset_top=5, offset_left=0)
 
+    @pytest.mark.parametrize(
+        "top, left, message",
+        [(-1, 0, "non-negative"), (0, -1, "non-negative"), (0, 3, "fit inside"), (3, 0, "fit inside")],
+    )
+    def test_placement_offsets_checked(self, top, left, message):
+        with pytest.raises(ValueError, match=message):
+            PaddedPlacement(Resolution(10, 10), Resolution(8, 8), offset_top=top, offset_left=left)
+
     def test_at_most_one_thumbnail(self):
         thumb = ThumbnailGrid(GridShape(2, 2))
         with pytest.raises(ValueError):
@@ -181,6 +189,14 @@ class TestSelectResolution:
         input = Resolution(336, 336)
         reordered = list(reversed(FIVE_CANDIDATES))
         assert select_resolution(input, reordered) == Resolution(672, 672)
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_exact_tie_keeps_list_order(self, order):
+        """Both fit a 100x100 input at 100x100 and waste the same area:
+        the first listed wins."""
+        cands = [Resolution(200, 100), Resolution(100, 200)][::order]
+        assert select_resolution(Resolution(100, 100), cands) == cands[0]
+        assert selection_oracle(Resolution(100, 100), cands, cap=False) == cands[0]
 
     def test_capped_scoring_changes_choice(self):
         """Capping at native pixels makes upscaling worthless, so the
