@@ -107,9 +107,11 @@ def _parse_mu(spec: str) -> float:
     kind, _, arg = spec.partition(":")
     if kind == "ones":
         try:
-            return float(arg) if arg else 1.0
+            value = float(arg) if arg else 1.0
         except ValueError:
-            pass
+            value = math.nan
+        if math.isfinite(value):
+            return value
     raise ValueError(f"bad mean preset {spec!r}, expected 'zeros' or 'ones:C'")
 
 

@@ -6,14 +6,18 @@ scores by relative distance, a role-by-distance summary of them, and a
 small report comparing baseline and aligned assignments on the same plan.
 
 ``_distance_blocks`` is the one home of |id_i - id_j|: it yields blocks
-of ``_BLOCK_ROWS`` query rows from the IDs alone.  ``score_blocks`` is
-the one walk over the scores: it pairs each of those distance blocks
-with its score rows, so its memory is O(block * slots).
-``attention_summary`` folds the pairs into per-group counts, sums and
-maxima; ``attention_scores`` stacks the scores into the dense matrix.
-The CLI's ``--dense`` writer streams the score rows a row at a time and
-the distance rows straight from ``_distance_blocks``, with no rotation.
-The bytes depend neither on the thread count nor on the BLAS library.
+of ``_BLOCK_ROWS`` query rows from the IDs alone, against every key or
+against the upper triangle only.  ``_walk`` is the one home of the score
+formula: it pairs each of those distance blocks with its score rows, so
+its memory is O(block * slots).  ``score_blocks`` walks whole rows and
+softmaxes them on request; ``attention_scores`` stacks them into the
+dense matrix.  ``attention_summary`` folds each block into per-group
+counts, sums and maxima through ``_fold``; without softmax it walks the
+upper triangle and mirrors the off-diagonal part, as the scores are
+symmetric bit for bit.  The CLI's ``--dense`` writer streams
+``score_blocks``' rows a row at a time and the distance rows straight
+from ``_distance_blocks``, with no rotation.  The bytes depend neither
+on the thread count nor on the BLAS library.
 """
 
 from __future__ import annotations
@@ -80,12 +84,41 @@ def population_gaussian(
     return TokenPopulation(vectors=vectors, roles=roles)
 
 
-def _distance_blocks(ids: np.ndarray) -> Iterator[np.ndarray]:
+def _distance_blocks(ids: np.ndarray, upper: bool = False) -> Iterator[np.ndarray]:
     """|id_i - id_j| for each block of ``_BLOCK_ROWS`` query rows, in
-    row order; the one home of the distance formula."""
+    row order, against every key column or, with ``upper``, against the
+    columns from the block's first row on; the one home of the distance
+    formula."""
     for lo in range(0, len(ids), _BLOCK_ROWS):
-        dist = ids[lo : lo + _BLOCK_ROWS, None] - ids
+        dist = ids[lo : lo + _BLOCK_ROWS, None] - ids[lo if upper else 0 :]
         yield np.abs(dist, out=dist)  # in place: one block-sized temporary fewer at the peak
+
+
+def _walk(
+    pop: TokenPopulation, idmap: PositionIdMap, config: RopeConfig, scale: bool, upper: bool
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The distance and score blocks of ``score_blocks`` before any
+    softmax, with the key columns ``_distance_blocks`` takes; the one
+    home of the score formula.  The population is rotated once per call.
+    """
+    if pop.vectors.shape[0] != len(idmap.ids):
+        raise ValueError("population size must match the id map")
+    if pop.vectors.shape[1] != config.dim:
+        raise ValueError(f"population dim {pop.vectors.shape[1]} != config dim {config.dim}")
+    ids = idmap.ids
+    rotated = apply_rope_many(pop.vectors, ids.astype(np.float64), config)
+    distances = _distance_blocks(ids, upper)
+    for lo in range(0, len(ids), _BLOCK_ROWS):
+        # einsum, not BLAS: a threaded matmul changes the low bits with the
+        # BLAS thread count, and the scores must not.  Each cell is the same
+        # k-ordered sum whatever columns the block spans, and equal to its
+        # mirror cell bit for bit.
+        scores = np.einsum("ik,jk->ij", rotated[lo : lo + _BLOCK_ROWS], rotated[lo if upper else 0 :])
+        if scale:
+            scores /= np.sqrt(config.dim)
+        if not np.all(np.isfinite(scores)):
+            raise ValueError("scores must be finite")
+        yield next(distances), scores  # drawn after the scores, as their peak has passed
 
 
 def score_blocks(
@@ -98,29 +131,14 @@ def score_blocks(
     """The distance rows and score rows of each block of ``_BLOCK_ROWS``
     query rows, in row order: the distance block is ``_distance_blocks``'
     |id_i - id_j|, and score(i, j) = rotated(v_i, id_i) . rotated(v_j, id_j),
-    optionally divided by sqrt(dim) and row-softmaxed.  The one home of
-    the score formula; the population is rotated once per call.
+    optionally divided by sqrt(dim) and row-softmaxed.
     """
-    if pop.vectors.shape[0] != len(idmap.ids):
-        raise ValueError("population size must match the id map")
-    if pop.vectors.shape[1] != config.dim:
-        raise ValueError(f"population dim {pop.vectors.shape[1]} != config dim {config.dim}")
-    ids = idmap.ids
-    rotated = apply_rope_many(pop.vectors, ids.astype(np.float64), config)
-    distances = _distance_blocks(ids)
-    for lo in range(0, len(ids), _BLOCK_ROWS):
-        # einsum, not BLAS: a threaded matmul changes the low bits with the
-        # BLAS thread count, and the scores must not.
-        scores = np.einsum("ik,jk->ij", rotated[lo : lo + _BLOCK_ROWS], rotated)
-        if scale:
-            scores = scores / np.sqrt(config.dim)
-        if normalize:
-            scores = scores - scores.max(axis=1, keepdims=True)
+    for dist, scores in _walk(pop, idmap, config, scale, upper=False):
+        if normalize:  # in place: the same bits, no block-sized temporaries
+            scores -= scores.max(axis=1, keepdims=True)
             np.exp(scores, out=scores)
-            scores = scores / scores.sum(axis=1, keepdims=True)
-        if not np.all(np.isfinite(scores)):
-            raise ValueError("scores must be finite")
-        yield next(distances), scores  # drawn after the scores, as their peak has passed
+            scores /= scores.sum(axis=1, keepdims=True)
+        yield dist, scores
 
 
 def attention_scores(
@@ -161,6 +179,21 @@ class ScoreSummary:
         return csv_text(self.HEADER, self.rows)
 
 
+def _empty_table(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat count, score-sum and score-max tables of ``size`` groups."""
+    return np.zeros(size, dtype=np.int64), np.zeros(size), np.full(size, -np.inf)
+
+
+def _fold(table: tuple[np.ndarray, np.ndarray, np.ndarray], group: np.ndarray, scores: np.ndarray) -> None:
+    """Add one block of scores to ``table`` at their flat group indices;
+    the one home of the per-block fold."""
+    counts, sums, maxima = table
+    group, scores = group.ravel(), scores.ravel()
+    counts += np.bincount(group, minlength=counts.size)
+    sums += np.bincount(group, weights=scores, minlength=sums.size)
+    np.maximum.at(maxima, group, scores)
+
+
 def attention_summary(
     pop: TokenPopulation,
     idmap: PositionIdMap,
@@ -173,11 +206,16 @@ def attention_summary(
 
     Each block is folded into one table per (role pair, exact distance):
     counts and score sums by ``bincount``, score maxima by
-    ``maximum.at``, merged in block order.  Distance buckets are then
-    reduced from that table, so the distance columns are exact.  The
-    table spans distances up to the map's ID span, max(id) - min(id),
-    which for the maps ``assign_position_ids`` builds is below the slot
-    count.
+    ``maximum.at``, merged in block order.  Without ``normalize`` only the
+    upper triangle is walked, as score(i, j) = score(j, i) bit for bit:
+    each block runs from its first row's column on, its square folds as
+    it stands, and the rectangle right of it folds into a second table
+    that is added back twice, as it stands and with the query and key
+    roles swapped.  Softmax needs whole rows, so ``normalize`` walks them.
+    Distance buckets are then reduced from the table, so the distance
+    columns are exact.  The table spans distances up to the map's ID
+    span, max(id) - min(id), which for the maps ``assign_position_ids``
+    builds is below the slot count.
     """
     ids = idmap.ids
     names, codes = np.unique(np.asarray(pop.roles, dtype=str), return_inverse=True)
@@ -185,26 +223,32 @@ def attention_summary(
     n_roles = len(names)
     width = int(ids.max() - ids.min()) + 1 if len(ids) else 1
     size = n_roles * n_roles * width
-    counts = np.zeros(size, dtype=np.int64)
-    sums = np.zeros(size)
-    maxima = np.full(size, -np.inf)
+    table = _empty_table(size)
     query_base = codes * (n_roles * width)
     key_base = codes * width
     lo = 0
-    for dist, scores in score_blocks(pop, idmap, config, normalize, scale):
-        scores = scores.ravel()
-        group = (dist + query_base[lo : lo + len(dist), None] + key_base).ravel()
-        counts += np.bincount(group, minlength=size)
-        sums += np.bincount(group, weights=scores, minlength=size)
-        np.maximum.at(maxima, group, scores)
-        lo += len(dist)
+    if normalize:
+        for dist, scores in score_blocks(pop, idmap, config, normalize, scale):
+            _fold(table, dist + query_base[lo : lo + len(dist), None] + key_base, scores)
+            lo += len(dist)
+    else:
+        right = _empty_table(size)
+        for dist, scores in _walk(pop, idmap, config, scale, upper=True):
+            n = len(dist)
+            group = dist + query_base[lo : lo + n, None] + key_base[lo:]
+            _fold(table, group[:, :n], scores[:, :n])
+            _fold(right, group[:, n:], scores[:, n:])
+            lo += n
+        # (a, b, d) of the lower triangle is (b, a, d) of the upper one.
+        for whole, part, merge in zip(table, right, (np.add, np.add, np.maximum)):
+            merge(whole, part, out=whole)
+            merge(whole, part.reshape(n_roles, n_roles, width).swapaxes(0, 1).ravel(), out=whole)
 
     # Bucket b >= 1 holds distances [2**(b-1), 2**b); frexp's exponent of
     # d is exactly that b, and 0 for d = 0.
     distance = np.arange(width)
     starts = np.flatnonzero(np.diff(np.frexp(distance)[1], prepend=-1))
-    shape = (n_roles * n_roles, width)
-    counts, sums, maxima = counts.reshape(shape), sums.reshape(shape), maxima.reshape(shape)
+    counts, sums, maxima = (t.reshape(n_roles * n_roles, width) for t in table)
     count = np.add.reduceat(counts, starts, axis=1).tolist()
     dist_sum = np.add.reduceat(counts * distance, starts, axis=1).tolist()
     dist_max = np.maximum.reduceat(np.where(counts > 0, distance, -1), starts, axis=1).tolist()

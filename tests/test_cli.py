@@ -176,14 +176,19 @@ def test_bad_spec_names_option_and_spec(argv, key, spec, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+BAD_MU = "error: mu: bad mean preset {}, expected 'zeros' or 'ones:C'\n"
+
+
 @pytest.mark.parametrize(
     "argv, err",
     [
-        (["simulate-decay", "--mu", "ones:nan"], "error: mean vector entries must be finite\n"),
+        (["simulate-decay", "--mu", "ones:nan"], BAD_MU.format("'ones:nan'")),
         (["simulate-decay", "--distances", "3,1"], "error: distances must be strictly increasing\n"),
         (["simulate-decay", "--seed", "-1"], "error: seed: must be non-negative, got -1\n"),
         (["simulate-decay", "--threads", "0"], "error: threads must be at least 1, got 0\n"),
         (["plan-layout", "--patch", "0"], "error: patch_size must be positive\n"),
+        (["simulate-decay", "--mu", "ones:inf"], BAD_MU.format("'ones:inf'")),
+        (["simulate-decay", "--mu", "ones:-inf"], BAD_MU.format("'ones:-inf'")),
     ],
 )
 def test_bad_value_is_one_error_line(argv, err, tmp_path, capsys):

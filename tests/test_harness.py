@@ -1,11 +1,16 @@
 """Tests for the score walk, score matrices, score summaries and the
 gain report."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ropealign
 from ropealign import harness
 from ropealign.codec import csv_text
 from ropealign import (
@@ -177,6 +182,42 @@ def grid_plan(thumb: int, text: int = 5) -> LayoutPlan:
     )
 
 
+# Run by test_scores_are_symmetric_at_two_simd_levels in a fresh
+# interpreter; argv names the SIMD levels its environment disabled.
+SYMMETRY_CHILD = """
+import sys
+import numpy as np
+from numpy._core import _multiarray_umath as umath
+from ropealign import *
+
+assert not any(umath.__cpu_features__[name] for name in sys.argv[1:])
+plan = LayoutPlan(
+    segments=(
+        TextSegment(6),
+        ThumbnailGrid(GridShape(6, 6)),
+        HighResGrid(GridShape(12, 12), row_separator=True),
+        Separator(1),
+        TextSegment(6),
+    ),
+    patch_size=14,
+)
+assert plan.total_tokens == 205
+config = RopeConfig(dim=64)
+pop = population_gaussian(plan, config, mean=0.5, seed=3)
+roles = np.asarray(pop.roles)
+for mode in ("baseline", "id_align"):
+    idmap = assign_position_ids(plan, mode)
+    scores = np.concatenate([block for _dist, block in score_blocks(pop, idmap, config)])
+    assert scores.tobytes() == np.ascontiguousarray(scores.T).tobytes(), mode
+    dist = np.abs(np.subtract.outer(idmap.ids, idmap.ids))
+    lower = np.array([0] + [1 << (d.bit_length() - 1) for d in range(1, dist.max() + 1)])[dist]
+    for query, key, bucket, *_, max_score in attention_summary(pop, idmap, config).rows:
+        group = (roles[:, None] == query) & (roles == key) & (lower == bucket)
+        assert max_score == scores[group].max(), (mode, query, key, bucket)
+print("ok")
+"""
+
+
 class TestAttentionSummary:
     """Row-blocked scores and their role-by-distance summary."""
 
@@ -278,6 +319,54 @@ class TestAttentionSummary:
             finally:
                 tracemalloc.stop()
         assert peaks[1] < 3 * peaks[0]
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_default_summary_computes_the_upper_triangle(self, normalize, monkeypatch):
+        """Counted in einsum cells, not seconds: the default summary
+        computes at most N (N + 64) / 2 scores, the softmax summary all
+        N^2 of them."""
+        plan = grid_plan(6)  # 203 slots
+        n = plan.total_tokens
+        config = RopeConfig(dim=8)
+        pop = population_gaussian(plan, config, mean=0.5, seed=4)
+        cells = []
+        einsum = np.einsum
+
+        def counting(*args, **kwargs):
+            out = einsum(*args, **kwargs)
+            cells.append(out.size)
+            return out
+
+        monkeypatch.setattr(harness.np, "einsum", counting)
+        for mode in ("baseline", "id_align"):
+            cells.clear()
+            attention_summary(pop, assign_position_ids(plan, mode), config, normalize=normalize)
+            if normalize:
+                assert sum(cells) == n * n
+            else:
+                assert sum(cells) <= n * (n + harness._BLOCK_ROWS) // 2
+
+    def test_scores_are_symmetric_at_two_simd_levels(self):
+        """The upper-triangle fold relies on score(i, j) == score(j, i) bit
+        for bit, so it is checked in fresh interpreters: once with every
+        dispatched SIMD level numpy finds, once with all but the lowest
+        of them disabled (set for that child only)."""
+        from numpy._core import _multiarray_umath as umath
+
+        found = [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)]
+        top = found[1:] or found
+        src = str(Path(ropealign.__file__).resolve().parents[1])
+        for disabled in ([], top):
+            env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            if disabled:
+                env["NPY_DISABLE_CPU_FEATURES"] = " ".join(disabled)
+            proc = subprocess.run(
+                [sys.executable, "-c", SYMMETRY_CHILD, *disabled],
+                env=env, capture_output=True, text=True,
+            )  # fmt: skip
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout == "ok\n"
 
     def test_population_idmap_length_mismatch(self):
         plan = trace_plan()

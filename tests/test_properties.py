@@ -387,6 +387,70 @@ def test_summary_matches_plain_loop_grouping_over_many_blocks(mode):
     check_summary(plan, mode, "inherit-row-end", 4, False, True)
 
 
+def count_oracle(roles, ids) -> list:
+    """The (query role, key role, bucket, count, mean distance, max
+    distance) columns of the summary from the ID histograms alone, with
+    no score walk: h_a counts role a's IDs, c_ab(k) = sum_x h_a(x) h_b(x + k)
+    is an exact int64 correlation, and the pairs at |delta id| = d number
+    c_ab(d) + c_ab(-d) for d > 0, c_ab(0) at d = 0."""
+    if not len(ids):
+        return []
+    ids = np.asarray(ids, dtype=np.int64) - min(ids)
+    roles = np.asarray(roles)
+    width = int(ids.max()) + 1
+    names = sorted(set(roles.tolist()))
+    hist = {a: np.bincount(ids[roles == a], minlength=width) for a in names}
+    rows = []
+    for a in names:
+        for b in names:
+            c = np.correlate(hist[b], hist[a], "full")  # c[width - 1 + k] = c_ab(k)
+            assert c.dtype == np.int64
+            at = c[width - 1 :].copy()
+            at[1:] += c[width - 2 :: -1]
+            buckets: dict = {}
+            for d, n in enumerate(at.tolist()):
+                if n:
+                    buckets.setdefault(0 if d == 0 else 1 << (d.bit_length() - 1), []).append((d, n))
+            for lower, group in buckets.items():
+                count = sum(n for _d, n in group)
+                rows.append((a, b, lower, count, sum(d * n for d, n in group) / count, group[-1][0]))
+    return rows
+
+
+@given(layout_plans(), st.sampled_from(["baseline", "id_align"]), policies, seeds, st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_summary_counts_match_id_histogram_correlation(plan, mode, policy, seed, normalize):
+    try:
+        idmap = assign_position_ids(plan, mode, policy)
+    except ValueError:
+        return  # an aligned map needs a thumbnail before the high-res grid
+    config = RopeConfig(dim=8)
+    pop = population_gaussian(plan, config, mean=0.5, seed=seed)
+    rows = attention_summary(pop, idmap, config, normalize).rows
+    assert [row[:6] for row in rows] == count_oracle(plan.slot_roles(), idmap.ids)
+
+
+@pytest.mark.parametrize("policy", ["inherit-row-end", "sequential-after-image"])
+@pytest.mark.parametrize("mode", ["baseline", "id_align"])
+@pytest.mark.parametrize("normalize", [False, True])
+def test_summary_counts_match_id_histogram_correlation_over_many_blocks(mode, policy, normalize):
+    plan = LayoutPlan(
+        segments=(
+            TextSegment(9),
+            ThumbnailGrid(GridShape(9, 7)),
+            HighResGrid(GridShape(18, 14), row_separator=True),
+            Separator(2),
+            TextSegment(4),
+        ),
+        patch_size=14,
+    )  # 348 slots: five full score blocks and a short one
+    idmap = assign_position_ids(plan, mode, policy)
+    config = RopeConfig(dim=8)
+    pop = population_gaussian(plan, config, mean=0.5, seed=6)
+    rows = attention_summary(pop, idmap, config, normalize).rows
+    assert [row[:6] for row in rows] == count_oracle(plan.slot_roles(), idmap.ids)
+
+
 _edge_floats = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1.7e308, -1.7e308, 1 / 3, 0.1])
 _cell_floats = st.one_of(_edge_floats, st.floats(allow_nan=False, width=64))
 _finite_floats = st.one_of(_edge_floats, st.floats(allow_nan=False, allow_infinity=False, width=64))
