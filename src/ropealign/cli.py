@@ -94,7 +94,7 @@ def _parse_distances(spec: str) -> list[int]:
         vals = np.linspace(a, b, n)
     else:
         lo = max(a, 1)
-        vals = np.geomspace(lo, max(b, lo), n)
+        vals = np.geomspace(lo, b, n) if b >= lo else []  # log:0..0 is the 0 point alone
         if a == 0:
             vals = np.concatenate([[0.0], vals])
     return sorted({int(round(v)) for v in vals})
@@ -368,7 +368,7 @@ def cmd_attention_report(opts: dict) -> int:
         if opts["dense"]:  # each matrix streamed a block at a time: no N x N array is held
             distance = (text for dist in _distance_blocks(idmap.ids) for text in int_chunks(dist))
             blocks = score_blocks(pop, idmap, config, **score_opts)
-            scores = csv_lines(None, (row.tolist() for _dist, block in blocks for row in block))
+            scores = csv_lines(None, (row.tolist() for block in blocks for row in block))
             for kind, body in (("distance", distance), ("scores", scores)):
                 path = os.path.join(out_dir, f"{kind}_{name}.csv")
                 _emit(path, itertools.chain(csv_lines(pop.roles, ()), body))

@@ -8,13 +8,13 @@ small report comparing baseline and aligned assignments on the same plan.
 ``_distance_blocks`` is the one home of |id_i - id_j|: it yields blocks
 of ``_BLOCK_ROWS`` query rows from the IDs alone, against every key or
 against the upper triangle only.  ``_walk`` is the one home of the score
-formula: it pairs each of those distance blocks with its score rows, so
-its memory is O(block * slots).  ``score_blocks`` walks whole rows and
-softmaxes them on request; ``attention_scores`` stacks them into the
-dense matrix.  ``attention_summary`` folds each block into per-group
-counts, sums and maxima through ``_fold``; without softmax it walks the
-upper triangle and mirrors the off-diagonal part, as the scores are
-symmetric bit for bit.  The CLI's ``--dense`` writer streams
+formula: it yields the score rows of the same blocks, so its memory is
+O(block * slots).  ``score_blocks`` walks whole rows and softmaxes them
+on request.  ``attention_summary`` is the one place the two walks meet:
+it pairs each score block with its distance block and folds them into
+per-group counts, sums and maxima through ``_fold``; without softmax it
+walks the upper triangle and mirrors the off-diagonal part, as the
+scores are symmetric bit for bit.  The CLI's ``--dense`` writer streams
 ``score_blocks``' rows a row at a time and the distance rows straight
 from ``_distance_blocks``, with no rotation.  The bytes depend neither
 on the thread count nor on the BLAS library.
@@ -45,7 +45,6 @@ __all__ = [
     "population_constant",
     "population_gaussian",
     "score_blocks",
-    "attention_scores",
     "attention_summary",
     "alignment_gain_report",
 ]
@@ -96,10 +95,10 @@ def _distance_blocks(ids: np.ndarray, upper: bool = False) -> Iterator[np.ndarra
 
 def _walk(
     pop: TokenPopulation, idmap: PositionIdMap, config: RopeConfig, scale: bool, upper: bool
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The distance and score blocks of ``score_blocks`` before any
-    softmax, with the key columns ``_distance_blocks`` takes; the one
-    home of the score formula.  The population is rotated once per call.
+) -> Iterator[np.ndarray]:
+    """The score blocks of ``score_blocks`` before any softmax, with the
+    rows and key columns of ``_distance_blocks``' blocks; the one home of
+    the score formula.  The population is rotated once per call.
     """
     if pop.vectors.shape[0] != len(idmap.ids):
         raise ValueError("population size must match the id map")
@@ -107,7 +106,6 @@ def _walk(
         raise ValueError(f"population dim {pop.vectors.shape[1]} != config dim {config.dim}")
     ids = idmap.ids
     rotated = apply_rope_many(pop.vectors, ids.astype(np.float64), config)
-    distances = _distance_blocks(ids, upper)
     for lo in range(0, len(ids), _BLOCK_ROWS):
         # einsum, not BLAS: a threaded matmul changes the low bits with the
         # BLAS thread count, and the scores must not.  Each cell is the same
@@ -118,7 +116,7 @@ def _walk(
             scores /= np.sqrt(config.dim)
         if not np.all(np.isfinite(scores)):
             raise ValueError("scores must be finite")
-        yield next(distances), scores  # drawn after the scores, as their peak has passed
+        yield scores
 
 
 def score_blocks(
@@ -127,35 +125,19 @@ def score_blocks(
     config: RopeConfig,
     normalize: bool = False,
     scale: bool = True,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The distance rows and score rows of each block of ``_BLOCK_ROWS``
-    query rows, in row order: the distance block is ``_distance_blocks``'
-    |id_i - id_j|, and score(i, j) = rotated(v_i, id_i) . rotated(v_j, id_j),
-    optionally divided by sqrt(dim) and row-softmaxed.
+) -> Iterator[np.ndarray]:
+    """The score rows of each block of ``_BLOCK_ROWS`` query rows, in row
+    order: score(i, j) = rotated(v_i, id_i) . rotated(v_j, id_j),
+    optionally divided by sqrt(dim) and row-softmaxed.  Rows are queries,
+    columns keys; the scores depend on the IDs only through differences
+    id_i - id_j, the rotary shift invariance the harness exists to exhibit.
     """
-    for dist, scores in _walk(pop, idmap, config, scale, upper=False):
+    for scores in _walk(pop, idmap, config, scale, upper=False):
         if normalize:  # in place: the same bits, no block-sized temporaries
             scores -= scores.max(axis=1, keepdims=True)
             np.exp(scores, out=scores)
             scores /= scores.sum(axis=1, keepdims=True)
-        yield dist, scores
-
-
-def attention_scores(
-    pop: TokenPopulation,
-    idmap: PositionIdMap,
-    config: RopeConfig,
-    normalize: bool = False,
-    scale: bool = True,
-) -> np.ndarray:
-    """The dense matrix of ``score_blocks``' scores; rows are queries,
-    columns keys.
-
-    Depends on the IDs only through differences id_i - id_j, which is the
-    rotary shift-invariance property the harness exists to exhibit.
-    """
-    blocks = [scores for _dist, scores in score_blocks(pop, idmap, config, normalize, scale)]
-    return np.concatenate(blocks) if blocks else np.empty((0, 0))
+        yield scores
 
 
 @dataclass(frozen=True)
@@ -204,7 +186,9 @@ def attention_summary(
     """The scores of ``score_blocks`` grouped as ``ScoreSummary``
     describes, without holding the dense matrix.
 
-    Each block is folded into one table per (role pair, exact distance):
+    Each score block is paired with its ``_distance_blocks`` block,
+    drawn after it so the two are not both being built at the peak, and
+    folded into one table per (role pair, exact distance):
     counts and score sums by ``bincount``, score maxima by
     ``maximum.at``, merged in block order.  Without ``normalize`` only the
     upper triangle is walked, as score(i, j) = score(j, i) bit for bit:
@@ -228,12 +212,14 @@ def attention_summary(
     key_base = codes * width
     lo = 0
     if normalize:
-        for dist, scores in score_blocks(pop, idmap, config, normalize, scale):
+        blocks = score_blocks(pop, idmap, config, normalize, scale)
+        for scores, dist in zip(blocks, _distance_blocks(ids)):
             _fold(table, dist + query_base[lo : lo + len(dist), None] + key_base, scores)
             lo += len(dist)
     else:
         right = _empty_table(size)
-        for dist, scores in _walk(pop, idmap, config, scale, upper=True):
+        blocks = _walk(pop, idmap, config, scale, upper=True)
+        for scores, dist in zip(blocks, _distance_blocks(ids, upper=True)):
             n = len(dist)
             group = dist + query_base[lo : lo + n, None] + key_base[lo:]
             _fold(table, group[:, :n], scores[:, :n])
@@ -275,8 +261,8 @@ class ModeGeometry:
     ``pair_mean_distance`` averages |id(high) - id(thumb)| over every
     spatially corresponding cell pair; None when the plan has no
     high-resolution grid.  The post-text fields measure distances from
-    tokens of the first text segment after the image to all image
-    tokens; None when there is no such text.
+    every text token after the image's last slot, across all the text
+    segments there, to all image tokens; None when there is no such text.
     """
 
     pair_mean_distance: float | None

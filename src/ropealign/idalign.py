@@ -4,19 +4,20 @@ Baseline assignment numbers every slot sequentially.  The aligned mode
 instead gives each high-resolution token the ID of the thumbnail token
 covering the same image region, so the ID span of the image stays at the
 thumbnail's size no matter how many high-resolution tokens follow.
-``correspondence_oracle`` defines "same image region" by an exact
-per-axis interval test in integers, independently of the interpolation
-arithmetic, so the two can be checked against each other; the tests
-check that oracle in turn against a floating-point rectangle overlap.
+``_axis_partners`` defines "same image region" by an exact per-axis
+interval test in integers, independently of the interpolation
+arithmetic: the gain report averages |delta id| over its pairs, and the
+tests check the interpolation against it and it against a
+floating-point rectangle overlap.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codec import Field, csv_text, json_chunks, read_value
+from .codec import csv_text, json_chunks
 from .layout import (
     GridShape,
     HighResGrid,
@@ -29,10 +30,8 @@ from .layout import (
 __all__ = [
     "GridMapping",
     "PositionIdMap",
-    "CorrespondencePair",
     "IdSpanReport",
     "map_highres_ids",
-    "correspondence_oracle",
     "assign_position_ids",
     "id_span_report",
 ]
@@ -76,12 +75,13 @@ class PositionIdMap:
     """One position ID per sequence slot plus the final running counter.
 
     ``ids`` is stored as a read-only 1-D int64 array, whatever integer
-    sequence or array was passed.  ``max_pid`` is where the next
-    sequential token would go: one past the largest assigned ID.
+    sequence or array was passed.  ``max_pid``, derived from ``ids``, is
+    where the next sequential token would go: one past the largest
+    assigned ID, 0 for an empty map.
     """
 
     ids: np.ndarray
-    max_pid: int
+    max_pid: int = field(init=False)
     mode: str
 
     def __post_init__(self) -> None:
@@ -93,12 +93,9 @@ class PositionIdMap:
         ids = ids.astype(np.int64, copy=False)
         ids.flags.writeable = False
         object.__setattr__(self, "ids", ids)
-        object.__setattr__(self, "max_pid", read_value(Field("max_pid", int), self.max_pid))
         if ids.size and ids.min() < 0:
             raise ValueError("position ids must be non-negative")
-        expected = int(ids.max()) + 1 if ids.size else 0
-        if self.max_pid != expected:
-            raise ValueError(f"max_pid must be {expected}, got {self.max_pid}")
+        object.__setattr__(self, "max_pid", int(ids.max()) + 1 if ids.size else 0)
 
     def to_doc(self) -> dict:
         """The JSON document of the map, with ``ids`` as the array, for
@@ -107,15 +104,6 @@ class PositionIdMap:
 
     def to_json(self) -> str:
         return "".join(json_chunks(self.to_doc()))
-
-
-@dataclass(frozen=True)
-class CorrespondencePair:
-    """A high-resolution cell and a thumbnail cell whose image regions
-    overlap with positive area."""
-
-    highres_cell: tuple[int, int]
-    thumb_cell: tuple[int, int]
 
 
 def _axis_targets(n0: int, n1: int) -> np.ndarray:
@@ -155,18 +143,6 @@ def _axis_partners(n0: int, n1: int) -> tuple[np.ndarray, np.ndarray]:
     return fine, np.arange(len(fine)) + np.repeat(lo - starts, counts)
 
 
-def correspondence_oracle(thumb: GridShape, high: GridShape) -> frozenset[CorrespondencePair]:
-    """All (high cell, thumb cell) pairs with positive-area overlap.
-
-    Both grids are uniform partitions of the same unit square; the
-    per-axis interval test runs in exact integer arithmetic, and the
-    pairs are its row pairs times its column pairs.
-    """
-    rows = list(zip(*(a.tolist() for a in _axis_partners(thumb.rows, high.rows))))
-    cols = list(zip(*(a.tolist() for a in _axis_partners(thumb.cols, high.cols))))
-    return frozenset(CorrespondencePair((r, c), (tr, tc)) for r, tr in rows for c, tc in cols)
-
-
 def assign_position_ids(
     plan: LayoutPlan, mode: str, separator_policy: str = "inherit-row-end"
 ) -> PositionIdMap:
@@ -193,15 +169,14 @@ def assign_position_ids(
         )
     with allocating_slots(plan):
         if mode == "baseline":
-            n = plan.total_tokens
-            return PositionIdMap(ids=np.arange(n), max_pid=n, mode=mode)
-        pieces, counter = _aligned_pieces(plan, separator_policy == "sequential-after-image")
-        return PositionIdMap(ids=np.concatenate(pieces) if pieces else (), max_pid=counter, mode=mode)
+            return PositionIdMap(ids=np.arange(plan.total_tokens), mode=mode)
+        pieces = _aligned_pieces(plan, separator_policy == "sequential-after-image")
+        return PositionIdMap(ids=np.concatenate(pieces) if pieces else (), mode=mode)
 
 
-def _aligned_pieces(plan: LayoutPlan, sequential_separators: bool) -> tuple[list[np.ndarray], int]:
-    """The aligned IDs of each segment, in order, and the final counter.
-    ``counter`` is one past the largest ID so far; fresh IDs start there."""
+def _aligned_pieces(plan: LayoutPlan, sequential_separators: bool) -> list[np.ndarray]:
+    """The aligned IDs of each segment, in order.  ``counter`` is one
+    past the largest ID so far; fresh IDs start there."""
     pieces: list[np.ndarray] = []
     counter = 0
     thumb_shape: GridShape | None = None
@@ -233,7 +208,7 @@ def _aligned_pieces(plan: LayoutPlan, sequential_separators: bool) -> tuple[list
             piece = np.arange(counter, counter + rows * cells)
         pieces.append(piece)
         counter = max(counter, int(piece.max()) + 1)
-    return pieces, counter
+    return pieces
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ import time
 import numpy as np
 
 from ropealign import (
-    CorrespondencePair,
     GridShape,
     HighResGrid,
     LayoutPlan,
@@ -24,7 +23,6 @@ from ropealign import (
     apply_rope,
     assign_position_ids,
     build_layout,
-    correspondence_oracle,
     decay_profile,
     expected_dot_closed_form,
     map_highres_ids,
@@ -33,6 +31,8 @@ from ropealign import (
     token_counts,
 )
 from ropealign.cli import main as cli_main
+
+from oracles import CorrespondencePair, correspondence_oracle
 
 CLIP336_CANDIDATES = [
     Resolution(672, 672),

@@ -24,6 +24,8 @@ from ropealign import cli, codec
 from ropealign.cli import main
 from ropealign.codec import csv_lines, csv_text
 
+from oracles import attention_scores
+
 SMALL_PLAN_ARGS = [
     "--pre", "2", "--input", "56x56", "--candidates", "56x56",
     "--vit", "28x28", "--patch", "14", "--post", "1", "--no-row-separators",
@@ -217,6 +219,16 @@ def test_lin_distances_and_zero_mean(tmp_path, capsys):
     assert main(argv + ["--distances", "0,1", "--mu", "zeros", "--out", str(tmp_path / "zeros.csv")]) == 0
     want = decay_profile(np.zeros(4), np.zeros(4), [0, 1], samples=8, seed=2, config=config)
     assert (tmp_path / "zeros.csv").read_text() == want.to_csv()
+
+
+@pytest.mark.parametrize("spec, want", [("log:0..0", [0]), ("log:0..0:5", [0]), ("log:0..1", [0, 1])])
+def test_log_distances_from_zero_stay_in_range(spec, want, tmp_path, capsys):
+    """A log range from 0 keeps the exact 0 point and no distance past
+    its end: ``log:0..0`` is 0 alone, in the spec and in the CSV rows."""
+    assert cli._parse_distances(spec) == want
+    out = tmp_path / "decay.csv"
+    assert main(["simulate-decay", "--dim", "4", "--samples", "8", "--distances", spec, "--out", str(out)]) == 0
+    assert [line.split(",")[0] for line in out.read_text().splitlines()[1:]] == [str(d) for d in want]
 
 
 @pytest.mark.parametrize("command", ["assign-ids", "attention-report"])
@@ -557,6 +569,20 @@ class TestAttentionReport:
             want = csv_text(plan.slot_roles(), np.abs(ids[:, None] - ids).tolist())
             assert (tmp_path / f"distance_{mode}.csv").read_text() == want
 
+    @pytest.mark.parametrize("normalize", [[], ["--normalize"]], ids=["raw", "normalize"])
+    def test_distance_blocks_built_once_per_consumer(self, normalize, tmp_path, capsys):
+        """Each mode's summary builds the |id_i - id_j| blocks once, and
+        --dense's distance writer once more; the score writer builds none."""
+        argv = ["attention-report"] + SMALL_PLAN_ARGS + ["--dim", "8", "--out-dir", str(tmp_path)] + normalize
+        blocks = mock.Mock(wraps=harness._distance_blocks)
+        # cli binds the name on import, so both modules' names are patched.
+        with mock.patch.object(harness, "_distance_blocks", blocks), mock.patch.object(cli, "_distance_blocks", blocks):
+            assert main(argv) == 0
+            assert blocks.call_count == 2
+            blocks.reset_mock()
+            assert main(argv + ["--dense"]) == 0
+            assert blocks.call_count == 4
+
     def test_files_equal_library_text(self, tmp_path, capsys):
         """By default only the summaries and the gain report are written;
         --dense adds the dense CSVs.  Each equals the library's text."""
@@ -574,7 +600,7 @@ class TestAttentionReport:
             summary = harness.attention_summary(pop, idmap, config, normalize=True).to_csv()
             assert (tmp_path / "default" / f"summary_{mode}.csv").read_text() == summary
             assert (tmp_path / "dense" / f"summary_{mode}.csv").read_text() == summary
-            scores = csv_text(pop.roles, harness.attention_scores(pop, idmap, config, normalize=True).tolist())
+            scores = csv_text(pop.roles, attention_scores(pop, idmap, config, normalize=True).tolist())
             assert (tmp_path / "dense" / f"scores_{mode}.csv").read_text() == scores
 
 

@@ -26,7 +26,6 @@ from ropealign import (
     Separator,
     alignment_gain_report,
     assign_position_ids,
-    attention_scores,
     attention_summary,
     build_layout,
     population_constant,
@@ -35,6 +34,8 @@ from ropealign import (
     score_blocks,
     token_counts,
 )
+
+from oracles import attention_scores
 
 
 def trace_plan(high_shape=GridShape(2, 2)):
@@ -50,17 +51,15 @@ def trace_plan(high_shape=GridShape(2, 2)):
 
 
 def distance_matrix(idmap: PositionIdMap) -> np.ndarray:
-    """The distance rows of the score walk, stacked."""
-    config = RopeConfig(dim=2)
-    pop = TokenPopulation(vectors=np.zeros((len(idmap.ids), 2)), roles=("text",) * len(idmap.ids))
-    return np.concatenate([dist for dist, _scores in score_blocks(pop, idmap, config)])
+    """The distance blocks of the map, stacked."""
+    return np.concatenate(list(harness._distance_blocks(idmap.ids)))
 
 
 class TestRelativeDistanceMatrix:
-    """Pairwise |id_i - id_j| from the score walk."""
+    """Pairwise |id_i - id_j| from the distance blocks."""
 
     def test_sequential_toeplitz(self):
-        idmap = PositionIdMap(ids=(0, 1, 2, 3), max_pid=4, mode="baseline")
+        idmap = PositionIdMap(ids=(0, 1, 2, 3), mode="baseline")
         d = distance_matrix(idmap)
         want = np.abs(np.subtract.outer(np.arange(4), np.arange(4)))
         assert np.array_equal(d, want)
@@ -126,9 +125,7 @@ class TestAttentionScores:
         config = RopeConfig(dim=8)
         pop = population_gaussian(plan, config, mean=0.5, seed=13)
         base = assign_position_ids(plan, "baseline")
-        shifted = PositionIdMap(
-            ids=tuple(i + 50 for i in base.ids), max_pid=base.max_pid + 50, mode="baseline"
-        )
+        shifted = PositionIdMap(ids=tuple(i + 50 for i in base.ids), mode="baseline")
         a = attention_scores(pop, base, config)
         b = attention_scores(pop, shifted, config)
         assert np.allclose(a, b, rtol=0, atol=1e-9)
@@ -157,7 +154,7 @@ class TestAttentionScores:
         config = RopeConfig(dim=8)
         pop = population_constant(plan, config)
         with pytest.raises(ValueError):
-            attention_scores(pop, PositionIdMap(ids=(0, 1), max_pid=2, mode="baseline"), config)
+            attention_scores(pop, PositionIdMap(ids=(0, 1), mode="baseline"), config)
 
     def test_population_dim_mismatch(self):
         plan = trace_plan()
@@ -207,7 +204,7 @@ pop = population_gaussian(plan, config, mean=0.5, seed=3)
 roles = np.asarray(pop.roles)
 for mode in ("baseline", "id_align"):
     idmap = assign_position_ids(plan, mode)
-    scores = np.concatenate([block for _dist, block in score_blocks(pop, idmap, config)])
+    scores = np.concatenate(list(score_blocks(pop, idmap, config)))
     assert scores.tobytes() == np.ascontiguousarray(scores.T).tobytes(), mode
     dist = np.abs(np.subtract.outer(idmap.ids, idmap.ids))
     lower = np.array([0] + [1 << (d.bit_length() - 1) for d in range(1, dist.max() + 1)])[dist]
@@ -239,8 +236,9 @@ class TestAttentionSummary:
         assert got.tobytes() == want.tobytes()
 
     def test_walk_yields_blocks_in_row_order_and_rotates_once(self, monkeypatch):
-        """Full blocks then a short one, each block's distance rows beside
-        its score rows, from one rotation of the population."""
+        """Full blocks then a short one, from one rotation of the
+        population; the distance blocks cover the same rows, against
+        every key or against the upper triangle."""
         plan = grid_plan(6)  # 203 slots: three full blocks and 11 rows
         config = RopeConfig(dim=8)
         pop = population_gaussian(plan, config, seed=3)
@@ -255,10 +253,14 @@ class TestAttentionSummary:
         monkeypatch.setattr(harness, "apply_rope_many", counting)
         blocks = list(score_blocks(pop, idmap, config))
         assert len(calls) == 1
-        assert [len(dist) for dist, _scores in blocks] == [64, 64, 64, 11]
+        assert [scores.shape for scores in blocks] == [(64, 203)] * 3 + [(11, 203)]
         ids = np.asarray(idmap.ids)
         want = np.abs(np.subtract.outer(ids, ids))
-        assert np.array_equal(np.concatenate([dist for dist, _scores in blocks]), want)
+        dist = list(harness._distance_blocks(ids))
+        assert [len(d) for d in dist] == [64, 64, 64, 11]
+        assert np.array_equal(np.concatenate(dist), want)
+        for lo, upper in zip(range(0, 203, 64), harness._distance_blocks(ids, upper=True)):
+            assert np.array_equal(upper, want[lo : lo + 64, lo:])
 
     def test_empty_plan_gives_empty_matrix(self):
         plan = LayoutPlan(segments=(), patch_size=14)
@@ -374,7 +376,7 @@ class TestAttentionSummary:
         pop = population_constant(plan, config)
         for ids in [(0, 1), ()]:
             with pytest.raises(ValueError):
-                attention_summary(pop, PositionIdMap(ids=ids, max_pid=len(ids), mode="baseline"), config)
+                attention_summary(pop, PositionIdMap(ids=ids, mode="baseline"), config)
 
 
 class TestMatrixCsv:

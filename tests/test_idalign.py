@@ -3,7 +3,7 @@
 The mapped grid is never compared to a hand-written matrix; the gate is
 always that every inherited ID names a spatially overlapping thumbnail
 cell, with overlap decided by an independent floating-point rectangle
-check where the library's integer oracle is itself under test.
+check where the integer oracle of ``oracles.py`` is itself under test.
 """
 
 import json
@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from ropealign import (
-    CorrespondencePair,
     GridMapping,
     GridShape,
     HighResGrid,
@@ -23,12 +22,13 @@ from ropealign import (
     TextSegment,
     ThumbnailGrid,
     assign_position_ids,
-    correspondence_oracle,
     id_span_report,
     map_highres_ids,
 )
 from ropealign.codec import json_chunks
 from ropealign.idalign import _axis_partners
+
+from oracles import CorrespondencePair, correspondence_oracle
 
 
 def thumbnail_id_grid(shape, base=0):
@@ -360,12 +360,12 @@ class TestPositionIdMap:
     """Container validation and wire format."""
 
     def test_json_format(self):
-        idmap = PositionIdMap(ids=(0, 1, 2), max_pid=3, mode="baseline")
+        idmap = PositionIdMap(ids=(0, 1, 2), mode="baseline")
         assert idmap.to_json() == '{"ids":[0,1,2],"max_pid":3,"mode":"baseline"}'
 
     def test_json_of_a_long_map_equals_json_dumps(self):
         ids = np.random.Generator(np.random.Philox(5)).integers(0, 2**40, 20_000)
-        idmap = PositionIdMap(ids=ids, max_pid=int(ids.max()) + 1, mode="id_align")
+        idmap = PositionIdMap(ids=ids, mode="id_align")
         want = {"ids": ids.tolist(), "max_pid": idmap.max_pid, "mode": "id_align"}
         assert idmap.to_json() == json.dumps(want, separators=(",", ":"))
 
@@ -375,21 +375,21 @@ class TestPositionIdMap:
         ids=["tuple", "list", "int32", "uint8"],
     )
     def test_ids_stored_as_read_only_int64(self, ids):
-        idmap = PositionIdMap(ids=ids, max_pid=np.int64(3), mode="baseline")
+        idmap = PositionIdMap(ids=ids, mode="baseline")
         assert_id_array(idmap.ids, [0, 2, 1])
-        assert type(idmap.max_pid) is int
+        assert type(idmap.max_pid) is int and idmap.max_pid == 3
         with pytest.raises(ValueError):
             idmap.ids[0] = 5
 
     def test_callers_array_is_copied(self):
         ids = np.arange(4)
-        idmap = PositionIdMap(ids=ids, max_pid=4, mode="baseline")
+        idmap = PositionIdMap(ids=ids, mode="baseline")
         ids[0] = 9
         assert ids.flags.writeable
         assert idmap.ids.tolist() == [0, 1, 2, 3]
 
     def test_empty_map(self):
-        idmap = PositionIdMap(ids=(), max_pid=0, mode="baseline")
+        idmap = PositionIdMap(ids=(), mode="baseline")
         assert_id_array(idmap.ids, [])
         assert idmap.to_json() == '{"ids":[],"max_pid":0,"mode":"baseline"}'
 
@@ -400,32 +400,30 @@ class TestPositionIdMap:
     )
     def test_non_integer_ids_rejected(self, ids):
         with pytest.raises(ValueError, match="^ids must be a 1-D sequence of integers"):
-            PositionIdMap(ids=ids, max_pid=2, mode="baseline")
+            PositionIdMap(ids=ids, mode="baseline")
 
-    @pytest.mark.parametrize("max_pid", [3.0, True, "3"])
-    def test_non_integer_max_pid_rejected(self, max_pid):
-        with pytest.raises(ValueError, match="^max_pid must be an integer"):
-            PositionIdMap(ids=(0, 1, 2), max_pid=max_pid, mode="baseline")
+    def test_max_pid_is_derived_not_passed(self):
+        """``max_pid`` is one past the largest ID, wherever it sits, and
+        no constructor argument."""
+        assert PositionIdMap(ids=(4, 0, 2), mode="id_align").max_pid == 5
+        with pytest.raises(TypeError):
+            PositionIdMap(ids=(0, 1), max_pid=2, mode="baseline")
 
     def test_compared_by_identity(self):
         """Like ``GridMapping``, a map holding an array is not compared by value."""
-        a = PositionIdMap(ids=(0, 1), max_pid=2, mode="baseline")
-        b = PositionIdMap(ids=(0, 1), max_pid=2, mode="baseline")
+        a = PositionIdMap(ids=(0, 1), mode="baseline")
+        b = PositionIdMap(ids=(0, 1), mode="baseline")
         assert a == a and a != b
         assert len({a, b}) == 2
 
     @pytest.mark.parametrize("mode", ["both", "aligned", ""])
     def test_bad_mode_rejected(self, mode):
         with pytest.raises(ValueError, match="mode must be one of"):
-            PositionIdMap(ids=[0, 1], max_pid=2, mode=mode)
-
-    def test_max_pid_must_match_ids(self):
-        with pytest.raises(ValueError):
-            PositionIdMap(ids=(0, 1), max_pid=5, mode="baseline")
+            PositionIdMap(ids=[0, 1], mode=mode)
 
     def test_negative_ids_rejected(self):
         with pytest.raises(ValueError):
-            PositionIdMap(ids=(0, -1), max_pid=1, mode="baseline")
+            PositionIdMap(ids=(0, -1), mode="baseline")
 
 
 class TestIdSpanReport:

@@ -1,7 +1,9 @@
 """The package's public names, pinned: a change that adds or removes one
-shows it in this file's diff; and the README's library tour and CLI
+shows it in this file's diff; each one read by a caller, and no module
+importing what it does not use; and the README's library tour and CLI
 block, run."""
 
+import ast
 import re
 import shlex
 from pathlib import Path
@@ -9,7 +11,9 @@ from pathlib import Path
 import ropealign
 from ropealign import cli
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+SRC = sorted((ROOT / "src" / "ropealign").glob("*.py"))
 
 PUBLIC = [
     # rope
@@ -22,13 +26,16 @@ PUBLIC = [
     "Separator", "LayoutPlan", "TokenCounts", "select_resolution", "fit_with_padding", "unpad_grid",
     "build_layout", "token_counts", "segment_ranges",
     # idalign
-    "GridMapping", "PositionIdMap", "CorrespondencePair", "IdSpanReport", "map_highres_ids",
-    "correspondence_oracle", "assign_position_ids", "id_span_report",
+    "GridMapping", "PositionIdMap", "IdSpanReport", "map_highres_ids", "assign_position_ids",
+    "id_span_report",
     # harness
     "TokenPopulation", "ScoreSummary", "ModeGeometry", "AlignmentGainReport", "population_constant",
-    "population_gaussian", "score_blocks", "attention_scores", "attention_summary",
-    "alignment_gain_report",
+    "population_gaussian", "score_blocks", "attention_summary", "alignment_gain_report",
 ]  # fmt: skip
+
+# Public names that no code in src/ and no README example reads, each with
+# its reason.  Test-only helpers belong in tests/oracles.py instead.
+UNREAD_PUBLIC: dict[str, str] = {}
 
 
 def test_public_names_pinned():
@@ -36,10 +43,72 @@ def test_public_names_pinned():
     assert all(hasattr(ropealign, name) for name in PUBLIC)
 
 
+def _readme_block(heading: str, lang: str) -> str:
+    """The first ``lang`` code block under the README's ``## heading``."""
+    section = README.read_text().split(f"## {heading}", 1)[1]
+    return re.search(rf"```{lang}\n(.*?)```", section, re.S).group(1)
+
+
+def _names_read(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Every name ``tree`` reads, bare or as an attribute, outside ``skip``."""
+    names, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def _public_names(tree: ast.Module) -> list[str]:
+    """The names a module's ``__all__`` lists, if it has one."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            # The package's own list splices the modules' lists, so it adds no string.
+            return [elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)]
+    return []
+
+
+def test_every_public_name_is_read():
+    """Each name of a module's ``__all__`` is read somewhere in src/ outside
+    its own ``def`` or ``class``, or in the README's tour or CLI block."""
+    trees = {path.name: ast.parse(path.read_text()) for path in SRC}
+    tour = _names_read(ast.parse(_readme_block("Library tour", "python")))
+    readme = tour | set(re.findall(r"\w+", _readme_block("CLI", "sh")))
+    unread = []
+    for module, tree in trees.items():
+        for name in _public_names(tree):
+            own = next((n for n in tree.body if getattr(n, "name", None) == name), None)
+            read = [_names_read(t, own if m == module else None) for m, t in trees.items()]
+            if name not in readme.union(*read) and name not in UNREAD_PUBLIC:
+                unread.append(f"{module}: {name}")
+    assert unread == []
+
+
+def test_no_unused_imports():
+    """Every name a module imports is read in it or listed in its ``__all__``."""
+    unused = []
+    for path in SRC:
+        tree = ast.parse(path.read_text())
+        read = _names_read(tree) | set(_public_names(tree))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound != "*" and bound not in read:
+                        unused.append(f"{path.name}: {bound}")
+    assert unused == []
+
+
 def test_readme_library_tour_runs(capsys):
     """The tour's Python block runs as written, and its asserts hold."""
-    tour = README.read_text().split("## Library tour", 1)[1]
-    code = re.search(r"```python\n(.*?)```", tour, re.S).group(1)
+    code = _readme_block("Library tour", "python")
     exec(compile(code, "README.md", "exec"), {})
     assert "rel_distance,mean_dot,stderr,samples" in capsys.readouterr().out
 
@@ -47,8 +116,7 @@ def test_readme_library_tour_runs(capsys):
 def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
     """Each command of the CLI section's shell block, continuations
     joined, exits 0 in a fresh directory and writes the files it names."""
-    section = README.read_text().split("## CLI", 1)[1]
-    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1).replace("\\\n", " ")
+    block = _readme_block("CLI", "sh").replace("\\\n", " ")
     commands = [shlex.split(line) for line in block.splitlines() if line.startswith("ropealign ")]
     assert [argv[1] for argv in commands] == list(cli._COMMANDS)
     monkeypatch.chdir(tmp_path)

@@ -22,7 +22,6 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ropealign import (
-    CorrespondencePair,
     DecayProfile,
     GridShape,
     HighResGrid,
@@ -35,9 +34,7 @@ from ropealign import (
     abel_bound_check,
     apply_rope,
     assign_position_ids,
-    attention_scores,
     attention_summary,
-    correspondence_oracle,
     decay_profile,
     expected_dot_closed_form,
     id_span_report,
@@ -51,6 +48,8 @@ from ropealign import (
 from ropealign import cli, codec, harness, layout
 from ropealign.codec import REQUIRED, csv_lines, csv_text, int_chunks, int_lines, json_chunks
 from ropealign.layout import SEGMENT_KINDS
+
+from oracles import CorrespondencePair, attention_scores, correspondence_oracle
 
 dims = st.sampled_from([2, 4, 8, 64, 128])
 thetas = st.sampled_from([1e4, 1e7])
@@ -701,7 +700,7 @@ def test_mode_geometry_matches_matrix_reference(plan, policy):
     thumb, high = plan.thumbnail(), plan.highres()
     n = len(roles)
     # A caller may pass any map: the reversed one puts post-text IDs below the image's.
-    idmaps = [PositionIdMap(ids=tuple(range(n - 1, -1, -1)), max_pid=n, mode="baseline")]
+    idmaps = [PositionIdMap(ids=tuple(range(n - 1, -1, -1)), mode="baseline")]
     for mode in ("baseline", "id_align"):
         with contextlib.suppress(ValueError):
             idmaps.append(assign_position_ids(plan, mode, policy))
