@@ -9,12 +9,18 @@ separate so they can cross-check each other in tests:
 
 The Monte Carlo draws fixed 16384-sample chunks, chunk c from its own
 Philox substream keyed by word c of a SeedSequence, and evaluates every
-distance of a profile on the same chunks.  A chunk of n samples draws an
-(n, dim) block of q, then n normals g: the key noise enters a sample only
-through q . z_k, which given q is N(0, |q|^2), so |q| g has its law
-exactly.  Profiles are reproducible bit for bit on a given platform,
-whatever the thread count, and a point is the same whichever other
-distances share its grid.
+distance of a profile on the same chunks.  A chunk of n samples draws its
+n rows of q, then n normals g: the key noise enters a sample only through
+q . z_k, which given q is N(0, |q|^2), so |q| g has its law exactly.  The
+rows of q come off the stream in blocks of 1024, each projected onto the
+rotated key means while it is still in cache, so q is never held whole.
+Projections are kept for at most 128 distances a pass, and a larger grid
+replays the chunk's substream once for each further 128.  A chunk's
+memory is thus bounded by the chunk size, not by the grid or the sample
+count: one block of rows plus at most 128 rows of n projections.
+Profiles are reproducible bit for bit on a given platform, whatever the
+thread count, and a point is the same whichever other distances share
+its grid.
 
 Distances, like rotary positions, are integers: each is read by
 ``codec.read_value``, so a numpy integer is a Python int and a float such
@@ -48,6 +54,15 @@ __all__ = [
 # chunk boundaries decide which substream draws which sample, so changing
 # it would change every archived profile.
 _MC_CHUNK = 16384
+
+# Rows of q drawn and projected while they are in cache (512 KB at dim
+# 64), and the most distances projected in one pass over a chunk; a larger
+# grid replays the chunk's substream for each further group.  Fixed like
+# _MC_CHUNK, but both move only memory and speed, never a bit: the draws
+# leave the stream in the same order, and each projection is the same sum
+# over dim.
+_ROWS = 1024
+_GROUP = 128
 
 # The largest |distance| accepted: past 2**53 not every integer is a
 # float, so a distance could be rotated by a neighbouring one.
@@ -194,12 +209,17 @@ def _shared_sample_moments(
     A sample is q . R_m k with k = mu_k + z_k.  R_m z_k has the law of z_k
     (isotropic noise), so it is q . z_k + q . R_m mu_k with only the second
     term depending on m.  Given q, q . z_k is N(0, |q|^2), so a chunk of n
-    samples draws its (n, dim) block of q, then n normals g, and takes
+    samples draws its n rows of q, then n normals g, and takes
     q . z_k = |q| g: dim + 1 normals a sample instead of 2 dim, with the
-    joint law over all distances unchanged.  Each distance is reduced on its
-    own, and chunk moments merge in chunk order (Chan's update), so neither
-    the grid nor ``max_workers`` changes a value.  A distance past 2**53 in
-    magnitude, or moments that overflow float64, are a ValueError.
+    joint law over all distances unchanged.  The rows are drawn ``_ROWS`` at
+    a time into one reused block, which is projected onto up to ``_GROUP``
+    rotated means at once while it is in cache; a grid of more distances
+    replays the chunk's substream for each further group.  A chunk holds
+    one block and at most ``_GROUP`` rows of n projections, whatever the
+    grid.  Each distance is reduced on its own, and chunk moments merge in
+    chunk order (Chan's update), so neither the grid nor ``max_workers``
+    changes a value.  A distance past 2**53 in magnitude, or moments that
+    overflow float64, are a ValueError.
     """
     if samples < 2:
         raise ValueError(f"samples must be at least 2, got {samples}")
@@ -217,18 +237,31 @@ def _shared_sample_moments(
 
     def chunk(c: int) -> tuple[int, np.ndarray, np.ndarray]:
         n = min(_MC_CHUNK, samples - c * _MC_CHUNK)
-        rng = np.random.Generator(np.random.Philox(int(chunk_seeds[c])))
         mean, m2 = np.empty((2, len(distances)))
+        block = np.empty((min(_ROWS, n), config.dim))
+        proj = np.empty((min(_GROUP, len(rotated)), n))
+        sq = np.empty(n)
         # Set in the worker thread, which a caller's errstate does not reach:
         # an overflow is reported once, as the ValueError below.
         with np.errstate(over="ignore", invalid="ignore"):
-            q = mq + rng.standard_normal((n, config.dim))
-            m_free = np.sqrt(np.einsum("ij,ij->i", q, q)) * rng.standard_normal(n)
-            for i, r in enumerate(rotated):
-                # einsum, not BLAS: a BLAS matvec's bits vary with its thread count.
-                dots = m_free + np.einsum("ij,j->i", q, r)
-                mean[i] = dots.mean()
-                m2[i] = np.square(dots - mean[i]).sum()
+            for lo in range(0, len(rotated), _GROUP):
+                group = rotated[lo : lo + _GROUP]
+                out = proj[: len(group)]
+                # Each group of distances replays the chunk's substream from its start.
+                rng = np.random.Generator(np.random.Philox(int(chunk_seeds[c])))
+                for r in range(0, n, _ROWS):
+                    q = block[: min(_ROWS, n - r)]
+                    rng.standard_normal(out=q)
+                    q += mq
+                    np.einsum("ij,ij->i", q, q, out=sq[r : r + len(q)])
+                    # einsum, not BLAS: a BLAS product's bits vary with its thread count.
+                    np.einsum("ij,kj->ki", q, group, out=out[:, r : r + len(q)])
+                m_free = np.sqrt(sq) * rng.standard_normal(n)
+                for i, dots in enumerate(out, lo):
+                    dots += m_free
+                    mean[i] = dots.mean()
+                    dots -= mean[i]
+                    m2[i] = np.square(dots, out=dots).sum()
         return n, mean, m2
 
     count, mean, m2 = 0, np.zeros(len(distances)), np.zeros(len(distances))

@@ -152,6 +152,16 @@ class TestSimulateDecay:
         assert main(args + ["--threads", "4", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_threads_do_not_change_bytes_on_a_large_grid(self, tmp_path):
+        """300 distances take three projection passes over each of three chunks."""
+        args = ["simulate-decay", "--dim", "8", "--samples", "40000", "--distances", "lin:0..1000:300"]
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        assert main(args + ["--threads", "1", "--out", str(a)]) == 0
+        assert main(args + ["--threads", "3", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert len(a.read_text().splitlines()) == 301
+
 
 @pytest.mark.parametrize(
     "argv, key, spec",

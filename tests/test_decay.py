@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import whole_chunk_moments
 from ropealign import (
     DecayProfile,
     RopeConfig,
@@ -22,6 +23,7 @@ from ropealign import (
     rope_dot,
     rope_frequencies,
 )
+from ropealign import decay
 
 # Frozen regression values for (1/(d/2))*sum|S_j| at d=128, theta=1e4,
 # computed once from the direct complex-sum oracle below.
@@ -443,6 +445,39 @@ class TestSharedSamples:
         }
         assert len(csvs) == 1
 
+    @pytest.mark.parametrize("dim", [4, 8, 64])
+    @pytest.mark.parametrize("n_dist", [1, 17, 300])
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_matches_whole_chunk_oracle(self, dim, n_dist, workers):
+        """Row blocks and grouped projections give the bits of drawing each
+        chunk whole and projecting one distance at a time.  300 distances
+        cross two group boundaries, and the third chunk is partial."""
+        config = RopeConfig(dim=dim, theta_base=1e4)
+        mu_q = np.linspace(-1.0, 2.0, dim)
+        mu_k = np.linspace(1.5, -0.5, dim)
+        grid = list(range(0, 13 * n_dist, 13))
+        samples = 2 * 16384 + 5
+        prof = decay_profile(mu_q, mu_k, grid, samples=samples, seed=19, config=config, max_workers=workers)
+        mean, stderr = whole_chunk_moments(mu_q, mu_k, grid, samples, 19, config)
+        assert prof.mean_dot == tuple(mean.tolist())
+        assert prof.stderr == tuple(stderr.tolist())
+
+    @pytest.mark.parametrize("rows", [1, 7, 1024, 20_000])
+    @pytest.mark.parametrize("group", [1, 5, 128])
+    def test_block_and_group_sizes_do_not_change_bits(self, rows, group, monkeypatch):
+        """``_ROWS`` and ``_GROUP`` move only memory and speed: 20000 rows
+        is more than a chunk, and 7 distances in groups of 5 replay each
+        chunk's substream once."""
+        config = RopeConfig(dim=8, theta_base=1e4)
+        mu_q = np.linspace(-1.0, 2.0, 8)
+        mu_k = np.linspace(1.5, -0.5, 8)
+        grid = [0, 1, 3, 8, 40, 300, 9000]
+        want = decay_profile(mu_q, mu_k, grid, samples=16384 + 37, seed=23, config=config, max_workers=2)
+        monkeypatch.setattr(decay, "_ROWS", rows)
+        monkeypatch.setattr(decay, "_GROUP", group)
+        got = decay_profile(mu_q, mu_k, grid, samples=16384 + 37, seed=23, config=config, max_workers=2)
+        assert got == want
+
     def test_bad_max_workers_rejected(self):
         for workers in (0, -2):
             with pytest.raises(ValueError, match="max_workers"):
@@ -466,3 +501,20 @@ class TestSharedSamples:
 
         small = peak(2 * 16384)
         assert peak(32 * 16384) <= small + 1_000_000
+
+    @pytest.mark.parametrize(
+        "dim, n_dist, limit", [(64, 17, 6_000_000), (128, 17, 8_000_000), (64, 300, 20_000_000)]
+    )
+    def test_one_chunk_memory_is_bounded(self, dim, n_dist, limit):
+        """A chunk holds one block of rows and at most 128 rows of
+        projections, never its whole (n, dim) block of q: drawn whole, one
+        chunk peaked at 16.9 MB at dim 64 and 33.7 MB at dim 128."""
+        config = RopeConfig(dim=dim, theta_base=1e4)
+        mu = np.ones(dim)
+        tracemalloc.start()
+        try:
+            decay_profile(mu, mu, list(range(n_dist)), samples=16384, seed=5, config=config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit
