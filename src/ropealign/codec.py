@@ -15,6 +15,7 @@ and every value read from one or from a flag goes through ``read_value``.
 from __future__ import annotations
 
 import json
+import math
 import operator
 from collections.abc import Iterable, Iterator, Sequence
 from typing import NamedTuple
@@ -150,9 +151,10 @@ class Field(NamedTuple):
 def read_value(field, value, where: str = ""):
     """``value`` as ``field.kind`` (``field`` has the attributes of a
     ``Field``), never coerced: an integer through ``operator.index``, a
-    number as an int or float in the float range, a bool only as
-    true/false, a choice only as a listed string.  A bool is never a number.  A bad value raises
-    ValueError naming ``where`` (file and segment, if any) and the field."""
+    number as a finite int or float (JSON's 1e400 is inf, past the float
+    range), a bool only as true/false, a choice only as a listed string.
+    A bool is never a number.  A bad value raises ValueError naming
+    ``where`` (file and segment, if any) and the field."""
     kind = field.kind
     if value is None and field.default is None:
         return None
@@ -167,10 +169,10 @@ def read_value(field, value, where: str = ""):
             ok = False
     elif kind is float:
         try:
-            ok = isinstance(value, (int, float))
-            value = float(value) if ok else value
+            ok = isinstance(value, (int, float)) and math.isfinite(value)
         except OverflowError:  # an integer past the float range
             ok = False
+        value = float(value) if ok else value
     else:
         ok = isinstance(value, kind)
     if ok:

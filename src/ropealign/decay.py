@@ -22,9 +22,10 @@ Profiles are reproducible bit for bit on a given platform, whatever the
 thread count, and a point is the same whichever other distances share
 its grid.
 
-Distances, like rotary positions, are integers: each is read by
-``codec.read_value``, so a numpy integer is a Python int and a float such
-as 2.9 is a ValueError, never floored.
+Distances, like rotary positions, are integers, and so are sample counts,
+seeds and worker counts: each is read by ``codec.read_value``, so a numpy
+integer is a Python int and a float such as 2.9 is a ValueError, never
+floored.
 """
 
 from __future__ import annotations
@@ -221,6 +222,7 @@ def _shared_sample_moments(
     changes a value.  A distance past 2**53 in magnitude, or moments that
     overflow float64, are a ValueError.
     """
+    samples = read_value(Field("samples", int), samples)
     if samples < 2:
         raise ValueError(f"samples must be at least 2, got {samples}")
     for d in distances:
@@ -294,6 +296,7 @@ def monte_carlo_expected_dot(
     seed.
     """
     m = read_value(Field("m", int), m)
+    seed = read_value(Field("seed", int), seed)
     mean, stderr = _shared_sample_moments(mu_q, mu_k, [m], samples, seed, config, 1)
     return float(mean[0]), float(stderr[0])
 
@@ -315,8 +318,10 @@ def decay_profile(
         raise ValueError("distances must be non-negative")
     if any(b <= a for a, b in zip(dist, dist[1:])):
         raise ValueError("distances must be strictly increasing")
+    max_workers = read_value(Field("max_workers", int), max_workers)
     if max_workers < 1:
         raise ValueError(f"max_workers must be at least 1, got {max_workers}")
+    seed = read_value(Field("seed", int), seed)
     base = int(np.random.SeedSequence(seed).generate_state(1, dtype=np.uint64)[0])
     mean, stderr = _shared_sample_moments(mu_q, mu_k, dist, samples, base, config, max_workers)
     return DecayProfile(

@@ -8,16 +8,16 @@ small report comparing baseline and aligned assignments on the same plan.
 ``_distance_blocks`` is the one home of |id_i - id_j|: it yields blocks
 of ``_BLOCK_ROWS`` query rows from the IDs alone, against every key or
 against the upper triangle only.  ``_walk`` is the one home of the score
-formula: it yields the score rows of the same blocks, so its memory is
-O(block * slots).  ``score_blocks`` walks whole rows and softmaxes them
-on request.  ``attention_summary`` is the one place the two walks meet:
-it pairs each score block with its distance block and folds them into
-per-group counts, sums and maxima through ``_fold``; without softmax it
-walks the upper triangle and mirrors the off-diagonal part, as the
-scores are symmetric bit for bit.  The CLI's ``--dense`` writer streams
-``score_blocks``' rows a row at a time and the distance rows straight
-from ``_distance_blocks``, with no rotation.  The bytes depend neither
-on the thread count nor on the BLAS library.
+formula, softmax included: it yields the score rows of the same blocks,
+so its memory is O(block * slots).  ``score_blocks`` is the walk over
+whole rows.  ``attention_summary`` is the one place the two walks meet:
+one loop pairs each score block with its distance block and folds them
+into per-group counts, sums and maxima through ``_fold``; without
+softmax it walks the upper triangle and mirrors the off-diagonal part,
+as the scores are symmetric bit for bit.  The CLI's ``--dense`` writer
+streams ``score_blocks``' rows a row at a time and the distance rows
+straight from ``_distance_blocks``, with no rotation.  The bytes depend
+neither on the thread count nor on the BLAS library.
 """
 
 from __future__ import annotations
@@ -94,11 +94,12 @@ def _distance_blocks(ids: np.ndarray, upper: bool = False) -> Iterator[np.ndarra
 
 
 def _walk(
-    pop: TokenPopulation, idmap: PositionIdMap, config: RopeConfig, scale: bool, upper: bool
+    pop: TokenPopulation, idmap: PositionIdMap, config: RopeConfig, normalize: bool, scale: bool, upper: bool
 ) -> Iterator[np.ndarray]:
-    """The score blocks of ``score_blocks`` before any softmax, with the
-    rows and key columns of ``_distance_blocks``' blocks; the one home of
-    the score formula.  The population is rotated once per call.
+    """The score blocks of ``score_blocks``, with the rows and key columns
+    of ``_distance_blocks``' blocks; the one home of the score formula,
+    softmax included (it needs whole rows: not with ``upper``).  The
+    population is rotated once per call.
     """
     if pop.vectors.shape[0] != len(idmap.ids):
         raise ValueError("population size must match the id map")
@@ -116,6 +117,10 @@ def _walk(
             scores /= np.sqrt(config.dim)
         if not np.all(np.isfinite(scores)):
             raise ValueError("scores must be finite")
+        if normalize:  # in place: the same bits, no block-sized temporaries
+            scores -= scores.max(axis=1, keepdims=True)
+            np.exp(scores, out=scores)
+            scores /= scores.sum(axis=1, keepdims=True)
         yield scores
 
 
@@ -132,12 +137,7 @@ def score_blocks(
     columns keys; the scores depend on the IDs only through differences
     id_i - id_j, the rotary shift invariance the harness exists to exhibit.
     """
-    for scores in _walk(pop, idmap, config, scale, upper=False):
-        if normalize:  # in place: the same bits, no block-sized temporaries
-            scores -= scores.max(axis=1, keepdims=True)
-            np.exp(scores, out=scores)
-            scores /= scores.sum(axis=1, keepdims=True)
-        yield scores
+    return _walk(pop, idmap, config, normalize, scale, upper=False)
 
 
 @dataclass(frozen=True)
@@ -186,46 +186,42 @@ def attention_summary(
     """The scores of ``score_blocks`` grouped as ``ScoreSummary``
     describes, without holding the dense matrix.
 
-    Each score block is paired with its ``_distance_blocks`` block,
-    drawn after it so the two are not both being built at the peak, and
-    folded into one table per (role pair, exact distance):
+    One loop pairs each ``_walk`` block with its ``_distance_blocks``
+    block, drawn after it so the two are not both being built at the
+    peak, and folds them into one table per (role pair, exact distance):
     counts and score sums by ``bincount``, score maxima by
     ``maximum.at``, merged in block order.  Without ``normalize`` only the
     upper triangle is walked, as score(i, j) = score(j, i) bit for bit:
     each block runs from its first row's column on, its square folds as
     it stands, and the rectangle right of it folds into a second table
     that is added back twice, as it stands and with the query and key
-    roles swapped.  Softmax needs whole rows, so ``normalize`` walks them.
-    Distance buckets are then reduced from the table, so the distance
-    columns are exact.  The table spans distances up to the map's ID
-    span, max(id) - min(id), which for the maps ``assign_position_ids``
-    builds is below the slot count.
+    roles swapped.  Softmax needs whole rows, so ``normalize`` walks them
+    and folds each block whole.  Distance buckets are then reduced from
+    the table, so the distance columns are exact, and the rows are read
+    at one ``nonzero`` mask of the bucketed counts.  The table spans
+    distances up to the map's ID span, max(id) - min(id), which for the
+    maps ``assign_position_ids`` builds is below the slot count.
     """
     ids = idmap.ids
     names, codes = np.unique(np.asarray(pop.roles, dtype=str), return_inverse=True)
-    names = names.tolist()
     n_roles = len(names)
     width = int(ids.max() - ids.min()) + 1 if len(ids) else 1
     size = n_roles * n_roles * width
-    table = _empty_table(size)
+    table, right = _empty_table(size), _empty_table(size)
     query_base = codes * (n_roles * width)
     key_base = codes * width
-    lo = 0
-    if normalize:
-        blocks = score_blocks(pop, idmap, config, normalize, scale)
-        for scores, dist in zip(blocks, _distance_blocks(ids)):
-            _fold(table, dist + query_base[lo : lo + len(dist), None] + key_base, scores)
-            lo += len(dist)
-    else:
-        right = _empty_table(size)
-        blocks = _walk(pop, idmap, config, scale, upper=True)
-        for scores, dist in zip(blocks, _distance_blocks(ids, upper=True)):
-            n = len(dist)
-            group = dist + query_base[lo : lo + n, None] + key_base[lo:]
+    upper = not normalize
+    # The walk first: its shape checks run even when there are no blocks.
+    walk = _walk(pop, idmap, config, normalize, scale, upper)
+    for scores, dist, lo in zip(walk, _distance_blocks(ids, upper), range(0, len(ids), _BLOCK_ROWS)):
+        n = len(dist)
+        group = dist + query_base[lo : lo + n, None] + key_base[lo if upper else 0 :]
+        if upper:
             _fold(table, group[:, :n], scores[:, :n])
             _fold(right, group[:, n:], scores[:, n:])
-            lo += n
-        # (a, b, d) of the lower triangle is (b, a, d) of the upper one.
+        else:  # one fold: splitting it would reorder bincount's sums
+            _fold(table, group, scores)
+    if upper:  # (a, b, d) of the lower triangle is (b, a, d) of the upper one.
         for whole, part, merge in zip(table, right, (np.add, np.add, np.maximum)):
             merge(whole, part, out=whole)
             merge(whole, part.reshape(n_roles, n_roles, width).swapaxes(0, 1).ravel(), out=whole)
@@ -235,23 +231,21 @@ def attention_summary(
     distance = np.arange(width)
     starts = np.flatnonzero(np.diff(np.frexp(distance)[1], prepend=-1))
     counts, sums, maxima = (t.reshape(n_roles * n_roles, width) for t in table)
-    count = np.add.reduceat(counts, starts, axis=1).tolist()
-    dist_sum = np.add.reduceat(counts * distance, starts, axis=1).tolist()
-    dist_max = np.maximum.reduceat(np.where(counts > 0, distance, -1), starts, axis=1).tolist()
-    score_sum = np.add.reduceat(sums, starts, axis=1).tolist()
-    score_max = np.maximum.reduceat(maxima, starts, axis=1).tolist()
-    rows = []
-    for pair in range(n_roles * n_roles):
-        query, key = divmod(pair, n_roles)
-        for b, lower in enumerate(starts.tolist()):
-            c = count[pair][b]
-            if c:
-                rows.append((
-                    names[query], names[key], lower, c,
-                    dist_sum[pair][b] / c, dist_max[pair][b],
-                    score_sum[pair][b] / c, score_max[pair][b],
-                ))  # fmt: skip
-    return ScoreSummary(rows=tuple(rows))
+    count = np.add.reduceat(counts, starts, axis=1)
+    pair, bucket = np.nonzero(count)  # row-major: role pair, then bucket
+    query, key = np.divmod(pair, n_roles)
+    cells = (
+        names[query], names[key], starts[bucket], count[pair, bucket],
+        np.add.reduceat(counts * distance, starts, axis=1)[pair, bucket],
+        np.maximum.reduceat(np.where(counts > 0, distance, -1), starts, axis=1)[pair, bucket],
+        np.add.reduceat(sums, starts, axis=1)[pair, bucket],
+        np.maximum.reduceat(maxima, starts, axis=1)[pair, bucket],
+    )  # fmt: skip
+    rows = tuple(
+        (q, k, lower, c, dist_sum / c, dist_max, score_sum / c, score_max)
+        for q, k, lower, c, dist_sum, dist_max, score_sum, score_max in zip(*(a.tolist() for a in cells))
+    )
+    return ScoreSummary(rows=rows)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ never as a dense matrix, so every operation is O(dim).
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -27,8 +28,8 @@ class RopeConfig:
     """Head dimension and frequency base of a rotary embedding.
 
     ``dim`` must be a positive even integer (a Python or numpy integer,
-    stored as ``int``); ``theta_base`` must exceed 1 (common choices are
-    1e4 and 1e7).
+    stored as ``int``); ``theta_base`` must be finite and exceed 1 (common
+    choices are 1e4 and 1e7).
     """
 
     dim: int
@@ -41,8 +42,8 @@ class RopeConfig:
             raise ValueError(f"dim must be a positive even integer, got {self.dim!r}") from None
         if self.dim < 2 or self.dim % 2 != 0:
             raise ValueError(f"dim must be a positive even integer, got {self.dim}")
-        if not self.theta_base > 1.0:
-            raise ValueError(f"theta_base must be greater than 1, got {self.theta_base}")
+        if not 1.0 < self.theta_base < math.inf:  # NaN fails both
+            raise ValueError(f"theta_base must be finite and greater than 1, got {self.theta_base}")
 
     @property
     def num_pairs(self) -> int:

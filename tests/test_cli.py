@@ -201,6 +201,8 @@ BAD_MU = "error: mu: bad mean preset {}, expected 'zeros' or 'ones:C'\n"
         (["plan-layout", "--patch", "0"], "error: patch_size must be positive\n"),
         (["simulate-decay", "--mu", "ones:inf"], BAD_MU.format("'ones:inf'")),
         (["simulate-decay", "--mu", "ones:-inf"], BAD_MU.format("'ones:-inf'")),
+        (["simulate-decay", "--theta", "inf"], "error: theta must be a number, got inf\n"),
+        (["simulate-decay", "--theta", "1e400"], "error: theta must be a number, got inf\n"),
     ],
 )
 def test_bad_value_is_one_error_line(argv, err, tmp_path, capsys):
@@ -327,6 +329,27 @@ class TestAssignIds:
         assert doc["span"]["id_align_span"] == 575
         assert doc["span"]["baseline_span"] >= 2879
         assert round(doc["span"]["ratio"]) == 5
+
+    @pytest.mark.parametrize(
+        "segments, span",
+        [
+            ([{"kind": "text", "len": 7}], '{"baseline_span":0,"id_align_span":0,"ratio":1.0}'),
+            (
+                [{"kind": "thumb", "rows": 1, "cols": 1},
+                 {"kind": "highres", "rows": 2, "cols": 2, "row_separator": False}],
+                '{"baseline_span":4,"id_align_span":0,"ratio":null}',
+            ),
+        ],
+        ids=["text-only", "one-cell-thumbnail"],
+    )  # fmt: skip
+    def test_span_section(self, segments, span, tmp_path, capsys):
+        """The span section holds each mode's image-ID span, max - min.  A
+        plan with no image tokens has ratio 1.0; ratio is null when only
+        the aligned span is 0."""
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps({"segments": segments, "patch_size": 14}))
+        assert main(["assign-ids", "--plan", str(plan_path)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].endswith(',"span":' + span + "}")
 
     def test_single_mode_output(self, capsys):
         rc = main(["assign-ids"] + SMALL_PLAN_ARGS + ["--mode", "baseline"])
@@ -1042,8 +1065,9 @@ class TestDocumentContract:
             ('{"theta": "1e4"}', "theta must be a number, got '1e4'"),
             ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
             ('{"theta": 1' + "0" * 400 + "}", "theta must be a number, got 1000"),
+            ('{"theta": 1e400}', "theta must be a number, got inf\n"),
         ],
-        ids=["list", "string", "truncated", "float-patch", "string-theta", "deep", "huge-theta"],
+        ids=["list", "string", "truncated", "float-patch", "string-theta", "deep", "huge-theta", "inf-theta"],
     )
     def test_bad_config_exits_2(self, tmp_path, capsys, text, message):
         path = tmp_path / "cfg.json"

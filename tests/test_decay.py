@@ -242,11 +242,18 @@ class TestMonteCarloExpectedDot:
         with pytest.raises(ValueError):
             monte_carlo_expected_dot(np.ones(4), np.ones(4), 0, samples=1, seed=0, config=RopeConfig(dim=4))
 
-    @pytest.mark.parametrize("m", [2.9, 2.0, np.float64(2.0), True])
-    def test_non_integer_distance_rejected(self, m):
-        """Never floored: m = 2.9 used to give the m = 2 estimate."""
-        with pytest.raises(ValueError, match="^m must be an integer"):
-            monte_carlo_expected_dot(np.ones(8), np.ones(8), m, samples=1000, seed=0, config=RopeConfig(dim=8))
+    @pytest.mark.parametrize(
+        "field, value",
+        [("m", 2.9), ("m", 2.0), ("m", np.float64(2.0)), ("m", True),
+         ("samples", 1e5), ("samples", True), ("seed", 1.5), ("seed", True)],
+    )  # fmt: skip
+    def test_non_integer_argument_rejected(self, field, value):
+        """Never floored: m = 2.9 used to give the m = 2 estimate.
+        samples = 1e5 and seed = 1.5 raised numpy's TypeError, and
+        seed = True was seed 1."""
+        args = {"m": 0, "samples": 1000, "seed": 0} | {field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            monte_carlo_expected_dot(np.ones(8), np.ones(8), config=RopeConfig(dim=8), **args)
 
     def test_numpy_integer_distance_accepted(self):
         config = RopeConfig(dim=8)
@@ -378,11 +385,19 @@ class TestDecayProfile:
         with pytest.raises(ValueError, match="integers"):
             DecayProfile(distances=(0.5,), mean_dot=(0.0,), stderr=(0.0,), sample_count=10)
 
-    @pytest.mark.parametrize("grid", [[0.5, 1.7], [0, 1.0], [0, True], [np.float64(1)]])
-    def test_non_integer_grid_rejected(self, grid):
-        """[0.5, 1.7] used to be profiled at distances (0, 1)."""
-        with pytest.raises(ValueError, match="^distance must be an integer"):
-            decay_profile(np.ones(4), np.ones(4), grid, samples=8, seed=0, config=RopeConfig(dim=4))
+    @pytest.mark.parametrize(
+        "field, value",
+        [("distance", [0.5, 1.7]), ("distance", [0, 1.0]), ("distance", [0, True]),
+         ("distance", [np.float64(1)]), ("samples", 1e5), ("samples", True), ("seed", 1.5),
+         ("seed", True), ("max_workers", 2.0), ("max_workers", True)],
+    )  # fmt: skip
+    def test_non_integer_argument_rejected(self, field, value):
+        """[0.5, 1.7] used to be profiled at distances (0, 1), seed = True
+        was seed 1, and samples = 1e5 or seed = 1.5 raised a TypeError."""
+        args = {"distances": [0], "samples": 8, "seed": 0, "max_workers": 1}
+        args["distances" if field == "distance" else field] = value
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            decay_profile(np.ones(4), np.ones(4), config=RopeConfig(dim=4), **args)
 
     def test_numpy_integer_grid_writes_the_same_bytes(self):
         config = RopeConfig(dim=4)

@@ -304,6 +304,8 @@ class TestAttentionSummary:
             per_pair[q, k] = per_pair.get((q, k), 0) + count
         names = sorted(set(roles))
         assert per_pair == {(q, k): roles.count(q) * roles.count(k) for q in names for k in names}
+        # CSV cells are plain Python values, never numpy scalars.
+        assert {type(cell) for row in summary.rows for cell in row} <= {str, int, float}
 
     def test_peak_memory_grows_linearly_with_slots(self):
         """Peak memory is O(block * slots): doubling the slots less than
@@ -370,13 +372,14 @@ class TestAttentionSummary:
             assert proc.returncode == 0, proc.stderr
             assert proc.stdout == "ok\n"
 
-    def test_population_idmap_length_mismatch(self):
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_population_idmap_length_mismatch(self, normalize):
         plan = trace_plan()
         config = RopeConfig(dim=8)
         pop = population_constant(plan, config)
         for ids in [(0, 1), ()]:
             with pytest.raises(ValueError):
-                attention_summary(pop, PositionIdMap(ids=ids, mode="baseline"), config)
+                attention_summary(pop, PositionIdMap(ids=ids, mode="baseline"), config, normalize=normalize)
 
 
 class TestMatrixCsv:

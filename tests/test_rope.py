@@ -34,8 +34,10 @@ class TestRopeConfig:
             RopeConfig(dim=0)
 
     def test_theta_at_most_one_rejected(self):
-        with pytest.raises(ValueError):
-            RopeConfig(dim=4, theta_base=1.0)
+        """An infinite base used to rotate with frequencies [1, 0, 0, ...]."""
+        for theta in (1.0, float("inf"), float("1e400"), float("nan")):
+            with pytest.raises(ValueError, match="theta_base must be finite and greater than 1"):
+                RopeConfig(dim=4, theta_base=theta)
 
     def test_num_pairs(self):
         assert RopeConfig(dim=64).num_pairs == 32
