@@ -324,16 +324,15 @@ def cmd_assign_ids(opts: dict) -> int:
     plan = _plan_from(opts)
     policy = opts["separator_policy"]
     mode = opts["mode"]
-    # Each map is computed once; the span and the mapping base derive
-    # from them.  Only baseline mode tolerates a plan with no aligned map.
+    # Each map that exists is computed once; the span and the mapping base
+    # derive from them.  Only baseline mode tolerates a plan with no aligned map.
     baseline = assign_position_ids(plan, "baseline", policy)
-    aligned_error = None
     try:
         aligned = assign_position_ids(plan, "id_align", policy)
-    except ValueError as exc:
+    except ValueError:
         if mode != "baseline":
             raise
-        aligned, aligned_error = None, exc
+        aligned = None
     doc: dict = {}
     if mode in ("baseline", "both"):
         doc["baseline"] = baseline.to_doc()
@@ -346,8 +345,8 @@ def cmd_assign_ids(opts: dict) -> int:
         high = plan.highres()
         if plan.thumbnail() is None or high is None:
             raise ValueError("--mapping-csv needs a plan with both grids")
-        if aligned is None:
-            raise aligned_error
+        if aligned is None:  # the failing map again, so it raises its own error
+            aligned = assign_position_ids(plan, "id_align", policy)
         _emit(opts["mapping_csv"], int_chunks(aligned.ids[plan.cell_slots(high)]))
     _emit(opts["out"], itertools.chain(json_chunks(doc), ["\n"]))
     return 0

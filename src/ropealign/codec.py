@@ -9,13 +9,16 @@ lists of ``ids.json``, the ``map.csv`` grid, ``--dense`` distances) are
 written by one numpy kernel, ``int_lines``, which gives the same bytes as
 ``str`` of each entry without a Python object per entry, a fixed chunk of
 entries at a time.  Every plan or config file is parsed by ``read_json``,
-and every value read from one or from a flag goes through ``read_value``.
+and every value read from one, from a flag or by a library call goes
+through ``read_value``: a dataclass's fields through ``read_fields``, and a
+float array through ``read_array``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
 from collections.abc import Iterable, Iterator, Sequence
 from typing import NamedTuple
@@ -151,10 +154,11 @@ class Field(NamedTuple):
 def read_value(field, value, where: str = ""):
     """``value`` as ``field.kind`` (``field`` has the attributes of a
     ``Field``), never coerced: an integer through ``operator.index``, a
-    number as a finite int or float (JSON's 1e400 is inf, past the float
-    range), a bool only as true/false, a choice only as a listed string.
-    A bool is never a number.  A bad value raises ValueError naming
-    ``where`` (file and segment, if any) and the field."""
+    number as any finite real, a numpy scalar included, stored as a float
+    (JSON's 1e400 is inf, past the float range), a bool only as
+    true/false, a choice only as a listed string.  A bool is never a
+    number.  A bad value raises ValueError naming ``where`` (file and
+    segment, if any) and the field."""
     kind = field.kind
     if value is None and field.default is None:
         return None
@@ -169,7 +173,7 @@ def read_value(field, value, where: str = ""):
             ok = False
     elif kind is float:
         try:
-            ok = isinstance(value, (int, float)) and math.isfinite(value)
+            ok = isinstance(value, numbers.Real) and math.isfinite(value)
         except OverflowError:  # an integer past the float range
             ok = False
         value = float(value) if ok else value
@@ -180,6 +184,31 @@ def read_value(field, value, where: str = ""):
     want = f"one of {', '.join(kind)}" if isinstance(kind, tuple) else _KIND_NAMES[kind]
     prefix = f"{where}: " if where else ""
     raise ValueError(f"{prefix}{field.name} must be {want}, got {value!r}")
+
+
+def read_fields(obj, **kinds) -> None:
+    """Store each named field of the frozen dataclass ``obj`` as read by
+    ``read_value`` with its kind: an int through ``operator.index`` (a
+    numpy integer becomes a Python int; a bool or 2.5 is a ValueError
+    naming the field), a bool only as a bool."""
+    for name, kind in kinds.items():
+        object.__setattr__(obj, name, read_value(Field(name, kind), getattr(obj, name)))
+
+
+def read_array(value, name: str, shape: tuple) -> np.ndarray:
+    """``value`` as a float64 array of ``shape``, where None allows any
+    length on its axis, with finite entries only.  Anything else raises
+    ValueError naming ``name``."""
+    try:
+        arr = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{name} must be an array of numbers: {exc}") from None
+    if arr.ndim != len(shape) or any(want not in (n, None) for n, want in zip(arr.shape, shape)):
+        want = ", ".join("any" if n is None else str(n) for n in shape) + ("," if len(shape) == 1 else "")
+        raise ValueError(f"{name} must have shape ({want}), got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
+    return arr
 
 
 def read_object(doc, fields: Sequence[Field], where: str) -> tuple:

@@ -25,20 +25,19 @@ its grid.
 Distances, like rotary positions, are integers, and so are sample counts,
 seeds and worker counts: each is read by ``codec.read_value``, so a numpy
 integer is a Python int and a float such as 2.9 is a ValueError, never
-floored.
+floored; a distance past 2**53 in magnitude is one too.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import math
-import operator
 from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
 
-from .codec import Field, csv_text, read_value
+from .codec import Field, csv_text, read_array, read_fields, read_value
 from .rope import RopeConfig, apply_rope_many, rope_frequencies
 
 __all__ = [
@@ -101,18 +100,12 @@ class DecayProfile:
     sample_count: int
 
     def __post_init__(self) -> None:
-        try:
-            object.__setattr__(self, "distances", tuple(map(operator.index, self.distances)))
-            object.__setattr__(self, "sample_count", operator.index(self.sample_count))
-        except TypeError:
-            raise ValueError("distances and sample_count must be integers") from None
-        object.__setattr__(self, "mean_dot", tuple(map(float, self.mean_dot)))
-        object.__setattr__(self, "stderr", tuple(map(float, self.stderr)))
+        read_fields(self, sample_count=int)
+        for field in (Field("distances", int), Field("mean_dot", float), Field("stderr", float)):
+            values = tuple(read_value(field, v) for v in getattr(self, field.name))
+            object.__setattr__(self, field.name, values)
         if not (len(self.distances) == len(self.mean_dot) == len(self.stderr)):
             raise ValueError("distances, mean_dot and stderr must have equal length")
-        for d, m, s in zip(self.distances, self.mean_dot, self.stderr):
-            if not (math.isfinite(m) and math.isfinite(s)):
-                raise ValueError(f"mean_dot and stderr must be finite, got {m} and {s} at distance {d}")
         if any(s < 0 for s in self.stderr):
             raise ValueError("stderr entries must be non-negative")
         if any(b <= a for a, b in zip(self.distances, self.distances[1:])):
@@ -124,13 +117,13 @@ class DecayProfile:
         return csv_text(("rel_distance", "mean_dot", "stderr", "samples"), rows)
 
 
-def _check_mean(mu, config: RopeConfig) -> np.ndarray:
-    vec = np.asarray(mu, dtype=np.float64)
-    if vec.shape != (config.dim,):
-        raise ValueError(f"expected mean vector of length {config.dim}, got shape {vec.shape}")
-    if not np.all(np.isfinite(vec)):
-        raise ValueError("mean vector entries must be finite")
-    return vec
+def _read_distance(name: str, value) -> int:
+    """``value`` as a rotary distance: an integer of magnitude at most
+    ``_MAX_DISTANCE``, or a ValueError naming ``name``."""
+    value = read_value(Field(name, int), value)
+    if abs(value) > _MAX_DISTANCE:
+        raise ValueError(f"{name} must be at most 2**53 in magnitude, got {value}")
+    return value
 
 
 def _pair_complex(v: np.ndarray) -> np.ndarray:
@@ -143,7 +136,7 @@ def abel_partial_sums(delta: int, config: RopeConfig) -> np.ndarray:
     S_j = sum over the first j pairs of exp(1j * delta * freq).  At
     delta = 0 every term is 1, so |S_j| = j.
     """
-    delta = read_value(Field("delta", int), delta)
+    delta = _read_distance("delta", delta)
     if delta < 0:
         raise ValueError(f"delta must be non-negative, got {delta}")
     phases = np.exp(1j * delta * rope_frequencies(config))
@@ -161,11 +154,9 @@ def abel_bound_check(q, k, delta: int, config: RopeConfig) -> AbelReport:
     the summed partial-sum magnitudes.  The inequality is algebraic;
     a violation beyond rounding means a bug, and raises.
     """
-    delta = read_value(Field("delta", int), delta)
-    qv = np.asarray(q, dtype=np.float64)
-    kv = np.asarray(k, dtype=np.float64)
-    if qv.shape != (config.dim,) or kv.shape != (config.dim,):
-        raise ValueError(f"q and k must both have length {config.dim}")
+    delta = _read_distance("delta", delta)
+    qv = read_array(q, "q", (config.dim,))
+    kv = read_array(k, "k", (config.dim,))
     h = np.conj(_pair_complex(qv)) * _pair_complex(kv)
     phases = np.exp(1j * delta * rope_frequencies(config))
     lhs = float(np.abs(np.sum(h * phases)))
@@ -193,9 +184,9 @@ def expected_dot_closed_form(mu_q, mu_k, m: int, config: RopeConfig) -> float:
     Equals mu_q . apply_rope(mu_k, m); the noise terms vanish in
     expectation because the covariance is the identity.
     """
-    m = read_value(Field("m", int), m)
-    mq = _check_mean(mu_q, config)
-    mk = _check_mean(mu_k, config)
+    m = _read_distance("m", m)
+    mq = read_array(mu_q, "mu_q", (config.dim,))
+    mk = read_array(mu_k, "mu_k", (config.dim,))
     a = mq[0::2] * mk[0::2] + mq[1::2] * mk[1::2]
     b = mq[1::2] * mk[0::2] - mq[0::2] * mk[1::2]
     angles = m * rope_frequencies(config)
@@ -219,17 +210,13 @@ def _shared_sample_moments(
     one block and at most ``_GROUP`` rows of n projections, whatever the
     grid.  Each distance is reduced on its own, and chunk moments merge in
     chunk order (Chan's update), so neither the grid nor ``max_workers``
-    changes a value.  A distance past 2**53 in magnitude, or moments that
-    overflow float64, are a ValueError.
+    changes a value.  Moments that overflow float64 are a ValueError.
     """
     samples = read_value(Field("samples", int), samples)
     if samples < 2:
         raise ValueError(f"samples must be at least 2, got {samples}")
-    for d in distances:
-        if abs(d) > _MAX_DISTANCE:
-            raise ValueError(f"distances must be at most 2**53 in magnitude, got {d}")
-    mq = _check_mean(mu_q, config)
-    mk = _check_mean(mu_k, config)
+    mq = read_array(mu_q, "mu_q", (config.dim,))
+    mk = read_array(mu_k, "mu_k", (config.dim,))
     rotated = apply_rope_many(np.tile(mk, (len(distances), 1)), distances, config)
     n_chunks = -(-samples // _MC_CHUNK)
     try:
@@ -295,7 +282,7 @@ def monte_carlo_expected_dot(
     key noise term q . R_m z_k is N(0, |q|^2)).  Deterministic for a fixed
     seed.
     """
-    m = read_value(Field("m", int), m)
+    m = _read_distance("m", m)
     seed = read_value(Field("seed", int), seed)
     mean, stderr = _shared_sample_moments(mu_q, mu_k, [m], samples, seed, config, 1)
     return float(mean[0]), float(stderr[0])
@@ -311,7 +298,7 @@ def decay_profile(
     ``SeedSequence(seed)``, whatever else is in the grid.  Chunks may run
     on ``max_workers`` threads without changing the result.
     """
-    dist = [read_value(Field("distance", int), d) for d in distances]
+    dist = [_read_distance("distances", d) for d in distances]
     if not dist:
         raise ValueError("distances must be non-empty")
     if any(d < 0 for d in dist):

@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .codec import csv_text, json_text
+from .codec import Field, csv_text, json_text, read_array, read_value
 from .idalign import PositionIdMap, _axis_partners, assign_position_ids
 from .layout import LayoutPlan, segment_ranges
 from .rope import RopeConfig, apply_rope_many
@@ -52,18 +52,18 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class TokenPopulation:
-    """One synthetic head vector per sequence slot, with its slot role."""
+    """One synthetic head vector per sequence slot, with its slot role:
+    a finite float64 (slots, dim) array and a tuple of strings."""
 
     vectors: np.ndarray
     roles: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if self.vectors.ndim != 2:
-            raise ValueError("vectors must be a 2D array (slots, dim)")
+        object.__setattr__(self, "vectors", read_array(self.vectors, "vectors", (None, None)))
+        field = Field("roles", str)  # built once: a Field per role triples the read's time
+        object.__setattr__(self, "roles", tuple(read_value(field, role) for role in self.roles))
         if self.vectors.shape[0] != len(self.roles):
             raise ValueError("one role per vector required")
-        if not np.all(np.isfinite(self.vectors)):
-            raise ValueError("vectors must be finite")
 
 
 def population_constant(plan: LayoutPlan, config: RopeConfig, value: float = 1.0) -> TokenPopulation:
@@ -78,7 +78,7 @@ def population_gaussian(
 ) -> TokenPopulation:
     """Independent N(mean, 1) coordinates from a seeded Philox stream."""
     roles = plan.slot_roles()
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = np.random.Generator(np.random.Philox(read_value(Field("seed", int), seed)))
     vectors = mean + rng.standard_normal((len(roles), config.dim))
     return TokenPopulation(vectors=vectors, roles=roles)
 
@@ -103,8 +103,6 @@ def _walk(
     """
     if pop.vectors.shape[0] != len(idmap.ids):
         raise ValueError("population size must match the id map")
-    if pop.vectors.shape[1] != config.dim:
-        raise ValueError(f"population dim {pop.vectors.shape[1]} != config dim {config.dim}")
     ids = idmap.ids
     rotated = apply_rope_many(pop.vectors, ids.astype(np.float64), config)
     for lo in range(0, len(ids), _BLOCK_ROWS):

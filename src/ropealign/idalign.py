@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codec import csv_text, json_chunks
+from .codec import csv_text, json_chunks, read_fields
 from .layout import (
     GridShape,
     HighResGrid,
@@ -53,6 +53,7 @@ class GridMapping:
     base: int
 
     def __post_init__(self) -> None:
+        read_fields(self, base=int)
         if self.ids.shape != (self.shape.rows, self.shape.cols):
             raise ValueError("ids matrix does not match the declared shape")
         if self.base < 0:

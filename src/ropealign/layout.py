@@ -19,7 +19,7 @@ from typing import ClassVar, get_args
 
 import numpy as np
 
-from .codec import Field, json_text, read_json, read_object, read_value
+from .codec import Field, json_text, read_fields, read_json, read_object
 
 __all__ = [
     "Resolution",
@@ -40,15 +40,6 @@ __all__ = [
 ]
 
 
-def _read_fields(obj, **kinds) -> None:
-    """Store each named field of the frozen dataclass ``obj`` as read by
-    ``codec.read_value`` with its kind: an int through ``operator.index``
-    (a numpy integer becomes a Python int; a bool or 2.5 is a ValueError
-    naming the field), a bool only as a bool."""
-    for name, kind in kinds.items():
-        object.__setattr__(obj, name, read_value(Field(name, kind), getattr(obj, name)))
-
-
 @dataclass(frozen=True)
 class Resolution:
     """Pixel dimensions, height first."""
@@ -57,7 +48,7 @@ class Resolution:
     width: int
 
     def __post_init__(self) -> None:
-        _read_fields(self, height=int, width=int)
+        read_fields(self, height=int, width=int)
         if self.height <= 0 or self.width <= 0:
             raise ValueError(f"resolution must be positive, got {self.height}x{self.width}")
 
@@ -96,7 +87,7 @@ class GridShape:
     cols: int
 
     def __post_init__(self) -> None:
-        _read_fields(self, rows=int, cols=int)
+        read_fields(self, rows=int, cols=int)
         for name, value in (("rows", self.rows), ("cols", self.cols)):
             if value <= 0:
                 raise ValueError(f"grid {name} must be positive, got {value}")
@@ -135,7 +126,7 @@ class TextSegment(_SegmentKind):
     FIELDS = (Field("len", int),)
 
     def __post_init__(self) -> None:
-        _read_fields(self, length=int)
+        read_fields(self, length=int)
         if self.length <= 0:
             raise ValueError("text segment length must be positive")
 
@@ -175,7 +166,7 @@ class HighResGrid(_SegmentKind):
     ONE_PER_PLAN = "high-resolution grid"
 
     def __post_init__(self) -> None:
-        _read_fields(self, row_separator=bool)
+        read_fields(self, row_separator=bool)
 
     @classmethod
     def of(cls, rows: int, cols: int, row_separator: bool) -> HighResGrid:
@@ -196,7 +187,7 @@ class Separator(_SegmentKind):
     FIELDS = (Field("count", int, 1),)
 
     def __post_init__(self) -> None:
-        _read_fields(self, count=int)
+        read_fields(self, count=int)
         if self.count <= 0:
             raise ValueError("separator count must be positive")
 
@@ -235,7 +226,7 @@ class LayoutPlan:
     patch_size: int
 
     def __post_init__(self) -> None:
-        _read_fields(self, patch_size=int)
+        read_fields(self, patch_size=int)
         if self.patch_size <= 0:
             raise ValueError("patch_size must be positive")
         object.__setattr__(self, "segments", tuple(self.segments))

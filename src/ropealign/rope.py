@@ -8,11 +8,11 @@ never as a dense matrix, so every operation is O(dim).
 
 from __future__ import annotations
 
-import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
+
+from .codec import read_array, read_fields
 
 __all__ = [
     "RopeConfig",
@@ -28,21 +28,18 @@ class RopeConfig:
     """Head dimension and frequency base of a rotary embedding.
 
     ``dim`` must be a positive even integer (a Python or numpy integer,
-    stored as ``int``); ``theta_base`` must be finite and exceed 1 (common
-    choices are 1e4 and 1e7).
+    stored as ``int``); ``theta_base`` must be a finite real, stored as
+    ``float``, and exceed 1 (common choices are 1e4 and 1e7).
     """
 
     dim: int
     theta_base: float = 10_000.0
 
     def __post_init__(self) -> None:
-        try:
-            object.__setattr__(self, "dim", operator.index(self.dim))
-        except TypeError:
-            raise ValueError(f"dim must be a positive even integer, got {self.dim!r}") from None
+        read_fields(self, dim=int, theta_base=float)
         if self.dim < 2 or self.dim % 2 != 0:
             raise ValueError(f"dim must be a positive even integer, got {self.dim}")
-        if not 1.0 < self.theta_base < math.inf:  # NaN fails both
+        if self.theta_base <= 1.0:
             raise ValueError(f"theta_base must be finite and greater than 1, got {self.theta_base}")
 
     @property
@@ -60,13 +57,6 @@ def rope_frequencies(config: RopeConfig) -> np.ndarray:
     return config.theta_base ** (-2.0 * i / config.dim)
 
 
-def _check_vector(v, config: RopeConfig) -> np.ndarray:
-    vec = np.asarray(v, dtype=np.float64)
-    if vec.shape != (config.dim,):
-        raise ValueError(f"expected vector of length {config.dim}, got shape {vec.shape}")
-    return vec
-
-
 def apply_rope(v, m: int, config: RopeConfig) -> np.ndarray:
     """Rotate each adjacent pair (v[2i], v[2i+1]) by angle ``m * freq[i]``.
 
@@ -75,18 +65,16 @@ def apply_rope(v, m: int, config: RopeConfig) -> np.ndarray:
     unchanged.  Returns a new float64 vector of the same length: one row
     of ``apply_rope_many``.
     """
-    return apply_rope_many(_check_vector(v, config)[None, :], m, config)[0]
+    return apply_rope_many(read_array(v, "v", (config.dim,))[None, :], m, config)[0]
 
 
 def apply_rope_many(vectors, positions, config: RopeConfig) -> np.ndarray:
     """Rotate each row of ``vectors`` by its own position.
 
-    ``vectors`` has shape (n, dim); ``positions`` is a scalar or an array
-    of length n.
+    ``vectors`` has shape (n, dim), with finite entries; ``positions`` is
+    a scalar or an array of length n.
     """
-    arr = np.asarray(vectors, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != config.dim:
-        raise ValueError(f"expected (n, {config.dim}) array, got shape {arr.shape}")
+    arr = read_array(vectors, "vectors", (None, config.dim))
     pos = np.asarray(positions, dtype=np.float64)
     angles = np.multiply.outer(np.atleast_1d(pos), rope_frequencies(config))
     cos = np.cos(angles)

@@ -496,6 +496,37 @@ class TestAssignIds:
         assert "thumbnail" in captured.err
         assert not out.exists()
 
+    BOTH_GRIDS = "--mapping-csv needs a plan with both grids"
+    THUMB_FIRST = "id_align mode requires a thumbnail grid before the high-resolution grid"
+
+    @pytest.mark.parametrize("mode", ["baseline", "both"])
+    @pytest.mark.parametrize(
+        "segments, errors",
+        [
+            ([{"kind": "text", "len": 3}], {"baseline": BOTH_GRIDS, "both": BOTH_GRIDS}),
+            (
+                [{"kind": "highres", "rows": 2, "cols": 2, "row_separator": False},
+                 {"kind": "thumb", "rows": 1, "cols": 1}],
+                {"baseline": THUMB_FIRST, "both": THUMB_FIRST},
+            ),
+            (
+                [{"kind": "highres", "rows": 2, "cols": 2, "row_separator": False}],
+                {"baseline": BOTH_GRIDS, "both": THUMB_FIRST},
+            ),
+        ],
+        ids=["text-only", "high-then-thumb", "high-only"],
+    )  # fmt: skip
+    def test_mapping_csv_without_aligned_grid_fails(self, segments, errors, mode, tmp_path, capsys):
+        """A plan with no aligned grid to write fails in either mode with
+        one line, the plan's own error, and writes nothing."""
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps({"segments": segments, "patch_size": 14}))
+        out, csv = tmp_path / "ids.json", tmp_path / "map.csv"
+        argv = ["assign-ids", "--plan", str(plan_path), "--mode", mode]
+        assert main(argv + ["--out", str(out), "--mapping-csv", str(csv)]) == 2
+        assert capsys.readouterr() == ("", f"error: {errors[mode]}\n")
+        assert not out.exists() and not csv.exists()
+
     def test_each_map_computed_once(self, tmp_path, monkeypatch, capsys):
         """One run with every output computes each mode's map once."""
         real = idalign.assign_position_ids

@@ -326,16 +326,17 @@ class TestDecayProfile:
             decay_profile(np.zeros(4), np.zeros(4), [-1, 0], samples=100, seed=0, config=RopeConfig(dim=4))
 
     def test_profile_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must have equal length"):
             DecayProfile(distances=(0, 1), mean_dot=(0.0,), stderr=(0.0, 0.0), sample_count=10)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must be non-negative"):
             DecayProfile(distances=(0, 1), mean_dot=(0.0, 0.0), stderr=(0.0, -1.0), sample_count=10)
         for distances in [(1, 1), (2, 1)]:
             with pytest.raises(ValueError, match="strictly increasing"):
                 DecayProfile(distances=distances, mean_dot=(0.0, 0.0), stderr=(0.0, 0.0), sample_count=10)
-        for mean, err in [(np.nan, 0.0), (np.inf, 0.0), (0.0, np.inf), (0.0, np.nan)]:
-            with pytest.raises(ValueError, match="must be finite"):
-                DecayProfile(distances=(0, 1), mean_dot=(0.0, mean), stderr=(0.0, err), sample_count=10)
+        for name, bad in [("mean_dot", np.nan), ("mean_dot", np.inf), ("stderr", np.inf), ("stderr", np.nan)]:
+            fields = {"mean_dot": (0.0, 0.0), "stderr": (0.0, 0.0), name: (0.0, bad)}
+            with pytest.raises(ValueError, match=f"^{name} must be a number, got {bad}$"):
+                DecayProfile(distances=(0, 1), sample_count=10, **fields)
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_mean_rejected(self):
@@ -382,8 +383,10 @@ class TestDecayProfile:
         assert plain.to_csv() == "rel_distance,mean_dot,stderr,samples\n1,0.5,0.1,10\n4,-2.25,0.0,10\n"
 
     def test_non_integer_distance_rejected(self):
-        with pytest.raises(ValueError, match="integers"):
+        with pytest.raises(ValueError, match="^distances must be an integer, got 0.5$"):
             DecayProfile(distances=(0.5,), mean_dot=(0.0,), stderr=(0.0,), sample_count=10)
+        with pytest.raises(ValueError, match="^sample_count must be an integer, got 10.0$"):
+            DecayProfile(distances=(0,), mean_dot=(0.0,), stderr=(0.0,), sample_count=10.0)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -395,8 +398,9 @@ class TestDecayProfile:
         """[0.5, 1.7] used to be profiled at distances (0, 1), seed = True
         was seed 1, and samples = 1e5 or seed = 1.5 raised a TypeError."""
         args = {"distances": [0], "samples": 8, "seed": 0, "max_workers": 1}
-        args["distances" if field == "distance" else field] = value
-        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        name = "distances" if field == "distance" else field
+        args[name] = value
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
             decay_profile(np.ones(4), np.ones(4), config=RopeConfig(dim=4), **args)
 
     def test_numpy_integer_grid_writes_the_same_bytes(self):

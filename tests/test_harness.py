@@ -160,7 +160,7 @@ class TestAttentionScores:
         plan = trace_plan()
         pop = population_constant(plan, RopeConfig(dim=8))
         idmap = assign_position_ids(plan, "baseline")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^vectors must have shape \(any, 16\), got \(11, 8\)$"):
             attention_scores(pop, idmap, RopeConfig(dim=16))
 
 
@@ -412,12 +412,13 @@ class TestTokenPopulation:
         assert np.array_equal(a.vectors, b.vectors)
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^vectors must be finite$"):
             TokenPopulation(vectors=np.array([[np.inf, 0.0]]), roles=("text",))
 
     @pytest.mark.parametrize(
         "vectors, n_roles, message",
-        [(np.zeros(3), 3, "2D array"), (np.zeros((3, 2)), 2, "one role per vector")],
+        [(np.zeros(3), 3, r"^vectors must have shape \(any, any\), got \(3,\)$"),
+         (np.zeros((3, 2)), 2, "one role per vector")],
         ids=["1-D", "role-count"],
     )
     def test_bad_shape_rejected(self, vectors, n_roles, message):

@@ -1,15 +1,22 @@
 """The package's public names, pinned: a change that adds or removes one
-shows it in this file's diff; each one read by a caller, and no module
-importing what it does not use; and the README's library tour and CLI
-block, run."""
+shows it in this file's diff; each one read by a caller, no module
+importing what it does not use, and hostile values at the public calls
+each a ValueError naming the parameter; and the README's library tour and
+CLI block, run."""
 
 import ast
 import re
 import shlex
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import ropealign
-from ropealign import cli
+from ropealign import (
+    GridShape, LayoutPlan, RopeConfig, TextSegment, TokenPopulation, abel_bound_check, apply_rope,
+    apply_rope_many, cli, expected_dot_closed_form, map_highres_ids, population_gaussian,
+)  # fmt: skip
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -104,6 +111,47 @@ def test_no_unused_imports():
                     if bound != "*" and bound not in read:
                         unused.append(f"{path.name}: {bound}")
     assert unused == []
+
+
+def test_only_codec_imports_operator():
+    """``codec`` is the one home of typed reads, so no other module needs
+    ``operator.index``."""
+    importers = []
+    for path in SRC:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import) and any(alias.name == "operator" for alias in node.names):
+                importers.append(path.name)
+            elif isinstance(node, ast.ImportFrom) and node.module == "operator":
+                importers.append(path.name)
+    assert importers == ["codec.py"]
+
+
+_ONES = np.ones(4)
+_NAN = np.array([1.0, np.nan, 0.0, 0.0])
+_CONFIG = RopeConfig(4)
+HOSTILE = {
+    "theta_base=10**400": (lambda: RopeConfig(4, 10**400), "theta_base"),
+    "theta_base='1e4'": (lambda: RopeConfig(4, "1e4"), "theta_base"),
+    "abel-nan-q": (lambda: abel_bound_check(_NAN, _ONES, 1, _CONFIG), "q"),
+    "apply_rope-nan": (lambda: apply_rope(_NAN, 1, _CONFIG), "v"),
+    "apply_rope_many-nan": (lambda: apply_rope_many(_NAN[None], [1], _CONFIG), "vectors"),
+    "closed-form-m=2**60": (lambda: expected_dot_closed_form(_ONES, _ONES, 2**60, _CONFIG), "m"),
+    "abel-delta=2**60": (lambda: abel_bound_check(_ONES, _ONES, 2**60, _CONFIG), "delta"),
+    "base=2.5": (lambda: map_highres_ids(GridShape(1, 1), GridShape(2, 2), base=2.5), "base"),
+    "base=True": (lambda: map_highres_ids(GridShape(1, 1), GridShape(2, 2), base=True), "base"),
+    "seed=1.5": (
+        lambda: population_gaussian(LayoutPlan((TextSegment(2),), 14), _CONFIG, seed=1.5), "seed"
+    ),
+    "integer-roles": (lambda: TokenPopulation(np.zeros((2, 4)), (1, 2)), "roles"),
+}
+
+
+@pytest.mark.parametrize("call, name", HOSTILE.values(), ids=HOSTILE)
+def test_hostile_value_is_a_value_error_naming_it(call, name):
+    """Each of these once returned NaNs or a wrong result, or raised
+    OverflowError or TypeError."""
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        call()
 
 
 def test_readme_library_tour_runs(capsys):

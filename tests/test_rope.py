@@ -35,9 +35,18 @@ class TestRopeConfig:
 
     def test_theta_at_most_one_rejected(self):
         """An infinite base used to rotate with frequencies [1, 0, 0, ...]."""
-        for theta in (1.0, float("inf"), float("1e400"), float("nan")):
-            with pytest.raises(ValueError, match="theta_base must be finite and greater than 1"):
+        for theta in (1.0, 0.5, -3):
+            with pytest.raises(ValueError, match=f"^theta_base must be finite and greater than 1, got {theta}"):
                 RopeConfig(dim=4, theta_base=theta)
+        for theta in (float("inf"), float("1e400"), float("nan")):
+            with pytest.raises(ValueError, match=f"^theta_base must be a number, got {theta}$"):
+                RopeConfig(dim=4, theta_base=theta)
+
+    def test_numpy_scalar_theta_accepted(self):
+        for theta in (np.int64(10000), np.float32(1e4)):
+            config = RopeConfig(4, theta)
+            assert config.theta_base == 1e4 and type(config.theta_base) is float
+            assert config == RopeConfig(4, 1e4)
 
     def test_num_pairs(self):
         assert RopeConfig(dim=64).num_pairs == 32
@@ -155,7 +164,7 @@ class TestApplyRopeMany:
             assert np.allclose(row, one, atol=1e-12)
 
     def test_bad_shape_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^vectors must have shape \(any, 4\), got \(4,\)$"):
             apply_rope_many(np.ones(4), 0, RopeConfig(dim=4))
 
 
