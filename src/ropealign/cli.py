@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .codec import csv_lines, int_chunks, json_chunks, json_text, read_json, read_value
+from .codec import IntRange, csv_lines, int_chunks, json_chunks, json_text, read_json, read_object, read_value
 from .decay import decay_profile
 from .harness import (
     TokenPopulation,
@@ -116,10 +116,11 @@ def _parse_mu(spec: str) -> float:
 
 
 class Option(NamedTuple):
-    """One option: the flag ``--name`` (underscores as dashes) and the
-    config key ``name``.  ``kind`` is int, float, bool, str or a tuple of
-    allowed strings; a None default means unset.  ``parse``, for a spec
-    string that needs nothing else to be read, turns it into its value."""
+    """One option, read as a ``codec.Field``: the flag ``--name``
+    (underscores as dashes) and the config key ``name``.  ``kind`` is int,
+    an ``IntRange``, float, bool, str or a tuple of allowed strings; a None
+    default means unset.  ``parse``, for a spec string that needs nothing
+    else to be read, turns it into its value."""
 
     name: str
     kind: object
@@ -159,7 +160,7 @@ OPTIONS = (
     ),
     Option("samples", int, 100000, "Monte Carlo samples per distance", _DECAY),
     Option("seed", int, 0, "RNG seed", _DECAY),
-    Option("threads", int, 1, "worker threads; result is thread-count independent", _DECAY),
+    Option("threads", IntRange(1), 1, "worker threads; result is thread-count independent", _DECAY),
     Option("pop", str, "constant:1.0", "population: constant:C | gaussian:MEAN:SEED", _REPORT),
     Option("normalize", bool, False, "row-softmax the score matrices", _REPORT),
     Option("scale", bool, True, "divide scores by sqrt(dim)", _REPORT),
@@ -190,8 +191,8 @@ def _flag(opt: Option) -> tuple[str, dict]:
         kw["help"] += f" (default {shown})"
     if opt.kind is bool:
         kw["action"] = argparse.BooleanOptionalAction
-    elif opt.kind in (int, float):
-        kw["type"] = opt.kind
+    elif opt.kind in (int, float) or isinstance(opt.kind, IntRange):
+        kw["type"] = float if opt.kind is float else int
     elif isinstance(opt.kind, tuple):
         # Choices are checked by the typed read, so a bad one exits 2 from main.
         kw["metavar"] = "{" + ",".join(opt.kind) + "}"
@@ -204,26 +205,16 @@ _FLAGS = [(opt, *_flag(opt)) for opt in OPTIONS]
 
 
 def _merged(args: argparse.Namespace) -> dict:
-    """Final values of the options of ``args.command``: flag over config
-    over default, each read by ``codec.read_value`` and then, for a spec
-    string, by its option's ``parse``."""
+    """Final values of the options of ``args.command``: a flag, read by
+    ``codec.read_value``, over the config file, read whole by
+    ``codec.read_object`` (a bad value there is an error even under a
+    flag), over the default; then, for a spec string, its ``parse``."""
     options = [opt for opt in OPTIONS if args.command in opt.commands]
-    cfg = {}
-    if args.config:
-        cfg = read_json(Path(args.config).read_text(), args.config)
-        if not isinstance(cfg, dict):
-            kind = type(cfg).__name__
-            raise ValueError(f"{args.config}: a config must be a JSON object, got {kind}")
-        unknown = sorted(set(cfg) - {opt.name for opt in options})
-        if unknown:
-            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+    doc = read_json(Path(args.config).read_text(), args.config) if args.config else {}
     out = {}
-    for opt in options:
+    for opt, value in zip(options, read_object(doc, options, args.config)):
         flag = getattr(args, opt.name)
-        if flag is not None:
-            out[opt.name] = read_value(opt, flag)
-        else:  # a default never fails, so only a config value is named with its file
-            out[opt.name] = read_value(opt, cfg.get(opt.name, opt.default), args.config or "")
+        out[opt.name] = value if flag is None else read_value(opt, flag)
         if opt.parse:
             out[opt.name] = _parse(out, opt.name, opt.parse)
     return out
@@ -293,10 +284,6 @@ def _plan_from(opts: dict) -> LayoutPlan:
 
 
 def cmd_simulate_decay(opts: dict) -> int:
-    if opts["threads"] < 1:
-        raise ValueError(f"threads must be at least 1, got {opts['threads']}")
-    if opts["seed"] < 0:
-        raise ValueError(f"seed: must be non-negative, got {opts['seed']}")
     config = RopeConfig(dim=opts["dim"], theta_base=opts["theta"])
     mu = _parse(opts, "dim", np.full, opts["mu"])
     profile = decay_profile(

@@ -10,8 +10,8 @@ written by one numpy kernel, ``int_lines``, which gives the same bytes as
 ``str`` of each entry without a Python object per entry, a fixed chunk of
 entries at a time.  Every plan or config file is parsed by ``read_json``,
 and every value read from one, from a flag or by a library call goes
-through ``read_value``: a dataclass's fields through ``read_fields``, and a
-float array through ``read_array``.
+through ``read_value``: a dataclass's fields through ``read_fields``, a
+float array through ``read_array``, an integer with its range (``IntRange``).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import math
 import numbers
 import operator
 from collections.abc import Iterable, Iterator, Sequence
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -142,9 +143,19 @@ _KIND_NAMES = {
 }  # fmt: skip
 
 
+@dataclass(frozen=True)
+class IntRange:
+    """The kind of an integer from ``least`` to ``most`` (no upper bound
+    when None).  Not a tuple: a tuple kind is a list of choices."""
+
+    least: int
+    most: int | None = None
+
+
 class Field(NamedTuple):
-    """A named value of a document.  ``kind`` is int, float, bool, str,
-    list or a tuple of allowed strings; a None default allows null."""
+    """A named value of a document.  ``kind`` is int, an ``IntRange``,
+    float, bool, str, list, a class whose instances are accepted as they
+    are, or a tuple of allowed strings; a None default allows null."""
 
     name: str
     kind: object
@@ -153,12 +164,12 @@ class Field(NamedTuple):
 
 def read_value(field, value, where: str = ""):
     """``value`` as ``field.kind`` (``field`` has the attributes of a
-    ``Field``), never coerced: an integer through ``operator.index``, a
-    number as any finite real, a numpy scalar included, stored as a float
-    (JSON's 1e400 is inf, past the float range), a bool only as
-    true/false, a choice only as a listed string.  A bool is never a
-    number.  A bad value raises ValueError naming ``where`` (file and
-    segment, if any) and the field."""
+    ``Field``), never coerced: an integer through ``operator.index``, then
+    checked against its ``IntRange`` if it has one, a number as any finite
+    real, a numpy scalar included, stored as a float (JSON's 1e400 is inf,
+    past the float range), a bool only as true/false, a choice only as a
+    listed string.  A bool is never a number.  A bad value raises
+    ValueError naming ``where`` (file and segment, if any) and the field."""
     kind = field.kind
     if value is None and field.default is None:
         return None
@@ -166,11 +177,13 @@ def read_value(field, value, where: str = ""):
         ok = isinstance(value, str) and value in kind
     elif isinstance(value, bool) or kind is bool:
         ok = isinstance(value, bool) and kind is bool
-    elif kind is int:
+    elif kind is int or isinstance(kind, IntRange):
         try:
-            return operator.index(value)
+            value = operator.index(value)
         except TypeError:
             ok = False
+        else:
+            ok = kind is int or kind.least <= value and (kind.most is None or value <= kind.most)
     elif kind is float:
         try:
             ok = isinstance(value, numbers.Real) and math.isfinite(value)
@@ -181,16 +194,25 @@ def read_value(field, value, where: str = ""):
         ok = isinstance(value, kind)
     if ok:
         return value
-    want = f"one of {', '.join(kind)}" if isinstance(kind, tuple) else _KIND_NAMES[kind]
     prefix = f"{where}: " if where else ""
-    raise ValueError(f"{prefix}{field.name} must be {want}, got {value!r}")
+    raise ValueError(f"{prefix}{field.name} must be {_want(kind)}, got {value!r}")
+
+
+def _want(kind) -> str:
+    if isinstance(kind, tuple):
+        return f"one of {', '.join(kind)}"
+    if isinstance(kind, IntRange):
+        bounds = f"of at least {kind.least}" if kind.most is None else f"from {kind.least} to {kind.most}"
+        return f"an integer {bounds}"
+    return _KIND_NAMES.get(kind) or f"a {kind.__name__}"
 
 
 def read_fields(obj, **kinds) -> None:
     """Store each named field of the frozen dataclass ``obj`` as read by
     ``read_value`` with its kind: an int through ``operator.index`` (a
-    numpy integer becomes a Python int; a bool or 2.5 is a ValueError
-    naming the field), a bool only as a bool."""
+    numpy integer becomes a Python int; a bool, 2.5 or an integer outside
+    its ``IntRange`` is a ValueError naming the field), a bool only as a
+    bool."""
     for name, kind in kinds.items():
         object.__setattr__(obj, name, read_value(Field(name, kind), getattr(obj, name)))
 

@@ -23,9 +23,10 @@ thread count, and a point is the same whichever other distances share
 its grid.
 
 Distances, like rotary positions, are integers, and so are sample counts,
-seeds and worker counts: each is read by ``codec.read_value``, so a numpy
-integer is a Python int and a float such as 2.9 is a ValueError, never
-floored; a distance past 2**53 in magnitude is one too.
+seeds and worker counts: each is read by ``codec.read_value`` with its
+``IntRange``, so a numpy integer is a Python int and a float such as 2.9
+is a ValueError, never floored; so is a value out of range, such as a
+distance past 2**53 in magnitude (``rope.POSITION``) or a negative seed.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from itertools import repeat
 
 import numpy as np
 
-from .codec import Field, csv_text, read_array, read_fields, read_value
-from .rope import RopeConfig, apply_rope_many, rope_frequencies
+from .codec import Field, IntRange, csv_text, read_array, read_fields, read_value
+from .rope import POSITION, RopeConfig, apply_rope_many, rope_frequencies
 
 __all__ = [
     "AbelReport",
@@ -64,9 +65,8 @@ _MC_CHUNK = 16384
 _ROWS = 1024
 _GROUP = 128
 
-# The largest |distance| accepted: past 2**53 not every integer is a
-# float, so a distance could be rotated by a neighbouring one.
-_MAX_DISTANCE = 2**53
+# The kind of a relative distance: a rotary position that is not negative.
+_DISTANCE = IntRange(0, POSITION.most)
 
 
 @dataclass(frozen=True)
@@ -117,15 +117,6 @@ class DecayProfile:
         return csv_text(("rel_distance", "mean_dot", "stderr", "samples"), rows)
 
 
-def _read_distance(name: str, value) -> int:
-    """``value`` as a rotary distance: an integer of magnitude at most
-    ``_MAX_DISTANCE``, or a ValueError naming ``name``."""
-    value = read_value(Field(name, int), value)
-    if abs(value) > _MAX_DISTANCE:
-        raise ValueError(f"{name} must be at most 2**53 in magnitude, got {value}")
-    return value
-
-
 def _pair_complex(v: np.ndarray) -> np.ndarray:
     return v[0::2] + 1j * v[1::2]
 
@@ -136,9 +127,7 @@ def abel_partial_sums(delta: int, config: RopeConfig) -> np.ndarray:
     S_j = sum over the first j pairs of exp(1j * delta * freq).  At
     delta = 0 every term is 1, so |S_j| = j.
     """
-    delta = _read_distance("delta", delta)
-    if delta < 0:
-        raise ValueError(f"delta must be non-negative, got {delta}")
+    delta = read_value(Field("delta", _DISTANCE), delta)
     phases = np.exp(1j * delta * rope_frequencies(config))
     return np.abs(np.cumsum(phases))
 
@@ -154,7 +143,7 @@ def abel_bound_check(q, k, delta: int, config: RopeConfig) -> AbelReport:
     the summed partial-sum magnitudes.  The inequality is algebraic;
     a violation beyond rounding means a bug, and raises.
     """
-    delta = _read_distance("delta", delta)
+    delta = read_value(Field("delta", _DISTANCE), delta)
     qv = read_array(q, "q", (config.dim,))
     kv = read_array(k, "k", (config.dim,))
     h = np.conj(_pair_complex(qv)) * _pair_complex(kv)
@@ -184,7 +173,7 @@ def expected_dot_closed_form(mu_q, mu_k, m: int, config: RopeConfig) -> float:
     Equals mu_q . apply_rope(mu_k, m); the noise terms vanish in
     expectation because the covariance is the identity.
     """
-    m = _read_distance("m", m)
+    m = read_value(Field("m", POSITION), m)
     mq = read_array(mu_q, "mu_q", (config.dim,))
     mk = read_array(mu_k, "mu_k", (config.dim,))
     a = mq[0::2] * mk[0::2] + mq[1::2] * mk[1::2]
@@ -212,9 +201,7 @@ def _shared_sample_moments(
     chunk order (Chan's update), so neither the grid nor ``max_workers``
     changes a value.  Moments that overflow float64 are a ValueError.
     """
-    samples = read_value(Field("samples", int), samples)
-    if samples < 2:
-        raise ValueError(f"samples must be at least 2, got {samples}")
+    samples = read_value(Field("samples", IntRange(2)), samples)
     mq = read_array(mu_q, "mu_q", (config.dim,))
     mk = read_array(mu_k, "mu_k", (config.dim,))
     rotated = apply_rope_many(np.tile(mk, (len(distances), 1)), distances, config)
@@ -282,8 +269,8 @@ def monte_carlo_expected_dot(
     key noise term q . R_m z_k is N(0, |q|^2)).  Deterministic for a fixed
     seed.
     """
-    m = _read_distance("m", m)
-    seed = read_value(Field("seed", int), seed)
+    m = read_value(Field("m", POSITION), m)
+    seed = read_value(Field("seed", IntRange(0)), seed)
     mean, stderr = _shared_sample_moments(mu_q, mu_k, [m], samples, seed, config, 1)
     return float(mean[0]), float(stderr[0])
 
@@ -298,17 +285,13 @@ def decay_profile(
     ``SeedSequence(seed)``, whatever else is in the grid.  Chunks may run
     on ``max_workers`` threads without changing the result.
     """
-    dist = [_read_distance("distances", d) for d in distances]
+    dist = [read_value(Field("distances", _DISTANCE), d) for d in distances]
     if not dist:
         raise ValueError("distances must be non-empty")
-    if any(d < 0 for d in dist):
-        raise ValueError("distances must be non-negative")
     if any(b <= a for a, b in zip(dist, dist[1:])):
         raise ValueError("distances must be strictly increasing")
-    max_workers = read_value(Field("max_workers", int), max_workers)
-    if max_workers < 1:
-        raise ValueError(f"max_workers must be at least 1, got {max_workers}")
-    seed = read_value(Field("seed", int), seed)
+    max_workers = read_value(Field("max_workers", IntRange(1)), max_workers)
+    seed = read_value(Field("seed", IntRange(0)), seed)
     base = int(np.random.SeedSequence(seed).generate_state(1, dtype=np.uint64)[0])
     mean, stderr = _shared_sample_moments(mu_q, mu_k, dist, samples, base, config, max_workers)
     return DecayProfile(

@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .codec import Field, csv_text, json_text, read_array, read_value
+from .codec import Field, IntRange, csv_text, json_text, read_array, read_value
 from .idalign import PositionIdMap, _axis_partners, assign_position_ids
 from .layout import LayoutPlan, segment_ranges
 from .rope import RopeConfig, apply_rope_many
@@ -78,7 +78,7 @@ def population_gaussian(
 ) -> TokenPopulation:
     """Independent N(mean, 1) coordinates from a seeded Philox stream."""
     roles = plan.slot_roles()
-    rng = np.random.Generator(np.random.Philox(read_value(Field("seed", int), seed)))
+    rng = np.random.Generator(np.random.Philox(read_value(Field("seed", IntRange(0)), seed)))
     vectors = mean + rng.standard_normal((len(roles), config.dim))
     return TokenPopulation(vectors=vectors, roles=roles)
 

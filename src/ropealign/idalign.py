@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codec import csv_text, json_chunks, read_fields
+from .codec import Field, IntRange, csv_text, json_chunks, read_fields, read_value
 from .layout import (
     GridShape,
     HighResGrid,
@@ -53,11 +53,9 @@ class GridMapping:
     base: int
 
     def __post_init__(self) -> None:
-        read_fields(self, base=int)
+        read_fields(self, base=IntRange(0))
         if self.ids.shape != (self.shape.rows, self.shape.cols):
             raise ValueError("ids matrix does not match the declared shape")
-        if self.base < 0:
-            raise ValueError("base must be non-negative")
         if np.any(self.ids < self.base):
             raise ValueError("all mapped ids must be at least base")
         if np.any(np.diff(self.ids, axis=0) < 0) or np.any(np.diff(self.ids, axis=1) < 0):
@@ -86,8 +84,7 @@ class PositionIdMap:
     mode: str
 
     def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        read_fields(self, mode=MODES)
         ids = np.array(self.ids)  # a copy: the map owns its IDs
         if ids.ndim != 1 or (ids.size and ids.dtype.kind not in "iu"):
             raise ValueError(f"ids must be a 1-D sequence of integers, got {ids.dtype} {ids.shape}")
@@ -120,8 +117,10 @@ def map_highres_ids(thumb: GridShape, high: GridShape, base: int = 0) -> GridMap
     ramp, bilinear and nearest-neighbor agree, so one code path covers
     both), rounding half away from zero and clamping into range.  The
     half-pixel convention assigns each high-res cell the thumbnail cell
-    containing its center, which always spatially overlaps it.
+    containing its center, which always spatially overlaps it.  ``base``
+    is read first, so that the largest ID fits in int64.
     """
+    base = read_value(Field("base", IntRange(0, 2**63 - thumb.cells)), base)
     rows = _axis_targets(thumb.rows, high.rows)
     cols = _axis_targets(thumb.cols, high.cols)
     ids = base + rows[:, None] * thumb.cols + cols[None, :]
@@ -162,12 +161,8 @@ def assign_position_ids(
     thumbnail grid that defines its IDs; otherwise ValueError.  A plan
     too large to allocate is a ValueError naming its slot count.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if separator_policy not in SEPARATOR_POLICIES:
-        raise ValueError(
-            f"separator_policy must be one of {SEPARATOR_POLICIES}, got {separator_policy!r}"
-        )
+    mode = read_value(Field("mode", MODES), mode)
+    separator_policy = read_value(Field("separator_policy", SEPARATOR_POLICIES), separator_policy)
     with allocating_slots(plan):
         if mode == "baseline":
             return PositionIdMap(ids=np.arange(plan.total_tokens), mode=mode)

@@ -19,7 +19,7 @@ from typing import ClassVar, get_args
 
 import numpy as np
 
-from .codec import Field, json_text, read_fields, read_json, read_object
+from .codec import Field, IntRange, json_text, read_fields, read_json, read_object, read_value
 
 __all__ = [
     "Resolution",
@@ -39,6 +39,8 @@ __all__ = [
     "segment_ranges",
 ]
 
+_POSITIVE, _NON_NEGATIVE = IntRange(1), IntRange(0)  # built once: every plan reads several
+
 
 @dataclass(frozen=True)
 class Resolution:
@@ -48,9 +50,7 @@ class Resolution:
     width: int
 
     def __post_init__(self) -> None:
-        read_fields(self, height=int, width=int)
-        if self.height <= 0 or self.width <= 0:
-            raise ValueError(f"resolution must be positive, got {self.height}x{self.width}")
+        read_fields(self, height=_POSITIVE, width=_POSITIVE)
 
     @property
     def area(self) -> int:
@@ -70,8 +70,8 @@ class PaddedPlacement:
     offset_left: int
 
     def __post_init__(self) -> None:
-        if self.offset_top < 0 or self.offset_left < 0:
-            raise ValueError("offsets must be non-negative")
+        read_fields(self, target=Resolution, scaled=Resolution)
+        read_fields(self, offset_top=_NON_NEGATIVE, offset_left=_NON_NEGATIVE)
         if (
             self.offset_top + self.scaled.height > self.target.height
             or self.offset_left + self.scaled.width > self.target.width
@@ -87,10 +87,7 @@ class GridShape:
     cols: int
 
     def __post_init__(self) -> None:
-        read_fields(self, rows=int, cols=int)
-        for name, value in (("rows", self.rows), ("cols", self.cols)):
-            if value <= 0:
-                raise ValueError(f"grid {name} must be positive, got {value}")
+        read_fields(self, rows=_POSITIVE, cols=_POSITIVE)
 
     @property
     def cells(self) -> int:
@@ -123,12 +120,10 @@ class TextSegment(_SegmentKind):
     length: int
 
     KIND = "text"
-    FIELDS = (Field("len", int),)
+    FIELDS = (Field("len", _POSITIVE),)
 
     def __post_init__(self) -> None:
-        read_fields(self, length=int)
-        if self.length <= 0:
-            raise ValueError("text segment length must be positive")
+        read_fields(self, length=_POSITIVE)
 
     def runs(self) -> tuple[int, int, int]:
         return 1, self.length, 0
@@ -139,7 +134,7 @@ class ThumbnailGrid(_SegmentKind):
     shape: GridShape
 
     KIND = "thumb"
-    FIELDS = (Field("rows", int), Field("cols", int))
+    FIELDS = (Field("rows", _POSITIVE), Field("cols", _POSITIVE))
     ONE_PER_PLAN = "thumbnail grid"
 
     @classmethod
@@ -162,7 +157,7 @@ class HighResGrid(_SegmentKind):
     row_separator: bool = True
 
     KIND = "highres"
-    FIELDS = (Field("rows", int), Field("cols", int), Field("row_separator", bool, True))
+    FIELDS = (*ThumbnailGrid.FIELDS, Field("row_separator", bool, True))
     ONE_PER_PLAN = "high-resolution grid"
 
     def __post_init__(self) -> None:
@@ -184,12 +179,10 @@ class Separator(_SegmentKind):
     count: int = 1
 
     KIND = "separator"
-    FIELDS = (Field("count", int, 1),)
+    FIELDS = (Field("count", _POSITIVE, 1),)
 
     def __post_init__(self) -> None:
-        read_fields(self, count=int)
-        if self.count <= 0:
-            raise ValueError("separator count must be positive")
+        read_fields(self, count=_POSITIVE)
 
     def runs(self) -> tuple[int, int, int]:
         return 1, self.count, 0
@@ -199,7 +192,7 @@ Segment = TextSegment | ThumbnailGrid | HighResGrid | Separator
 SEGMENT_KINDS = {cls.KIND: cls for cls in get_args(Segment)}
 IMAGE_ROLES = ("thumb", "highres")
 _KIND_FIELD = Field("kind", tuple(SEGMENT_KINDS))
-_PLAN_FIELDS = (Field("segments", list), Field("patch_size", int))
+_PLAN_FIELDS = (Field("segments", list), Field("patch_size", _POSITIVE))
 
 
 def _read_segment(raw, where: str) -> Segment:
@@ -226,9 +219,7 @@ class LayoutPlan:
     patch_size: int
 
     def __post_init__(self) -> None:
-        read_fields(self, patch_size=int)
-        if self.patch_size <= 0:
-            raise ValueError("patch_size must be positive")
+        read_fields(self, patch_size=_POSITIVE)
         object.__setattr__(self, "segments", tuple(self.segments))
         for seg in self.segments:
             if not isinstance(seg, _SegmentKind):
@@ -373,6 +364,9 @@ def select_resolution(
     input's own pixel count, which stops upscaling beyond native size
     from counting as gain.
     """
+    input = read_value(Field("input", Resolution), input)
+    field = Field("candidates", Resolution)
+    candidates = [read_value(field, cand) for cand in candidates]
     if not candidates:
         raise ValueError("candidate list must be non-empty")
 
@@ -391,6 +385,8 @@ def fit_with_padding(input: Resolution, target: Resolution) -> PaddedPlacement:
     Scaled dimensions round to nearest (half up) and are clamped to at
     least one pixel and at most the target.
     """
+    input = read_value(Field("input", Resolution), input)
+    target = read_value(Field("target", Resolution), target)
     scale = min(target.height / input.height, target.width / input.width)
     sh = min(target.height, max(1, math.floor(input.height * scale + 0.5)))
     sw = min(target.width, max(1, math.floor(input.width * scale + 0.5)))
@@ -409,8 +405,8 @@ def unpad_grid(placement: PaddedPlacement, patch_size: int) -> GridShape:
     at least one pixel, so content is never discarded; the survivors form
     one contiguous block per axis.
     """
-    if patch_size <= 0:
-        raise ValueError("patch_size must be positive")
+    placement = read_value(Field("placement", PaddedPlacement), placement)
+    patch_size = read_value(Field("patch_size", _POSITIVE), patch_size)
     if placement.target.height % patch_size or placement.target.width % patch_size:
         raise ValueError(
             f"target {placement.target.height}x{placement.target.width} "
@@ -445,10 +441,10 @@ def build_layout(
     = False`` swaps the two image blocks for comparison runs.  Text
     segments with zero length are omitted.
     """
-    if pre_text < 0 or post_text < 0:
-        raise ValueError("text lengths must be non-negative")
-    if patch_size <= 0:
-        raise ValueError("patch_size must be positive")
+    pre_text = read_value(Field("pre_text", _NON_NEGATIVE), pre_text)
+    post_text = read_value(Field("post_text", _NON_NEGATIVE), post_text)
+    patch_size = read_value(Field("patch_size", _POSITIVE), patch_size)
+    vit_resolution = read_value(Field("vit_resolution", Resolution), vit_resolution)
     if vit_resolution.height % patch_size or vit_resolution.width % patch_size:
         raise ValueError("vit resolution must be divisible by patch size")
     thumb = ThumbnailGrid(

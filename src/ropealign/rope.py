@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import read_array, read_fields
+from .codec import Field, IntRange, read_array, read_fields, read_value
 
 __all__ = [
     "RopeConfig",
@@ -22,12 +22,17 @@ __all__ = [
     "rope_dot",
 ]
 
+# The kind of a rotary position or distance: past 2**53 in magnitude not
+# every integer is a float, so a position could be rotated as a
+# neighbouring one.
+POSITION = IntRange(-(2**53), 2**53)
+
 
 @dataclass(frozen=True)
 class RopeConfig:
     """Head dimension and frequency base of a rotary embedding.
 
-    ``dim`` must be a positive even integer (a Python or numpy integer,
+    ``dim`` must be an even integer of at least 2 (a Python or numpy integer,
     stored as ``int``); ``theta_base`` must be a finite real, stored as
     ``float``, and exceed 1 (common choices are 1e4 and 1e7).
     """
@@ -36,8 +41,8 @@ class RopeConfig:
     theta_base: float = 10_000.0
 
     def __post_init__(self) -> None:
-        read_fields(self, dim=int, theta_base=float)
-        if self.dim < 2 or self.dim % 2 != 0:
+        read_fields(self, dim=IntRange(2), theta_base=float)
+        if self.dim % 2:
             raise ValueError(f"dim must be a positive even integer, got {self.dim}")
         if self.theta_base <= 1.0:
             raise ValueError(f"theta_base must be finite and greater than 1, got {self.theta_base}")
@@ -61,10 +66,11 @@ def apply_rope(v, m: int, config: RopeConfig) -> np.ndarray:
     """Rotate each adjacent pair (v[2i], v[2i+1]) by angle ``m * freq[i]``.
 
     Pairing is block-adjacent: pair i occupies coordinates (2i, 2i+1).
-    A negative ``m`` rotates backwards; ``m = 0`` returns the input
-    unchanged.  Returns a new float64 vector of the same length: one row
-    of ``apply_rope_many``.
+    ``m`` is an integer of magnitude at most 2**53; a negative ``m``
+    rotates backwards, and ``m = 0`` returns the input unchanged.  Returns
+    a new float64 vector of the same length: one row of ``apply_rope_many``.
     """
+    m = read_value(Field("m", POSITION), m)
     return apply_rope_many(read_array(v, "v", (config.dim,))[None, :], m, config)[0]
 
 

@@ -9,6 +9,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -175,7 +176,7 @@ class TestSimulateDecay:
         (["attention-report", "--pop", "gaussian:x:1"], "pop", "gaussian:x:1"),
         (["attention-report", "--pop", "gaussian:0.5:x"], "pop", "gaussian:0.5:x"),
         (["attention-report", "--pop", "constant:x"], "pop", "constant:x"),
-        (["simulate-decay", "--seed", "-1"], "seed", -1),
+        (["attention-report", "--pop", "gaussian:0.5:-1"], "pop", "gaussian:0.5:-1"),
         (["simulate-decay", "--distances", "log:0..10:4:junk"], "distances", "log:0..10:4:junk"),
     ],
 )
@@ -196,9 +197,9 @@ BAD_MU = "error: mu: bad mean preset {}, expected 'zeros' or 'ones:C'\n"
     [
         (["simulate-decay", "--mu", "ones:nan"], BAD_MU.format("'ones:nan'")),
         (["simulate-decay", "--distances", "3,1"], "error: distances must be strictly increasing\n"),
-        (["simulate-decay", "--seed", "-1"], "error: seed: must be non-negative, got -1\n"),
-        (["simulate-decay", "--threads", "0"], "error: threads must be at least 1, got 0\n"),
-        (["plan-layout", "--patch", "0"], "error: patch_size must be positive\n"),
+        (["simulate-decay", "--seed", "-1"], "error: seed must be an integer of at least 0, got -1\n"),
+        (["simulate-decay", "--threads", "0"], "error: threads must be an integer of at least 1, got 0\n"),
+        (["plan-layout", "--patch", "0"], "error: patch_size must be an integer of at least 1, got 0\n"),
         (["simulate-decay", "--mu", "ones:inf"], BAD_MU.format("'ones:inf'")),
         (["simulate-decay", "--mu", "ones:-inf"], BAD_MU.format("'ones:-inf'")),
         (["simulate-decay", "--theta", "inf"], "error: theta must be a number, got inf\n"),
@@ -216,7 +217,7 @@ def test_plan_file_with_zero_patch_size_exits_2(tmp_path, capsys):
     plan = tmp_path / "plan.json"
     plan.write_text('{"segments":[{"kind":"thumb","rows":2,"cols":3}],"patch_size":0}')
     assert main(["assign-ids", "--plan", str(plan), "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err == f"error: {plan}: patch_size must be positive\n"
+    assert capsys.readouterr().err == f"error: {plan}: plan: patch_size must be an integer of at least 1, got 0\n"
     assert not (tmp_path / "o").exists()
 
 
@@ -843,12 +844,14 @@ class TestOptionTable:
 
     @pytest.mark.parametrize("command", sorted(CONFIG_KEYS))
     def test_config_accepts_exactly_the_flag_keys(self, command, tmp_path, capsys):
+        """Every key of the command, at its default, is read; every other
+        key is named as unknown, with the file."""
         others = set().union(*CONFIG_KEYS.values()) | {"config", "bogus"}
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(dict.fromkeys(others | CONFIG_KEYS[command])))
+        cfg.write_text(json.dumps(dict.fromkeys(others) | {k: DEFAULTS[k] for k in CONFIG_KEYS[command]}))
         assert main([command, "--config", str(cfg)]) == 2
         unknown = ", ".join(sorted(others - CONFIG_KEYS[command]))
-        assert capsys.readouterr().err == f"error: unknown config keys: {unknown}\n"
+        assert capsys.readouterr().err == f"error: {cfg}: unknown keys: {unknown}\n"
 
     @pytest.mark.parametrize("command", sorted(CONFIG_KEYS))
     def test_defaults(self, command):
@@ -1089,14 +1092,14 @@ class TestDocumentContract:
     @pytest.mark.parametrize(
         "text, message",
         [
-            ("[1]", "a config must be a JSON object, got list"),
-            ('"x"', "a config must be a JSON object, got str"),
-            ("{", "Expecting property name enclosed in double quotes"),
-            ('{"patch": 14.5}', "patch must be an integer, got 14.5"),
-            ('{"theta": "1e4"}', "theta must be a number, got '1e4'"),
-            ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
-            ('{"theta": 1' + "0" * 400 + "}", "theta must be a number, got 1000"),
-            ('{"theta": 1e400}', "theta must be a number, got inf\n"),
+            ("[1]", " must be a JSON object, got list\n"),
+            ('"x"', " must be a JSON object, got str\n"),
+            ("{", ": Expecting property name enclosed in double quotes"),
+            ('{"patch": 14.5}', ": patch must be an integer, got 14.5\n"),
+            ('{"theta": "1e4"}', ": theta must be a number, got '1e4'\n"),
+            ("[" * 100_000 + "]" * 100_000, ": maximum recursion depth exceeded"),
+            ('{"theta": 1' + "0" * 400 + "}", ": theta must be a number, got 1000"),
+            ('{"theta": 1e400}', ": theta must be a number, got inf\n"),
         ],
         ids=["list", "string", "truncated", "float-patch", "string-theta", "deep", "huge-theta", "inf-theta"],
     )
@@ -1107,18 +1110,35 @@ class TestDocumentContract:
         assert main([command, "--config", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"error: {path}: {message}"), captured.err
+        assert captured.err.startswith(f"error: {path}{message}"), captured.err
 
+    @pytest.mark.parametrize(
+        "doc, flags, message",
+        [
+            ({"threads": 0}, ["--threads", "2"], "threads must be an integer of at least 1, got 0"),
+            ({"seed": 1.5}, ["--seed", "3"], "seed must be an integer, got 1.5"),
+        ],
+        ids=["threads", "seed"],
+    )
+    def test_flag_does_not_hide_a_bad_config_value(self, tmp_path, capsys, doc, flags, message):
+        """A config file is read whole, as a plan file is: a bad value in
+        it is an error even where a flag overrides it."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        argv = ["simulate-decay", "--config", str(path), "--dim", "4", "--samples", "8", "--distances", "0"]
+        assert main(argv + flags + ["--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "segment, message",
         [
-            ({"kind": "thumb", "rows": 0, "cols": 3}, "grid rows must be positive, got 0"),
-            ({"kind": "thumb", "rows": 2, "cols": -1}, "grid cols must be positive, got -1"),
-            ({"kind": "highres", "rows": -4, "cols": 3}, "grid rows must be positive, got -4"),
-            ({"kind": "highres", "rows": 2, "cols": 0}, "grid cols must be positive, got 0"),
-            ({"kind": "text", "len": 0}, "text segment length must be positive"),
-            ({"kind": "separator", "count": 0}, "separator count must be positive"),
+            ({"kind": "thumb", "rows": 0, "cols": 3}, "rows must be an integer of at least 1, got 0"),
+            ({"kind": "thumb", "rows": 2, "cols": -1}, "cols must be an integer of at least 1, got -1"),
+            ({"kind": "highres", "rows": -4, "cols": 3}, "rows must be an integer of at least 1, got -4"),
+            ({"kind": "highres", "rows": 2, "cols": 0}, "cols must be an integer of at least 1, got 0"),
+            ({"kind": "text", "len": 0}, "len must be an integer of at least 1, got 0"),
+            ({"kind": "separator", "count": 0}, "count must be an integer of at least 1, got 0"),
         ],
         ids=["thumb-rows", "thumb-cols", "highres-rows", "highres-cols", "text-len", "separator-count"],
     )
@@ -1233,3 +1253,48 @@ def test_dense_report_holds_no_dense_matrix(tmp_path, capsys):
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] <= n * n * 8 / 4, peaks
+
+
+# The run behind each ``error:`` line that README quotes: its argv and the
+# files it reads.  N in a quote is the slot count of the 2**40 x 2**40 grid.
+_HUGE_PLAN = {"segments": [{"kind": "highres", "rows": 2**40, "cols": 2**40, "row_separator": False}], "patch_size": 14}
+README_ERRORS = {
+    "error: a plan of N slots cannot be allocated": (
+        ["assign-ids", "--plan", "plan.json"], {"plan.json": json.dumps(_HUGE_PLAN)}
+    ),
+    "error: cfg.json: patch must be an integer, got 14.5": (
+        ["plan-layout", "--config", "cfg.json"], {"cfg.json": '{"patch": 14.5}'}
+    ),
+    "error: cfg.json must be a JSON object, got list": (
+        ["plan-layout", "--config", "cfg.json"], {"cfg.json": "[14]"}
+    ),
+    "error: input: bad resolution 'axb', expected HEIGHTxWIDTH": (["plan-layout", "--input", "axb"], {}),
+    "error: plan.json: plan segment 0: len is missing": (
+        ["assign-ids", "--plan", "plan.json"], {"plan.json": '{"segments":[{"kind":"text"}],"patch_size":14}'}
+    ),
+    "error: plan.json: plan segment 1: rows must be an integer of at least 1, got 0": (
+        ["assign-ids", "--plan", "plan.json"],
+        {"plan.json": '{"segments":[{"kind":"text","len":2},{"kind":"thumb","rows":0,"cols":2}],"patch_size":14}'},
+    ),
+}  # fmt: skip
+
+
+def readme_errors() -> list[str]:
+    """Each `error: ...` quote in README, its line breaks as spaces."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return [" ".join(quote.split()) for quote in re.findall(r"`(error: [^`]*)`", text)]
+
+
+def test_every_readme_error_has_a_run():
+    assert sorted(readme_errors()) == sorted(README_ERRORS)
+
+
+@pytest.mark.parametrize("quote", readme_errors())
+def test_readme_error_is_the_stderr(quote, tmp_path, monkeypatch, capsys):
+    """Each error line README quotes is, byte for byte, what its run prints."""
+    argv, files = README_ERRORS[quote]
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == quote.replace(" N ", f" {2**80} ") + "\n"

@@ -144,7 +144,7 @@ class TestGridMapping:
         "ids, base, message",
         [
             ([[0, 1, 2]], 0, "does not match the declared shape"),
-            ([[0, 1], [2, 3]], -1, "base must be non-negative"),
+            ([[0, 1], [2, 3]], -1, "^base must be an integer of at least 0, got -1$"),
             ([[4, 5], [6, 7]], 5, "at least base"),
             ([[1, 0], [2, 3]], 0, "nondecreasing"),
             ([[2, 3], [0, 1]], 0, "nondecreasing"),

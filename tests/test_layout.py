@@ -69,7 +69,12 @@ class TestValidation:
 
     @pytest.mark.parametrize(
         "top, left, message",
-        [(-1, 0, "non-negative"), (0, -1, "non-negative"), (0, 3, "fit inside"), (3, 0, "fit inside")],
+        [
+            (-1, 0, "^offset_top must be an integer of at least 0, got -1$"),
+            (0, -1, "^offset_left must be an integer of at least 0, got -1$"),
+            (0, 3, "fit inside"),
+            (3, 0, "fit inside"),
+        ],
     )
     def test_placement_offsets_checked(self, top, left, message):
         with pytest.raises(ValueError, match=message):
@@ -486,7 +491,7 @@ class TestLayoutPlanJson:
             ('{"segments":[1],"patch_size":14}', "plan segment 0 must be a JSON object, got int"),
             ('{"segments":[{"len":2}],"patch_size":14}', "plan segment 0: kind is missing"),
             ('{"segments":[{"kind":"text","len":1},{"kind":"text","len":0}],"patch_size":14}',
-             "plan segment 1: text segment length must be positive"),
+             "plan segment 1: len must be an integer of at least 1, got 0"),
         ],
     )
     def test_errors_name_segment_and_field(self, text, message):

@@ -14,8 +14,9 @@ import pytest
 
 import ropealign
 from ropealign import (
-    GridShape, LayoutPlan, RopeConfig, TextSegment, TokenPopulation, abel_bound_check, apply_rope,
-    apply_rope_many, cli, expected_dot_closed_form, map_highres_ids, population_gaussian,
+    GridShape, LayoutPlan, PaddedPlacement, Resolution, RopeConfig, TextSegment, TokenPopulation,
+    abel_bound_check, apply_rope, apply_rope_many, cli, decay_profile, expected_dot_closed_form,
+    map_highres_ids, monte_carlo_expected_dot, population_gaussian, select_resolution,
 )  # fmt: skip
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -139,8 +140,27 @@ HOSTILE = {
     "abel-delta=2**60": (lambda: abel_bound_check(_ONES, _ONES, 2**60, _CONFIG), "delta"),
     "base=2.5": (lambda: map_highres_ids(GridShape(1, 1), GridShape(2, 2), base=2.5), "base"),
     "base=True": (lambda: map_highres_ids(GridShape(1, 1), GridShape(2, 2), base=True), "base"),
+    "base=2**70": (lambda: map_highres_ids(GridShape(1, 1), GridShape(2, 2), base=2**70), "base"),
     "seed=1.5": (
         lambda: population_gaussian(LayoutPlan((TextSegment(2),), 14), _CONFIG, seed=1.5), "seed"
+    ),
+    "population-seed=-1": (
+        lambda: population_gaussian(LayoutPlan((TextSegment(2),), 14), _CONFIG, seed=-1), "seed"
+    ),
+    "decay_profile-seed=-1": (
+        lambda: decay_profile(_ONES, _ONES, [0], samples=8, seed=-1, config=_CONFIG), "seed"
+    ),
+    "monte-carlo-seed=-1": (
+        lambda: monte_carlo_expected_dot(_ONES, _ONES, 0, samples=8, seed=-1, config=_CONFIG), "seed"
+    ),
+    "offset=1.5": (
+        lambda: PaddedPlacement(Resolution(10, 10), Resolution(8, 8), offset_top=1.5, offset_left=1),
+        "offset_top",
+    ),
+    "apply_rope-m=nan": (lambda: apply_rope(_ONES, float("nan"), _CONFIG), "m"),
+    "apply_rope-m=10**400": (lambda: apply_rope(_ONES, 10**400, _CONFIG), "m"),
+    "select_resolution-tuple": (
+        lambda: select_resolution((336, 336), [Resolution(336, 336)]), "input"
     ),
     "integer-roles": (lambda: TokenPopulation(np.zeros((2, 4)), (1, 2)), "roles"),
 }

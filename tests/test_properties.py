@@ -46,7 +46,7 @@ from ropealign import (
     token_counts,
 )
 from ropealign import cli, codec, harness, layout
-from ropealign.codec import REQUIRED, csv_lines, csv_text, int_chunks, int_lines, json_chunks
+from ropealign.codec import REQUIRED, IntRange, csv_lines, csv_text, int_chunks, int_lines, json_chunks
 from ropealign.layout import SEGMENT_KINDS
 
 from oracles import CorrespondencePair, attention_scores, correspondence_oracle
@@ -887,6 +887,14 @@ _BAD_VALUES = {
 }
 
 
+def _bad_values(kind) -> list:
+    """Values that ``kind`` refuses: for an ``IntRange``, the non-integers
+    of int and the integers just outside its bounds."""
+    if isinstance(kind, IntRange):
+        return _BAD_VALUES[int] + [kind.least - 1] + ([] if kind.most is None else [kind.most + 1])
+    return _BAD_VALUES.get(kind, ["audio", 3])
+
+
 @given(layout_plans(), st.data())
 @settings(max_examples=200, deadline=None)
 def test_plan_errors_name_the_field(plan, data):
@@ -907,7 +915,7 @@ def test_plan_errors_name_the_field(plan, data):
         del target[field.name]
         want = f"{where}: {field.name} is missing"
     else:
-        target[field.name] = data.draw(st.sampled_from(_BAD_VALUES.get(field.kind, ["audio", 3])))
+        target[field.name] = data.draw(st.sampled_from(_bad_values(field.kind)))
         want = f"{where}: {field.name} must be "
     with pytest.raises(ValueError) as exc:
         LayoutPlan.from_json(json.dumps(doc))
@@ -918,7 +926,7 @@ def test_plan_errors_name_the_field(plan, data):
 @settings(max_examples=150, deadline=None)
 def test_config_errors_name_file_and_key(opt, data):
     """A mistyped config value is named, with its file."""
-    bad = data.draw(st.sampled_from(_BAD_VALUES.get(opt.kind, ["fancy", 3])))
+    bad = data.draw(st.sampled_from(_bad_values(opt.kind)))
     with _sandbox() as tmp:
         path = tmp / "cfg.json"
         path.write_text(json.dumps({opt.name: bad}))
