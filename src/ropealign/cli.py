@@ -311,30 +311,23 @@ def cmd_assign_ids(opts: dict) -> int:
     plan = _plan_from(opts)
     policy = opts["separator_policy"]
     mode = opts["mode"]
-    # Each map that exists is computed once; the span and the mapping base
-    # derive from them.  Only baseline mode tolerates a plan with no aligned map.
-    baseline = assign_position_ids(plan, "baseline", policy)
+    # Each map that exists is computed once; the span and the grid derive from
+    # them.  Only baseline mode with no grid to write tolerates no aligned map.
+    maps = {"baseline": assign_position_ids(plan, "baseline", policy)}
     try:
-        aligned = assign_position_ids(plan, "id_align", policy)
+        maps["id_align"] = assign_position_ids(plan, "id_align", policy)
     except ValueError:
-        if mode != "baseline":
+        if mode != "baseline" or (opts["mapping_csv"] and None not in (plan.thumbnail(), plan.highres())):
             raise
-        aligned = None
-    doc: dict = {}
-    if mode in ("baseline", "both"):
-        doc["baseline"] = baseline.to_doc()
-    if mode in ("id_align", "both"):
-        doc["id_align"] = aligned.to_doc()
-    if aligned is not None:
-        span = id_span_report(plan, policy, baseline=baseline, id_align=aligned)
+    doc = {name: idmap.to_doc() for name, idmap in maps.items() if mode in (name, "both")}
+    if len(maps) == 2:
+        span = id_span_report(plan, policy, **maps)
         doc["span"] = asdict(span) | {"ratio": None if math.isinf(span.ratio) else span.ratio}
     if opts["mapping_csv"]:
         high = plan.highres()
         if plan.thumbnail() is None or high is None:
             raise ValueError("--mapping-csv needs a plan with both grids")
-        if aligned is None:  # the failing map again, so it raises its own error
-            aligned = assign_position_ids(plan, "id_align", policy)
-        _emit(opts["mapping_csv"], int_chunks(aligned.ids[plan.cell_slots(high)]))
+        _emit(opts["mapping_csv"], int_chunks(maps["id_align"].ids[plan.cell_slots(high)]))
     _emit(opts["out"], itertools.chain(json_chunks(doc), ["\n"]))
     return 0
 

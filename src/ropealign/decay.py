@@ -100,8 +100,8 @@ class DecayProfile:
     sample_count: int
 
     def __post_init__(self) -> None:
-        read_fields(self, sample_count=int)
-        for field in (Field("distances", int), Field("mean_dot", float), Field("stderr", float)):
+        read_fields(self, sample_count=IntRange(2))
+        for field in (Field("distances", _DISTANCE), Field("mean_dot", float), Field("stderr", float)):
             values = tuple(read_value(field, v) for v in getattr(self, field.name))
             object.__setattr__(self, field.name, values)
         if not (len(self.distances) == len(self.mean_dot) == len(self.stderr)):

@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .codec import Field, IntRange, csv_text, json_text, read_array, read_value
-from .idalign import PositionIdMap, _axis_partners, assign_position_ids
+from .idalign import PositionIdMap, _axis_partners, _map_pair
 from .layout import LayoutPlan, segment_ranges
 from .rope import RopeConfig, apply_rope_many
 
@@ -323,13 +323,10 @@ def alignment_gain_report(
 
     The metrics are functions of the plan and the ID maps alone; no
     token population is involved.  ``baseline`` and ``id_align`` are the
-    plan's maps under this policy when the caller already has them; a
-    missing one is computed.
+    plan's maps under this policy when the caller has them; a given one is
+    checked and a missing one computed (``idalign._map_pair``).
     """
-    if baseline is None:
-        baseline = assign_position_ids(plan, "baseline", separator_policy)
-    if id_align is None:
-        id_align = assign_position_ids(plan, "id_align", separator_policy)
+    baseline, id_align = _map_pair(plan, separator_policy, baseline, id_align)
     return AlignmentGainReport(
         baseline=_mode_geometry(plan, baseline),
         id_align=_mode_geometry(plan, id_align),

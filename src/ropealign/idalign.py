@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codec import Field, IntRange, csv_text, json_chunks, read_fields, read_value
+from .codec import Field, IntRange, csv_text, read_fields, read_value
 from .layout import (
     GridShape,
     HighResGrid,
@@ -99,9 +99,6 @@ class PositionIdMap:
         """The JSON document of the map, with ``ids`` as the array, for
         ``codec.json_chunks``."""
         return {"ids": self.ids, "max_pid": self.max_pid, "mode": self.mode}
-
-    def to_json(self) -> str:
-        return "".join(json_chunks(self.to_doc()))
 
 
 def _axis_targets(n0: int, n1: int) -> np.ndarray:
@@ -216,6 +213,20 @@ class IdSpanReport:
     ratio: float
 
 
+def _map_pair(plan: LayoutPlan, separator_policy: str, baseline, id_align) -> list[PositionIdMap]:
+    """The plan's baseline and aligned maps under ``separator_policy``: each
+    the one given, which must be of its mode with one ID per plan slot, or
+    else computed."""
+    n = plan.total_tokens
+    pair = [baseline, id_align]
+    for i, (mode, idmap) in enumerate(zip(MODES, pair)):
+        if idmap is None:
+            pair[i] = assign_position_ids(plan, mode, separator_policy)
+        elif not (isinstance(idmap, PositionIdMap) and idmap.mode == mode and len(idmap.ids) == n):
+            raise ValueError(f"{mode} must be a {mode} map of the plan's {n} slots")
+    return pair
+
+
 def id_span_report(
     plan: LayoutPlan,
     separator_policy: str = "inherit-row-end",
@@ -226,17 +237,14 @@ def id_span_report(
     separators excluded).
 
     ``baseline`` and ``id_align`` are the plan's maps under this policy
-    when the caller already has them; a missing one is computed.
+    when the caller has them; ``_map_pair`` checks them or computes them.
     """
+    baseline, id_align = _map_pair(plan, separator_policy, baseline, id_align)
     slots = plan.image_slots()
 
     def span(idmap: PositionIdMap) -> int:
         return int(np.ptp(idmap.ids[slots])) if slots.size else 0
 
-    if baseline is None:
-        baseline = assign_position_ids(plan, "baseline", separator_policy)
-    if id_align is None:
-        id_align = assign_position_ids(plan, "id_align", separator_policy)
     b = span(baseline)
     a = span(id_align)
     if a == 0:

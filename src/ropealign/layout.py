@@ -96,16 +96,20 @@ class GridShape:
 
 # The segment table.  Each segment kind declares, once: KIND, its JSON
 # "kind" and the role of its cells; FIELDS, its other JSON fields, which
-# ``values()`` gives and ``of(*values)`` builds from; ``runs()``, its
-# slots as (rows, cells per row, separators after each row); and
-# ONE_PER_PLAN, a name when a plan may hold at most one of it.  All a
-# plan knows of its segments derives from these.
+# ``values()`` gives and ``of(*values)`` builds from; READS, the kind each
+# dataclass field is read as; ``runs()``, its slots as (rows, cells per
+# row, separators after each row); and ONE_PER_PLAN, a name when a plan
+# may hold at most one of it.  All a plan knows of its segments derives from these.
 
 
 class _SegmentKind:
     KIND: ClassVar[str]
     FIELDS: ClassVar[tuple[Field, ...]]
+    READS: ClassVar[dict[str, object]]
     ONE_PER_PLAN: ClassVar[str | None] = None
+
+    def __post_init__(self) -> None:
+        read_fields(self, **self.READS)
 
     @classmethod
     def of(cls, *values):
@@ -121,9 +125,7 @@ class TextSegment(_SegmentKind):
 
     KIND = "text"
     FIELDS = (Field("len", _POSITIVE),)
-
-    def __post_init__(self) -> None:
-        read_fields(self, length=_POSITIVE)
+    READS = {"length": _POSITIVE}
 
     def runs(self) -> tuple[int, int, int]:
         return 1, self.length, 0
@@ -135,6 +137,7 @@ class ThumbnailGrid(_SegmentKind):
 
     KIND = "thumb"
     FIELDS = (Field("rows", _POSITIVE), Field("cols", _POSITIVE))
+    READS = {"shape": GridShape}
     ONE_PER_PLAN = "thumbnail grid"
 
     @classmethod
@@ -158,10 +161,8 @@ class HighResGrid(_SegmentKind):
 
     KIND = "highres"
     FIELDS = (*ThumbnailGrid.FIELDS, Field("row_separator", bool, True))
+    READS = {"shape": GridShape, "row_separator": bool}
     ONE_PER_PLAN = "high-resolution grid"
-
-    def __post_init__(self) -> None:
-        read_fields(self, row_separator=bool)
 
     @classmethod
     def of(cls, rows: int, cols: int, row_separator: bool) -> HighResGrid:
@@ -180,9 +181,7 @@ class Separator(_SegmentKind):
 
     KIND = "separator"
     FIELDS = (Field("count", _POSITIVE, 1),)
-
-    def __post_init__(self) -> None:
-        read_fields(self, count=_POSITIVE)
+    READS = {"count": _POSITIVE}
 
     def runs(self) -> tuple[int, int, int]:
         return 1, self.count, 0

@@ -100,4 +100,6 @@ def rope_dot(q, m: int, k, n: int, config: RopeConfig) -> float:
     Up to float rounding the result depends only on the relative position
     n - m, so it equals ``q . apply_rope(k, n - m)``.
     """
+    m = read_value(Field("m", POSITION), m)
+    n = read_value(Field("n", POSITION), n)
     return float(np.dot(apply_rope(q, m, config), apply_rope(k, n, config)))

@@ -422,19 +422,24 @@ class TestAssignIds:
         grid = maps["id_align"].ids[plan.cell_slots(plan.highres())]
         assert csv.read_text() == csv_text(None, grid.tolist())
 
-    @pytest.mark.parametrize("command", ["assign-ids", "attention-report"])
+    @pytest.mark.parametrize(
+        "command",
+        [["assign-ids"], ["attention-report"], ["assign-ids", "--mode", "baseline"]],
+        ids=["assign-ids", "attention-report", "assign-ids-baseline"],
+    )
     @pytest.mark.parametrize("n", [10**15, 2**63 - 1])
     def test_unallocatable_plan_is_one_error_line(self, command, n, tmp_path):
         """A plan whose slots cannot be allocated exits 2 with one line
-        naming the count: no MemoryError traceback, no empty "pop:" cause.
-        A separate process, since the failure is an allocation."""
+        naming the count: no MemoryError traceback, no empty "pop:" cause,
+        and in baseline mode no empty document.  A separate process, since
+        the failure is an allocation."""
         plan_path = tmp_path / "plan.json"
         plan_path.write_text(json.dumps({"segments": [{"kind": "text", "len": n}], "patch_size": 14}))
         src = str(Path(ropealign.__file__).resolve().parents[1])
         env = {k: v for k, v in os.environ.items() if k != "ROPEALIGN_OUTPUT_DIR"}
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
-            [sys.executable, "-m", "ropealign", command, "--plan", str(plan_path)],
+            [sys.executable, "-m", "ropealign", *command, "--plan", str(plan_path)],
             env=env, capture_output=True, text=True, cwd=tmp_path,
         )  # fmt: skip
         assert proc.returncode == 2
@@ -594,7 +599,7 @@ class TestAttentionReport:
             calls.append(mode)
             return real(plan, mode, *args, **kwargs)
 
-        for module in (cli, idalign, harness):
+        for module in (cli, idalign):
             monkeypatch.setattr(module, "assign_position_ids", counting)
         rc = main(["attention-report"] + SMALL_PLAN_ARGS + ["--dim", "8", "--out-dir", str(tmp_path)])
         assert rc == 0

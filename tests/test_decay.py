@@ -383,10 +383,20 @@ class TestDecayProfile:
         assert plain.to_csv() == "rel_distance,mean_dot,stderr,samples\n1,0.5,0.1,10\n4,-2.25,0.0,10\n"
 
     def test_non_integer_distance_rejected(self):
-        with pytest.raises(ValueError, match="^distances must be an integer, got 0.5$"):
-            DecayProfile(distances=(0.5,), mean_dot=(0.0,), stderr=(0.0,), sample_count=10)
-        with pytest.raises(ValueError, match="^sample_count must be an integer, got 10.0$"):
-            DecayProfile(distances=(0,), mean_dot=(0.0,), stderr=(0.0,), sample_count=10.0)
+        """A profile's distances and sample count are read with the kinds
+        ``decay_profile`` reads them with, so a hand-built profile holds
+        nothing it refuses: (-5, 2**60) at 1 sample was once written out."""
+        zeros = {"mean_dot": (0.0, 0.0), "stderr": (0.0, 0.0)}
+        distance = "distances must be an integer from 0 to 9007199254740992, got"
+        for distances, bad in [((0.5, 1), "0.5"), ((-5, 1), "-5"), ((0, 2**53 + 1), "9007199254740993")]:
+            with pytest.raises(ValueError, match=f"^{distance} {bad}$"):
+                DecayProfile(distances=distances, **zeros, sample_count=10)
+        count = "sample_count must be an integer of at least 2, got"
+        for samples in (10.0, 1, True):
+            with pytest.raises(ValueError, match=f"^{count} {samples}$"):
+                DecayProfile(distances=(0, 1), **zeros, sample_count=samples)
+        edge = DecayProfile(distances=(0, 2**53), **zeros, sample_count=2)
+        assert edge.to_csv().splitlines()[1:] == ["0,0.0,0.0,2", "9007199254740992,0.0,0.0,2"]
 
     @pytest.mark.parametrize(
         "field, value",

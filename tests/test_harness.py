@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import ropealign
-from ropealign import harness
+from ropealign import harness, idalign
 from ropealign.codec import csv_text
 from ropealign import (
     GridShape,
@@ -543,5 +543,5 @@ class TestAlignmentGainReport:
         def fail(*args, **kwargs):
             raise AssertionError("map recomputed")
 
-        monkeypatch.setattr(harness, "assign_position_ids", fail)
+        monkeypatch.setattr(idalign, "assign_position_ids", fail)
         assert alignment_gain_report(plan, policy, **maps) == want

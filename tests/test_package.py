@@ -5,6 +5,7 @@ each a ValueError naming the parameter; and the README's library tour and
 CLI block, run."""
 
 import ast
+import dataclasses
 import re
 import shlex
 from pathlib import Path
@@ -14,9 +15,11 @@ import pytest
 
 import ropealign
 from ropealign import (
-    GridShape, LayoutPlan, PaddedPlacement, Resolution, RopeConfig, TextSegment, TokenPopulation,
-    abel_bound_check, apply_rope, apply_rope_many, cli, decay_profile, expected_dot_closed_form,
-    map_highres_ids, monte_carlo_expected_dot, population_gaussian, select_resolution,
+    DecayProfile, GridShape, HighResGrid, LayoutPlan, PaddedPlacement, Resolution, RopeConfig,
+    TextSegment, ThumbnailGrid, TokenPopulation, abel_bound_check, alignment_gain_report,
+    apply_rope, apply_rope_many, assign_position_ids, cli, decay_profile, expected_dot_closed_form,
+    id_span_report, layout, map_highres_ids, monte_carlo_expected_dot, population_gaussian,
+    rope_dot, select_resolution,
 )  # fmt: skip
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -130,6 +133,17 @@ def test_only_codec_imports_operator():
 _ONES = np.ones(4)
 _NAN = np.array([1.0, np.nan, 0.0, 0.0])
 _CONFIG = RopeConfig(4)
+# A plan of two slots, a thumbnail and a high-res cell, and maps of a plan of three.
+_TWO_SLOTS = LayoutPlan((ThumbnailGrid(GridShape(1, 1)), HighResGrid(GridShape(1, 1), False)), 14)
+_THREE_SLOTS = LayoutPlan((TextSegment(1), *_TWO_SLOTS.segments), 14)
+_REPORTS = {"id_span_report": id_span_report, "alignment_gain_report": alignment_gain_report}
+_WRONG_MAPS = {  # each: the parameter, and what is passed for it
+    "3-slot-baseline": ("baseline", assign_position_ids(_THREE_SLOTS, "baseline")),
+    "id_align-as-baseline": ("baseline", assign_position_ids(_TWO_SLOTS, "id_align")),
+    "ids-as-baseline": ("baseline", np.arange(2)),
+    "3-slot-id_align": ("id_align", assign_position_ids(_THREE_SLOTS, "id_align")),
+    "baseline-as-id_align": ("id_align", assign_position_ids(_TWO_SLOTS, "baseline")),
+}
 HOSTILE = {
     "theta_base=10**400": (lambda: RopeConfig(4, 10**400), "theta_base"),
     "theta_base='1e4'": (lambda: RopeConfig(4, "1e4"), "theta_base"),
@@ -163,7 +177,25 @@ HOSTILE = {
         lambda: select_resolution((336, 336), [Resolution(336, 336)]), "input"
     ),
     "integer-roles": (lambda: TokenPopulation(np.zeros((2, 4)), (1, 2)), "roles"),
+    "thumbnail-tuple-shape": (lambda: ThumbnailGrid((3, 4)), "shape"),
+    "rope_dot-n=nan": (lambda: rope_dot(_ONES, 0, _ONES, float("nan"), _CONFIG), "n"),
+    "decay-profile-distance=-5": (
+        lambda: DecayProfile(distances=(-5, 1), mean_dot=(0.0, 0.0), stderr=(0.0, 0.0), sample_count=2),
+        "distances",
+    ),
+    **{
+        f"{name}-{case}": (lambda r=report, p=param, m=given: r(_TWO_SLOTS, **{p: m}), param)
+        for name, report in _REPORTS.items()
+        for case, (param, given) in _WRONG_MAPS.items()
+    },
 }
+
+
+def test_segment_kinds_read_every_field():
+    """Each segment kind's READS names exactly its dataclass fields, in
+    order, so a new kind cannot skip the read of one."""
+    for cls in layout.SEGMENT_KINDS.values():
+        assert list(cls.READS) == [f.name for f in dataclasses.fields(cls)], cls.KIND
 
 
 @pytest.mark.parametrize("call, name", HOSTILE.values(), ids=HOSTILE)

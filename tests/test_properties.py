@@ -566,12 +566,15 @@ def test_int_chunks_join_to_int_lines(values, chunk):
 
 @given(
     st.lists(
-        st.tuples(st.integers(0, 2**62), _finite_floats, _finite_floats.map(abs)), max_size=8
+        st.tuples(st.integers(0, 2**53), _finite_floats, _finite_floats.map(abs)), max_size=8
     ),
-    st.integers(0, 2**62),
+    st.integers(2, 2**62),
 )
+@example([(2**53, 0.0, 0.0), (0, -0.0, 0.0)], 2)
 @settings(max_examples=200, deadline=None)
 def test_decay_csv_matches_reference(points, samples):
+    """Any profile the decay API's kinds admit: distances 0 to 2**53 and
+    at least 2 samples (the bounds themselves are pinned in test_decay)."""
     points = sorted({d: (d, m, s) for d, m, s in points}.values())
     profile = DecayProfile(
         distances=tuple(p[0] for p in points),
