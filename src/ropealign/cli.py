@@ -378,9 +378,9 @@ _COMMANDS = {
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: ``main`` only reads it.  A
-    caller that changes it (adds arguments, sets defaults) must change a
-    ``copy.deepcopy`` of it instead."""
+    """The parser, built once per process, with ``commands``, each
+    subcommand's parser: ``main`` only reads them.  A caller that changes
+    it (adds arguments, sets defaults) must change a ``copy.deepcopy``."""
     parser = argparse.ArgumentParser(
         prog="ropealign",
         description="Rotary-embedding decay analysis and aligned position-ID assignment "
@@ -394,11 +394,18 @@ def build_parser() -> argparse.ArgumentParser:
             if command in opt.commands:
                 sp.add_argument(flag, **kw)
         sp.set_defaults(func=func)
+    parser.commands = sub.choices
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run ``argv`` (``sys.argv[1:]`` when None), parsed once by its command's parser; with no
+    command, or with arguments left over, the whole parser parses it and reports the error."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    sub = build_parser().commands.get(argv[0]) if argv else None
+    args, rest = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0])) if sub else (None, None)
+    if sub is None or rest:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(_merged(args))
     except (ValueError, OSError) as exc:

@@ -30,6 +30,7 @@ import numpy as np
 # ``ids.json`` list, rows of ``map.csv``): fixed, so a writer's memory does
 # not grow with the array.
 _JSON_CHUNK = 8192
+_JSON = json.JSONEncoder(separators=(",", ":"))  # shared by every ``json_text``: it keeps no state
 
 # Row k: the four ASCII digits of k, zero-padded.  Built in uint8, with no
 # wider temporary.  ``_DIGITS[k]`` is that row read as one uint32, and
@@ -92,8 +93,9 @@ def int_chunks(values: np.ndarray) -> Iterator[str]:
 
 
 def json_text(doc) -> str:
-    """``doc`` as compact JSON, without a trailing newline."""
-    return json.dumps(doc, separators=(",", ":"))
+    """``doc`` as compact JSON, without a trailing newline: ``json.dumps``
+    compact, from one shared encoder where ``dumps`` builds one a call."""
+    return _JSON.encode(doc)
 
 
 def json_chunks(doc) -> Iterator[str]:
@@ -217,10 +219,12 @@ def read_fields(obj, **kinds) -> None:
         object.__setattr__(obj, name, read_value(Field(name, kind), getattr(obj, name)))
 
 
-def read_array(value, name: str, shape: tuple) -> np.ndarray:
+def read_array(value, name: str, shape: tuple, kind=float) -> np.ndarray:
     """``value`` as a float64 array of ``shape``, where None allows any
-    length on its axis, with finite entries only.  Anything else raises
-    ValueError naming ``name``."""
+    length on its axis, with finite entries only; with ``kind`` an
+    ``IntRange``, each entry an integer in it (an integer array's range
+    is checked on its integers, not on their nearest floats).  Anything
+    else raises ValueError naming ``name``."""
     try:
         arr = np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -230,6 +234,13 @@ def read_array(value, name: str, shape: tuple) -> np.ndarray:
         raise ValueError(f"{name} must have shape ({want}), got {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite")
+    if isinstance(kind, IntRange) and arr.size:
+        ints = np.asarray(value)
+        ints = ints if ints.dtype.kind in "iu" else arr
+        field = Field(name, kind)
+        # The first fractional entry, if any, then the extremes, each read as one value.
+        for entry in (*arr[arr != np.trunc(arr)][:1].tolist(), int(ints.min()), int(ints.max())):
+            read_value(field, entry)
     return arr
 
 

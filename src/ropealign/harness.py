@@ -104,7 +104,7 @@ def _walk(
     if pop.vectors.shape[0] != len(idmap.ids):
         raise ValueError("population size must match the id map")
     ids = idmap.ids
-    rotated = apply_rope_many(pop.vectors, ids.astype(np.float64), config)
+    rotated = apply_rope_many(pop.vectors, ids, config)
     for lo in range(0, len(ids), _BLOCK_ROWS):
         # einsum, not BLAS: a threaded matmul changes the low bits with the
         # BLAS thread count, and the scores must not.  Each cell is the same
@@ -324,7 +324,8 @@ def alignment_gain_report(
     The metrics are functions of the plan and the ID maps alone; no
     token population is involved.  ``baseline`` and ``id_align`` are the
     plan's maps under this policy when the caller has them; a given one is
-    checked and a missing one computed (``idalign._map_pair``).
+    checked and a missing one computed (``idalign._map_pair``).  A given
+    map's separator policy is the caller's contract: it is not checked.
     """
     baseline, id_align = _map_pair(plan, separator_policy, baseline, id_align)
     return AlignmentGainReport(

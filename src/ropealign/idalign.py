@@ -216,7 +216,10 @@ class IdSpanReport:
 def _map_pair(plan: LayoutPlan, separator_policy: str, baseline, id_align) -> list[PositionIdMap]:
     """The plan's baseline and aligned maps under ``separator_policy``: each
     the one given, which must be of its mode with one ID per plan slot, or
-    else computed."""
+    else computed.  That a given aligned map was built under this policy is
+    the caller's contract: checking it would cost computing the map."""
+    plan = read_value(Field("plan", LayoutPlan), plan)
+    separator_policy = read_value(Field("separator_policy", SEPARATOR_POLICIES), separator_policy)
     n = plan.total_tokens
     pair = [baseline, id_align]
     for i, (mode, idmap) in enumerate(zip(MODES, pair)):
@@ -238,6 +241,8 @@ def id_span_report(
 
     ``baseline`` and ``id_align`` are the plan's maps under this policy
     when the caller has them; ``_map_pair`` checks them or computes them.
+    A given map's separator policy is the caller's contract: it is not
+    checked.
     """
     baseline, id_align = _map_pair(plan, separator_policy, baseline, id_align)
     slots = plan.image_slots()

@@ -14,6 +14,7 @@ import math
 import sys
 from contextlib import contextmanager
 from dataclasses import astuple, dataclass
+from functools import cached_property
 from itertools import accumulate
 from typing import ClassVar, get_args
 
@@ -211,7 +212,8 @@ class LayoutPlan:
     """Ordered token segments plus the patch size that produced the grids.
 
     A plan describes one image (at most one thumbnail grid and one
-    high-resolution grid) embedded in surrounding text.
+    high-resolution grid) embedded in surrounding text.  Its segments are
+    immutable, so their slot ranges (``segment_ranges``) are computed once.
     """
 
     segments: tuple[Segment, ...]
@@ -227,9 +229,15 @@ class LayoutPlan:
             if cls.ONE_PER_PLAN and sum(type(s) is cls for s in self.segments) > 1:
                 raise ValueError(f"at most one {cls.ONE_PER_PLAN} per plan")
 
+    @cached_property
+    def _ranges(self) -> tuple[tuple[Segment, int, int], ...]:
+        runs = [seg.runs() for seg in self.segments]
+        stops = list(accumulate(rows * (cells + tail) for rows, cells, tail in runs))
+        return tuple(zip(self.segments, [0, *stops], stops))
+
     @property
     def total_tokens(self) -> int:
-        return sum(stop - start for _seg, start, stop in segment_ranges(self))
+        return self._ranges[-1][2] if self._ranges else 0
 
     def slot_roles(self) -> tuple[str, ...]:
         """The role of each slot; a plan too large to allocate is a
@@ -307,11 +315,9 @@ def segment_ranges(plan: LayoutPlan) -> tuple[tuple[Segment, int, int], ...]:
     """(segment, first slot, one past last slot) for each segment in order.
 
     Row separators inside a high-resolution grid count toward that
-    segment's range.
+    segment's range.  Computed once per plan, on first read.
     """
-    runs = [seg.runs() for seg in plan.segments]
-    stops = list(accumulate(rows * (cells + tail) for rows, cells, tail in runs))
-    return tuple(zip(plan.segments, [0, *stops], stops))
+    return plan._ranges
 
 
 @dataclass(frozen=True)

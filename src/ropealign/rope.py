@@ -78,10 +78,13 @@ def apply_rope_many(vectors, positions, config: RopeConfig) -> np.ndarray:
     """Rotate each row of ``vectors`` by its own position.
 
     ``vectors`` has shape (n, dim), with finite entries; ``positions`` is
-    a scalar or an array of length n.
+    a scalar or an array of length n, each entry an integer of magnitude
+    at most 2**53 (``POSITION``).
     """
     arr = read_array(vectors, "vectors", (None, config.dim))
-    pos = np.asarray(positions, dtype=np.float64)
+    pos = read_array(positions, "positions", (None,) if np.ndim(positions) else (), POSITION)
+    if pos.ndim and len(pos) != len(arr):
+        raise ValueError(f"positions must be a scalar or one per row, got {len(pos)} for {len(arr)} rows")
     angles = np.multiply.outer(np.atleast_1d(pos), rope_frequencies(config))
     cos = np.cos(angles)
     sin = np.sin(angles)

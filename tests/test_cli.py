@@ -833,9 +833,7 @@ class TestOptionTable:
 
     @staticmethod
     def subparsers() -> dict:
-        parser = cli.build_parser()
-        action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        return action.choices
+        return cli.build_parser().commands
 
     def test_flags_match_config_keys(self):
         subs = self.subparsers()
@@ -868,22 +866,88 @@ class TestOptionTable:
         assert got == want
         assert {k: type(v) for k, v in got.items()} == {k: type(v) for k, v in want.items()}
 
-    def test_main_calls_share_one_parser(self, monkeypatch, capsys):
-        """The parser is built once per process, and a call's flags do not
-        leak into the next call."""
-        parsers = []
-        real = argparse.ArgumentParser.parse_args
+    def test_main_calls_share_one_parser(self, monkeypatch, tmp_path, capsys):
+        """Each call parses its arguments once, with its command's parser
+        from the one tree ``build_parser`` built; no parser is built, and a
+        call's flags do not leak into the next call."""
+        tree = cli.build_parser()
+        action = next(a for a in tree._actions if isinstance(a, argparse._SubParsersAction))
+        assert tree.commands is action.choices
+        calls, built = [], []
+        real_parse, real_init = argparse.ArgumentParser.parse_known_args, argparse.ArgumentParser.__init__
 
-        def recording(self, *args, **kwargs):
-            parsers.append(self)
-            return real(self, *args, **kwargs)
+        def parsing(self, args=None, namespace=None):
+            calls.append((self, list(args), namespace and vars(namespace).copy()))
+            return real_parse(self, args, namespace)
 
-        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+        def building(self, *args, **kwargs):
+            built.append(self)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", parsing)
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", building)
+        out = str(tmp_path / "ids.json")
         assert main(["plan-layout", "--pre", "3"]) == 0
+        assert main(["assign-ids", "--pre", "1", "--out", out]) == 0
         assert main(["plan-layout"]) == 0
-        assert len(parsers) == 2 and parsers[0] is parsers[1] is cli.build_parser()
+        assert built == [] and cli.build_parser() is tree
+        assert calls == [
+            (tree.commands["plan-layout"], ["--pre", "3"], {"command": "plan-layout"}),
+            (tree.commands["assign-ids"], ["--pre", "1", "--out", out], {"command": "assign-ids"}),
+            (tree.commands["plan-layout"], [], {"command": "plan-layout"}),
+        ]
         counts = [json.loads(line) for line in capsys.readouterr().out.splitlines() if '"total"' in line]
         assert [c["text_tokens"] for c in counts] == [3, 0]
+        assert json.loads(Path(out).read_text())["baseline"]["ids"][:2] == [0, 1]
+
+    # Each exits while parsing, in the command's parser or, with no command or
+    # arguments left over, in the whole parser.
+    FALLBACK_ARGVS = [
+        [], ["-h"], ["--help"], ["bogus"], ["PLAN-LAYOUT"], ["--pre", "3"], ["-h", "plan-layout"],
+        ["--bogus", "plan-layout"], ["plan-layout", "--bogus"], ["plan-layout", "extra"],
+        ["plan-layout", "--", "--pre"], ["plan-layout", "-x"], ["plan-layout", "-h"],
+        ["plan-layout", "--pre", "x"], ["plan-layout", "--pre=x"], ["plan-layout", "--config"],
+        ["plan-layout", "--p", "3"], ["assign-ids", "--mode"], ["attention-report", "--pre", "1", "--pre"],
+        ["simulate-decay", "--samples", "8", "--plan", "p.json"],
+    ]  # fmt: skip
+
+    @pytest.mark.parametrize("argv", FALLBACK_ARGVS, ids=[" ".join(a) or "empty" for a in FALLBACK_ARGVS])
+    def test_parse_errors_match_the_whole_parser(self, argv, monkeypatch, capsys):
+        """``main`` parses with the command's parser, and falls back to the
+        whole one; either way stdout, stderr and the exit code are those of
+        ``build_parser().parse_args``."""
+        monkeypatch.setenv("COLUMNS", "80")
+        seen = []
+        for parse in (main, cli.build_parser().parse_args):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            seen.append((exc.value.code, *capsys.readouterr()))
+        assert seen[0] == seen[1]
+        assert seen[0][0] == (0 if {"-h", "--help"} & set(argv) else 2)
+
+    def test_argv_none_reads_the_command_line(self, tmp_path, monkeypatch, capsys):
+        """``python -m ropealign`` parses ``sys.argv``: the same stdout and
+        file bytes as the in-process call, and with no arguments exit 2
+        with the whole parser's usage."""
+        src = str(Path(ropealign.__file__).resolve().parents[1])
+        monkeypatch.delenv("ROPEALIGN_OUTPUT_DIR", raising=False)
+        monkeypatch.setenv("COLUMNS", "80")  # usage wraps at the same width in both processes
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        (tmp_path / "sub").mkdir()
+        argv = ["plan-layout", *SMALL_PLAN_ARGS, "--out", "p.json"]
+        run = [sys.executable, "-m", "ropealign"]
+        proc = subprocess.run(run + argv, env=env, capture_output=True, text=True, cwd=tmp_path / "sub")
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 0
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, capsys.readouterr().out, "")
+        assert (tmp_path / "sub" / "p.json").read_bytes() == (tmp_path / "p.json").read_bytes()
+        proc = subprocess.run(run, env=env, capture_output=True, text=True, cwd=tmp_path)
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args([])
+        usage = capsys.readouterr().err.splitlines()[0]
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.splitlines()[0] == usage and usage.startswith("usage: ropealign [-h]")
 
     @pytest.mark.parametrize("command", sorted(CONFIG_KEYS))
     def test_help_shows_each_default(self, command, monkeypatch, capsys):

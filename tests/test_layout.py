@@ -23,7 +23,7 @@ from ropealign import (
     token_counts,
     unpad_grid,
 )
-from ropealign.layout import SEGMENT_KINDS, Segment
+from ropealign.layout import SEGMENT_KINDS, Segment, segment_ranges
 
 FIVE_CANDIDATES = [
     Resolution(672, 672),
@@ -158,6 +158,7 @@ def test_plans_of_any_integers_round_trip(plan):
     for name in TokenCounts.__dataclass_fields__:
         assert type(getattr(counts, name)) is int
     assert type(plan.total_tokens) is int
+    assert plan.total_tokens == sum(stop - start for _seg, start, stop in segment_ranges(plan))
 
 
 class TestSelectResolution:
@@ -378,6 +379,17 @@ class TestTokenCounts:
         counts = token_counts(plan)
         assert counts.image_tokens == 576 + 1728
         assert counts.separator_tokens == 24
+
+    def test_ranges_computed_once(self):
+        """A plan's segment ranges are one tuple, computed on first read;
+        the total is its last stop, and 0 for a plan with no segments."""
+        plan = build_layout(10, Resolution(672, 672), FIVE_CANDIDATES, Resolution(336, 336), 14, 5)
+        ranges = segment_ranges(plan)
+        assert segment_ranges(plan) is ranges
+        assert plan.total_tokens == ranges[-1][2] == 2943
+        empty = LayoutPlan(segments=(), patch_size=14)
+        assert segment_ranges(empty) == () and empty.total_tokens == 0
+        assert token_counts(empty) == TokenCounts(0, 0, 0, 0, 0)
 
     def test_standalone_separator_counted(self):
         plan = LayoutPlan(

@@ -144,12 +144,15 @@ _WRONG_MAPS = {  # each: the parameter, and what is passed for it
     "3-slot-id_align": ("id_align", assign_position_ids(_THREE_SLOTS, "id_align")),
     "baseline-as-id_align": ("id_align", assign_position_ids(_TWO_SLOTS, "baseline")),
 }
+_MAPS = {mode: assign_position_ids(_TWO_SLOTS, mode) for mode in ("baseline", "id_align")}
 HOSTILE = {
     "theta_base=10**400": (lambda: RopeConfig(4, 10**400), "theta_base"),
     "theta_base='1e4'": (lambda: RopeConfig(4, "1e4"), "theta_base"),
     "abel-nan-q": (lambda: abel_bound_check(_NAN, _ONES, 1, _CONFIG), "q"),
     "apply_rope-nan": (lambda: apply_rope(_NAN, 1, _CONFIG), "v"),
     "apply_rope_many-nan": (lambda: apply_rope_many(_NAN[None], [1], _CONFIG), "vectors"),
+    "apply_rope_many-position=nan": (lambda: apply_rope_many(_ONES[None], [np.nan], _CONFIG), "positions"),
+    "apply_rope_many-2-positions-1-row": (lambda: apply_rope_many(_ONES[None], [1, 2], _CONFIG), "positions"),
     "closed-form-m=2**60": (lambda: expected_dot_closed_form(_ONES, _ONES, 2**60, _CONFIG), "m"),
     "abel-delta=2**60": (lambda: abel_bound_check(_ONES, _ONES, 2**60, _CONFIG), "delta"),
     "base=2.5": (lambda: map_highres_ids(GridShape(1, 1), GridShape(2, 2), base=2.5), "base"),
@@ -187,6 +190,13 @@ HOSTILE = {
         f"{name}-{case}": (lambda r=report, p=param, m=given: r(_TWO_SLOTS, **{p: m}), param)
         for name, report in _REPORTS.items()
         for case, (param, given) in _WRONG_MAPS.items()
+    },
+    **{
+        f"{name}-plan='x'": (lambda r=report: r("x"), "plan") for name, report in _REPORTS.items()
+    },
+    **{  # both maps given, so nothing else reads the policy
+        f"{name}-policy='drop'": (lambda r=report: r(_TWO_SLOTS, "drop", **_MAPS), "separator_policy")
+        for name, report in _REPORTS.items()
     },
 }
 

@@ -502,6 +502,23 @@ def test_json_chunks_equal_json_dumps(doc, chunk):
     assert text == json.dumps(_as_lists(doc), separators=(",", ":"))
 
 
+_any_floats = st.floats(width=64) | st.sampled_from([math.nan, math.inf, -math.inf])
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | _any_floats | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@given(_json_values)
+@settings(max_examples=300, deadline=None)
+@example({"é": [math.nan, math.inf, -math.inf, "\u2603\U0001f600"], "": {"\x00": -0.0}})
+def test_json_text_equals_json_dumps(doc):
+    """The one shared encoder writes what ``json.dumps`` compact writes,
+    NaN, infinities and non-ASCII text included, call after call."""
+    assert codec.json_text(doc) == codec.json_text(doc) == json.dumps(doc, separators=(",", ":"))
+
+
 _INT_DTYPES = (np.int8, np.int32, np.int64, np.uint8, np.uint64)
 # Every 10**k - 1 and 10**k a uint64 holds, and their negatives.
 _DECIMAL_EDGES = sorted({s * (10**k + e) for k in range(20) for e in (-1, 0) for s in (1, -1)})

@@ -167,6 +167,22 @@ class TestApplyRopeMany:
         with pytest.raises(ValueError, match=r"^vectors must have shape \(any, 4\), got \(4,\)$"):
             apply_rope_many(np.ones(4), 0, RopeConfig(dim=4))
 
+    def test_positions_are_rotary_positions(self):
+        """Each position is an integer of magnitude at most 2**53, checked
+        on the integers themselves for an integer array; integral floats
+        and a 0-d array are accepted."""
+        config = RopeConfig(dim=4)
+        vecs = np.ones((2, 4))
+        want = "^positions must be an integer from -9007199254740992 to 9007199254740992, got "
+        cases = [([0, 2.5], "2.5"), (np.array([0, 2**53 + 1]), str(2**53 + 1)), ([-(2.0**54), 0], str(-(2**54)))]
+        for bad, shown in cases:
+            with pytest.raises(ValueError, match=want + shown + "$"):
+                apply_rope_many(vecs, bad, config)
+        edge = apply_rope_many(vecs, np.array([2**53, -(2**53)]), config)
+        assert np.array_equal(edge, apply_rope_many(vecs, [2.0**53, -(2.0**53)], config))
+        scalar = apply_rope_many(vecs, np.array(7), config)
+        assert np.array_equal(scalar, apply_rope_many(vecs, [7.0, 7.0], config))
+
 
 class TestRopeDot:
     """Rotated inner product and the relative-position identity."""
