@@ -24,6 +24,7 @@ import math
 import os
 import sys
 from collections.abc import Callable, Iterable
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
 from typing import NamedTuple
@@ -35,6 +36,7 @@ from .decay import decay_profile
 from .harness import (
     TokenPopulation,
     _distance_blocks,
+    _summary_entries,
     alignment_gain_report,
     attention_summary,
     population_constant,
@@ -42,7 +44,7 @@ from .harness import (
     score_blocks,
 )
 from .idalign import MODES, SEPARATOR_POLICIES, assign_position_ids, id_span_report
-from .layout import LayoutPlan, Resolution, build_layout, token_counts
+from .layout import LayoutPlan, Resolution, allocating_slots, build_layout, token_counts
 from .rope import RopeConfig
 
 __all__ = ["main"]
@@ -341,17 +343,28 @@ def cmd_attention_report(opts: dict) -> int:
     maps = {mode: assign_position_ids(plan, mode, policy) for mode in MODES}
     pop = _parse(opts, "pop", _parse_pop, plan, config)
     score_opts = {"normalize": opts["normalize"], "scale": opts["scale"]}
-    for name, idmap in maps.items():
-        # Summed first: a score error then stops the run before any file of the mode is opened.
-        summary = attention_summary(pop, idmap, config, **score_opts)
-        if opts["dense"]:  # each matrix streamed a block at a time: no N x N array is held
-            distance = (text for dist in _distance_blocks(idmap.ids) for text in int_chunks(dist))
-            blocks = score_blocks(pop, idmap, config, **score_opts)
-            scores = csv_lines(None, (row.tolist() for block in blocks for row in block))
-            for kind, body in (("distance", distance), ("scores", scores)):
-                path = os.path.join(out_dir, f"{kind}_{name}.csv")
-                _emit(path, itertools.chain(csv_lines(pop.roles, ()), body))
-        _emit(os.path.join(out_dir, f"summary_{name}.csv"), summary.to_csv())
+    # The modes are summed at once: the first on this thread, each other one on a
+    # worker thread of its own (einsum releases the GIL, so one mode's walk runs
+    # while another folds).  All are held at once, so the size checked is their
+    # sum.  No worker outlives the block.
+    entries = sum(_summary_entries(pop, idmap, opts["normalize"]) for idmap in maps.values())
+    first, *rest = maps.values()
+    with allocating_slots(plan, entries), ThreadPoolExecutor(len(rest)) as pool:
+        futures = [pool.submit(attention_summary, pop, idmap, config, **score_opts) for idmap in rest]
+        summaries = itertools.chain(
+            [attention_summary(pop, first, config, **score_opts)], (future.result() for future in futures)
+        )
+        for (name, idmap), summary in zip(maps.items(), summaries):
+            # Then written in mode order, each mode once it is summed: a score error
+            # stops the run before any file of its mode is opened.
+            if opts["dense"]:  # each matrix streamed a block at a time: no N x N array is held
+                distance = (text for dist in _distance_blocks(idmap.ids) for text in int_chunks(dist))
+                blocks = score_blocks(pop, idmap, config, **score_opts)
+                scores = csv_lines(None, (row.tolist() for block in blocks for row in block))
+                for kind, body in (("distance", distance), ("scores", scores)):
+                    path = os.path.join(out_dir, f"{kind}_{name}.csv")
+                    _emit(path, itertools.chain(csv_lines(pop.roles, ()), body))
+            _emit(os.path.join(out_dir, f"summary_{name}.csv"), summary.to_csv())
     report = alignment_gain_report(plan, policy, **maps)
     _emit(os.path.join(out_dir, "gain_report.json"), report.to_json() + "\n")
     print(report.to_json())

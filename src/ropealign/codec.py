@@ -219,9 +219,10 @@ def read_fields(obj, **kinds) -> None:
         object.__setattr__(obj, name, read_value(Field(name, kind), getattr(obj, name)))
 
 
-def read_array(value, name: str, shape: tuple, kind=float) -> np.ndarray:
+def read_array(value, name: str, shape: tuple | None, kind=float) -> np.ndarray:
     """``value`` as a float64 array of ``shape``, where None allows any
-    length on its axis, with finite entries only; with ``kind`` an
+    length on its axis (a None ``shape``, any shape at all), with finite
+    entries only; with ``kind`` an
     ``IntRange``, each entry an integer in it (an integer array's range
     is checked on its integers, not on their nearest floats).  Anything
     else raises ValueError naming ``name``."""
@@ -229,7 +230,8 @@ def read_array(value, name: str, shape: tuple, kind=float) -> np.ndarray:
         arr = np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{name} must be an array of numbers: {exc}") from None
-    if arr.ndim != len(shape) or any(want not in (n, None) for n, want in zip(arr.shape, shape)):
+    fits = shape is None or arr.ndim == len(shape) and all(want in (n, None) for n, want in zip(arr.shape, shape))
+    if not fits:
         want = ", ".join("any" if n is None else str(n) for n in shape) + ("," if len(shape) == 1 else "")
         raise ValueError(f"{name} must have shape ({want}), got {arr.shape}")
     if not np.isfinite(arr).all():

@@ -11,13 +11,16 @@ against the upper triangle only.  ``_walk`` is the one home of the score
 formula, softmax included: it yields the score rows of the same blocks,
 so its memory is O(block * slots).  ``score_blocks`` is the walk over
 whole rows.  ``attention_summary`` is the one place the two walks meet:
-one loop pairs each score block with its distance block and folds them
-into per-group counts, sums and maxima through ``_fold``; without
-softmax it walks the upper triangle and mirrors the off-diagonal part,
-as the scores are symmetric bit for bit.  The CLI's ``--dense`` writer
-streams ``score_blocks``' rows a row at a time and the distance rows
-straight from ``_distance_blocks``, with no rotation.  The bytes depend
-neither on the thread count nor on the BLAS library.
+one loop turns each distance block into flat group indices in place and
+folds it with its score block into per-group counts, sums and maxima,
+one ``_fold`` a block; without softmax it walks the upper triangle into
+one table of 2 * size groups, the rectangle right of each block's square
+offset by ``size``, and mirrors that half, as the scores are symmetric
+bit for bit.  The CLI sums its two ID modes at once, one thread each.
+Its ``--dense`` writer streams ``score_blocks``' rows a row at a time
+and the distance rows straight from ``_distance_blocks``, with no
+rotation.  The bytes depend neither on the thread count nor on the BLAS
+library.
 """
 
 from __future__ import annotations
@@ -174,6 +177,20 @@ def _fold(table: tuple[np.ndarray, np.ndarray, np.ndarray], group: np.ndarray, s
     np.maximum.at(maxima, group, scores)
 
 
+def _width(ids: np.ndarray) -> int:
+    """The distances a summary table spans: 0 to the ID span, max - min."""
+    return int(ids.max() - ids.min()) + 1 if len(ids) else 1
+
+
+def _summary_entries(pop: TokenPopulation, idmap: PositionIdMap, normalize: bool) -> int:
+    """The 8-byte entries of the arrays ``attention_summary`` holds through
+    its walk: its table, the rotated population and one block of scores
+    and distances (its temporaries come on top)."""
+    n = len(idmap.ids)
+    groups = len(set(pop.roles)) ** 2 * _width(idmap.ids) * (1 if normalize else 2)
+    return 3 * groups + n * pop.vectors.shape[1] + 2 * _BLOCK_ROWS * n
+
+
 def attention_summary(
     pop: TokenPopulation,
     idmap: PositionIdMap,
@@ -186,44 +203,53 @@ def attention_summary(
 
     One loop pairs each ``_walk`` block with its ``_distance_blocks``
     block, drawn after it so the two are not both being built at the
-    peak, and folds them into one table per (role pair, exact distance):
-    counts and score sums by ``bincount``, score maxima by
-    ``maximum.at``, merged in block order.  Without ``normalize`` only the
-    upper triangle is walked, as score(i, j) = score(j, i) bit for bit:
-    each block runs from its first row's column on, its square folds as
-    it stands, and the rectangle right of it folds into a second table
-    that is added back twice, as it stands and with the query and key
-    roles swapped.  Softmax needs whole rows, so ``normalize`` walks them
-    and folds each block whole.  Distance buckets are then reduced from
-    the table, so the distance columns are exact, and the rows are read
-    at one ``nonzero`` mask of the bucketed counts.  The table spans
-    distances up to the map's ID span, max(id) - min(id), which for the
-    maps ``assign_position_ids`` builds is below the slot count.
+    peak, turns the distances into flat group indices in place and folds
+    the block into one table per (role pair, exact distance): counts and
+    score sums by ``bincount``, score maxima by ``maximum.at``, merged in
+    block order.  Without ``normalize`` only the upper triangle is
+    walked, as score(i, j) = score(j, i) bit for bit: each block runs
+    from its first row's column on, and the table holds 2 * size groups,
+    the block's square in the first ``size`` and the rectangle right of
+    it, offset by ``size``, in the second, so one fold per block sums
+    each group's cells in the same row-major order as two folds would.
+    The second half is added back to the first twice, as it stands and
+    with the query and key roles swapped.  Softmax needs whole rows, so
+    ``normalize`` walks them into a table of ``size`` groups.  Distance
+    buckets are then reduced from the table, so the distance columns are
+    exact, and the rows are read at one ``nonzero`` mask of the bucketed
+    counts.  The table spans distances up to the map's ID span,
+    max(id) - min(id), which for the maps ``assign_position_ids`` builds
+    is below the slot count.
     """
     ids = idmap.ids
     names, codes = np.unique(np.asarray(pop.roles, dtype=str), return_inverse=True)
     n_roles = len(names)
-    width = int(ids.max() - ids.min()) + 1 if len(ids) else 1
+    width = _width(ids)
     size = n_roles * n_roles * width
-    table, right = _empty_table(size), _empty_table(size)
+    upper = not normalize
+    whole = _empty_table((1 + upper) * size)
     query_base = codes * (n_roles * width)
     key_base = codes * width
-    upper = not normalize
     # The walk first: its shape checks run even when there are no blocks.
     walk = _walk(pop, idmap, config, normalize, scale, upper)
-    for scores, dist, lo in zip(walk, _distance_blocks(ids, upper), range(0, len(ids), _BLOCK_ROWS)):
-        n = len(dist)
-        group = dist + query_base[lo : lo + n, None] + key_base[lo if upper else 0 :]
+    for scores, group, lo in zip(walk, _distance_blocks(ids, upper), range(0, len(ids), _BLOCK_ROWS)):
+        n = len(group)
+        group += key_base[lo if upper else 0 :]  # in place: the distances become group indices
+        group += query_base[lo : lo + n, None]
         if upper:
-            _fold(table, group[:, :n], scores[:, :n])
-            _fold(right, group[:, n:], scores[:, n:])
-        else:  # one fold: splitting it would reorder bincount's sums
-            _fold(table, group, scores)
+            group[:, n:] += size  # the rectangle right of the square
+        _fold(whole, group, scores)
+    table = tuple(t[:size] for t in whole)
     if upper:  # (a, b, d) of the lower triangle is (b, a, d) of the upper one.
-        for whole, part, merge in zip(table, right, (np.add, np.add, np.maximum)):
-            merge(whole, part, out=whole)
-            merge(whole, part.reshape(n_roles, n_roles, width).swapaxes(0, 1).ravel(), out=whole)
+        for half, right, merge in zip(table, (t[size:] for t in whole), (np.add, np.add, np.maximum)):
+            merge(half, right, out=half)
+            merge(half, right.reshape(n_roles, n_roles, width).swapaxes(0, 1).ravel(), out=half)
+    return _summary(names, table, width)
 
+
+def _summary(names: np.ndarray, table: tuple[np.ndarray, np.ndarray, np.ndarray], width: int) -> ScoreSummary:
+    """The summary of a merged table of (role pair, exact distance) groups."""
+    n_roles = len(names)
     # Bucket b >= 1 holds distances [2**(b-1), 2**b); frexp's exponent of
     # d is exactly that b, and 0 for d = 0.
     distance = np.arange(width)

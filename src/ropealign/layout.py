@@ -296,14 +296,16 @@ class LayoutPlan:
 
 
 @contextmanager
-def allocating_slots(plan: LayoutPlan):
-    """A block that builds arrays of one 8-byte entry per slot of
-    ``plan``: a plan too large for that is a ValueError naming its slot
-    count, whether the allocation fails or the size is past the address
-    space (where numpy may return an empty array instead of failing)."""
+def allocating_slots(plan: LayoutPlan, entries: int | None = None):
+    """A block that builds arrays of ``entries`` 8-byte entries in all,
+    one per slot of ``plan`` when None: a plan too large for that is a
+    ValueError naming its slot count, whether the allocation fails, in
+    the block or in a thread whose error it re-raises, or the size is
+    past the address space (where numpy may return an empty array
+    instead of failing)."""
     n = plan.total_tokens
     error = ValueError(f"a plan of {n} slots cannot be allocated")
-    if n > sys.maxsize // 8:
+    if (n if entries is None else entries) > sys.maxsize // 8:
         raise error
     try:
         yield

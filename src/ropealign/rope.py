@@ -82,9 +82,9 @@ def apply_rope_many(vectors, positions, config: RopeConfig) -> np.ndarray:
     at most 2**53 (``POSITION``).
     """
     arr = read_array(vectors, "vectors", (None, config.dim))
-    pos = read_array(positions, "positions", (None,) if np.ndim(positions) else (), POSITION)
-    if pos.ndim and len(pos) != len(arr):
-        raise ValueError(f"positions must be a scalar or one per row, got {len(pos)} for {len(arr)} rows")
+    pos = read_array(positions, "positions", None, POSITION)  # read first: a ragged list is named
+    if pos.shape not in ((), (len(arr),)):
+        raise ValueError(f"positions must be a scalar or one per row, got shape {pos.shape} for {len(arr)} rows")
     angles = np.multiply.outer(np.atleast_1d(pos), rope_frequencies(config))
     cos = np.cos(angles)
     sin = np.sin(angles)

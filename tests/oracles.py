@@ -4,9 +4,12 @@ The package itself never calls these.  ``correspondence_oracle`` lists
 every spatially overlapping (high-res cell, thumbnail cell) pair, which
 the mapping soundness checks test each inherited ID against;
 ``attention_scores`` stacks the score walk into one dense matrix, which
-the score and summary checks compare whole; ``whole_chunk_moments`` draws
-each Monte Carlo chunk whole and projects it one distance at a time,
-which the blocked chunk worker of ``decay_profile`` must match bit for bit.
+the score and summary checks compare whole; ``two_table_summary`` folds
+each upper-triangle block twice, its square and the rectangle right of
+it into two tables, which the one-table fold of ``attention_summary``
+must match bit for bit; ``whole_chunk_moments`` draws each Monte Carlo
+chunk whole and projects it one distance at a time, which the blocked
+chunk worker of ``decay_profile`` must match bit for bit.
 """
 
 from dataclasses import dataclass
@@ -14,6 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ropealign import GridShape, PositionIdMap, RopeConfig, TokenPopulation, apply_rope_many, score_blocks
+from ropealign import harness
+from ropealign.harness import _distance_blocks, _empty_table, _fold, _walk, _width
 from ropealign.idalign import _axis_partners
 
 
@@ -49,6 +54,39 @@ def attention_scores(
     columns keys."""
     blocks = list(score_blocks(pop, idmap, config, normalize, scale))
     return np.concatenate(blocks) if blocks else np.empty((0, 0))
+
+
+def two_table_summary(
+    pop: TokenPopulation,
+    idmap: PositionIdMap,
+    config: RopeConfig,
+    normalize: bool = False,
+    scale: bool = True,
+):
+    """``attention_summary`` with each upper-triangle block folded twice:
+    its square into one table, the rectangle right of it into a second,
+    merged into the first at the end; ``normalize`` folds whole rows into
+    the first table.  The bucketed rows come from ``harness._summary``."""
+    ids = idmap.ids
+    names, codes = np.unique(np.asarray(pop.roles, dtype=str), return_inverse=True)
+    n_roles, width = len(names), _width(ids)
+    size = n_roles * n_roles * width
+    table, right = _empty_table(size), _empty_table(size)
+    upper = not normalize
+    walk = _walk(pop, idmap, config, normalize, scale, upper)
+    for scores, dist, lo in zip(walk, _distance_blocks(ids, upper), range(0, len(ids), harness._BLOCK_ROWS)):
+        n = len(dist)
+        group = dist + codes[lo : lo + n, None] * (n_roles * width) + codes[lo if upper else 0 :] * width
+        if upper:
+            _fold(table, group[:, :n], scores[:, :n])
+            _fold(right, group[:, n:], scores[:, n:])
+        else:
+            _fold(table, group, scores)
+    if upper:
+        for whole, part, merge in zip(table, right, (np.add, np.add, np.maximum)):
+            merge(whole, part, out=whole)
+            merge(whole, part.reshape(n_roles, n_roles, width).swapaxes(0, 1).ravel(), out=whole)
+    return harness._summary(names, table, width)
 
 
 def whole_chunk_moments(mu_q, mu_k, distances, samples: int, seed: int, config: RopeConfig):

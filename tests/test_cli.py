@@ -12,6 +12,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -20,8 +21,11 @@ import numpy as np
 import pytest
 
 import ropealign
-from ropealign import GridShape, LayoutPlan, Resolution, RopeConfig, decay_profile, harness, idalign
-from ropealign import cli, codec
+from ropealign import (
+    GridShape, HighResGrid, LayoutPlan, Resolution, RopeConfig, Separator, TextSegment, ThumbnailGrid,
+    decay_profile, harness, idalign,
+)  # fmt: skip
+from ropealign import cli, codec, layout
 from ropealign.cli import main
 from ropealign.codec import csv_lines, csv_text
 
@@ -672,6 +676,106 @@ class TestAttentionReport:
             assert (tmp_path / "dense" / f"summary_{mode}.csv").read_text() == summary
             scores = csv_text(pop.roles, attention_scores(pop, idmap, config, normalize=True).tolist())
             assert (tmp_path / "dense" / f"scores_{mode}.csv").read_text() == scores
+
+    @staticmethod
+    def _plan_file(tmp_path, name: str) -> Path:
+        """The benchmark's 617-slot plan, or a small plan whose first
+        segment is a separator, as a plan file."""
+        path = tmp_path / f"{name}.json"
+        if name == "benchmark":
+            args = ["--input", "336x672", "--candidates", "clip336", "--patch", "24", "--pre", "10", "--post", "5"]
+            assert main(["plan-layout", *args, "--out", str(path)]) == 0
+        else:
+            segments = (
+                Separator(2), TextSegment(3), ThumbnailGrid(GridShape(4, 4)),
+                HighResGrid(GridShape(8, 8), row_separator=True), Separator(1), TextSegment(5),
+            )  # fmt: skip
+            path.write_text(LayoutPlan(segments=segments, patch_size=14).to_json())
+        return path
+
+    @pytest.mark.parametrize("dense", [[], ["--dense"]], ids=["summary", "dense"])
+    @pytest.mark.parametrize("normalize", [False, True], ids=["raw", "normalize"])
+    @pytest.mark.parametrize("plan_name", ["benchmark", "separator-first"])
+    def test_summaries_summed_at_once_equal_serial_ones(self, plan_name, normalize, dense, tmp_path, capsys):
+        """The two modes are summed at once, one on a worker thread; each
+        summary file equals ``attention_summary`` computed in process, one
+        mode after the other."""
+        plan_path = self._plan_file(tmp_path, plan_name)
+        argv = ["attention-report", "--plan", str(plan_path), "--pop", "gaussian:0.5:5", "--out-dir", str(tmp_path)]
+        assert main(argv + ["--normalize"] * normalize + dense) == 0
+        plan = LayoutPlan.from_json(plan_path.read_text())
+        assert plan.total_tokens == 617 or plan.segments[0].KIND == "separator"
+        config = RopeConfig(dim=64)
+        pop = harness.population_gaussian(plan, config, mean=0.5, seed=5)
+        for mode in ("baseline", "id_align"):
+            summary = harness.attention_summary(pop, idalign.assign_position_ids(plan, mode), config, normalize)
+            assert (tmp_path / f"summary_{mode}.csv").read_text() == summary.to_csv()
+
+    @pytest.mark.parametrize("failing", ["baseline", "id_align"])
+    def test_a_mode_error_surfaces_in_mode_order(self, failing, tmp_path, capsys):
+        """A mode whose summary raises stops the run where the serial run
+        stopped: after every file of the modes before it, before any file
+        of its own, with one error line and exit 2."""
+        real = harness.attention_summary
+
+        def summary(pop, idmap, *args, **kwargs):
+            if idmap.mode == failing:
+                raise ValueError("scores must be finite")
+            return real(pop, idmap, *args, **kwargs)
+
+        out = tmp_path / "rep"
+        argv = ["attention-report"] + SMALL_PLAN_ARGS + ["--dim", "8", "--dense", "--out-dir", str(out)]
+        with mock.patch.object(cli, "attention_summary", summary):
+            assert main(argv) == 2
+        baseline = ["distance_baseline.csv", "scores_baseline.csv", "summary_baseline.csv"]
+        written = [] if failing == "baseline" else baseline
+        captured = capsys.readouterr()
+        assert captured.err == "error: scores must be finite\n"
+        assert captured.out == "".join(f"wrote {out / name}\n" for name in written)
+        assert (sorted(p.name for p in out.iterdir()) if out.exists() else []) == written
+
+    def test_no_thread_outlives_the_command(self, tmp_path, capsys):
+        argv = ["attention-report"] + SMALL_PLAN_ARGS + ["--dim", "8", "--out-dir", str(tmp_path)]
+        before = threading.active_count()
+        assert main(argv) == 0
+        assert main(argv + ["--pop", "constant:1e200"]) == 2
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("on_main", [True, False], ids=["main-thread", "worker-thread"])
+    def test_summary_memory_error_names_the_plan(self, on_main, tmp_path, capsys):
+        """A MemoryError in a summary, as from a table too large to
+        allocate, on this thread or re-raised from the worker's, is one
+        error line naming the plan's slot count."""
+        plan_path = self._plan_file(tmp_path, "benchmark")
+        capsys.readouterr()
+        real = harness._empty_table
+
+        def table(size):
+            if (threading.current_thread() is threading.main_thread()) == on_main:
+                raise MemoryError
+            return real(size)
+
+        out = tmp_path / "rep"
+        with mock.patch.object(harness, "_empty_table", table):
+            assert main(["attention-report", "--plan", str(plan_path), "--out-dir", str(out)]) == 2
+        written = [] if on_main else ["summary_baseline.csv"]  # the worker sums id_align
+        stdout = "".join(f"wrote {out / name}\n" for name in written)
+        assert capsys.readouterr() == (stdout, "error: a plan of 617 slots cannot be allocated\n")
+        assert (sorted(p.name for p in out.iterdir()) if out.exists() else []) == written
+
+    def test_summary_size_counts_both_modes(self, tmp_path, capsys):
+        """Both summaries are live at once, so the size checked before the
+        walks is the sum of the two: each of these fits the address space
+        alone, not both together."""
+        entries = sys.maxsize // 16 + 1
+        with layout.allocating_slots(LayoutPlan(segments=(TextSegment(1),), patch_size=14), entries):
+            pass
+        argv = ["attention-report"] + SMALL_PLAN_ARGS + ["--dim", "8", "--out-dir", str(tmp_path / "rep")]
+        with mock.patch.object(cli, "_summary_entries", return_value=entries):
+            assert main(argv) == 2
+        n = cli._plan_from(cli._merged(cli.build_parser().parse_args(argv))).total_tokens
+        assert capsys.readouterr().err == f"error: a plan of {n} slots cannot be allocated\n"
+        assert not (tmp_path / "rep").exists()
 
 
 class TestConfigPrecedence:

@@ -6,8 +6,12 @@ CLI block, run."""
 
 import ast
 import dataclasses
+import os
+import platform
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -153,6 +157,9 @@ HOSTILE = {
     "apply_rope_many-nan": (lambda: apply_rope_many(_NAN[None], [1], _CONFIG), "vectors"),
     "apply_rope_many-position=nan": (lambda: apply_rope_many(_ONES[None], [np.nan], _CONFIG), "positions"),
     "apply_rope_many-2-positions-1-row": (lambda: apply_rope_many(_ONES[None], [1, 2], _CONFIG), "positions"),
+    "apply_rope_many-ragged-positions": (
+        lambda: apply_rope_many(np.ones((2, 4)), [[1], [1, 2]], _CONFIG), "positions"
+    ),
     "closed-form-m=2**60": (lambda: expected_dot_closed_form(_ONES, _ONES, 2**60, _CONFIG), "m"),
     "abel-delta=2**60": (lambda: abel_bound_check(_ONES, _ONES, 2**60, _CONFIG), "delta"),
     "base=2.5": (lambda: map_highres_ids(GridShape(1, 1), GridShape(2, 2), base=2.5), "base"),
@@ -223,11 +230,17 @@ def test_readme_library_tour_runs(capsys):
     assert "rel_distance,mean_dot,stderr,samples" in capsys.readouterr().out
 
 
-def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
-    """Each command of the CLI section's shell block, continuations
-    joined, exits 0 in a fresh directory and writes the files it names."""
+def _readme_commands() -> list[list[str]]:
+    """The argv of each command of the CLI section's shell block,
+    continuations joined."""
     block = _readme_block("CLI", "sh").replace("\\\n", " ")
-    commands = [shlex.split(line) for line in block.splitlines() if line.startswith("ropealign ")]
+    return [shlex.split(line) for line in block.splitlines() if line.startswith("ropealign ")]
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
+    """Each command of the CLI section's shell block exits 0 in a fresh
+    directory and writes the files it names."""
+    commands = _readme_commands()
     assert [argv[1] for argv in commands] == list(cli._COMMANDS)
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("ROPEALIGN_OUTPUT_DIR", raising=False)
@@ -239,3 +252,65 @@ def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
             names = ("gain_report.json", "summary_baseline.csv", "summary_id_align.csv")
             paths += [Path(named["--out-dir"]) / name for name in names]
         assert paths and all(Path(path).is_file() for path in paths), argv
+
+
+# Flags appended to the README's commands, where the last of a repeated
+# flag wins, so that each environment's run takes about a second: 1000
+# samples, and a 42-pixel patch (a 351-slot plan of the same layout).
+_REDUCED = {"simulate-decay": ["--samples", "1000"], "plan-layout": ["--patch", "42"]}
+# The outputs whose bytes no SIMD level or BLAS kernel moves today, and the
+# summaries, which the SIMD level moves (ROADMAP item 18) and the BLAS does not.
+_PORTABLE = ("plan.json", "ids.json", "map.csv", "report/gain_report.json")
+_SUMMARIES = ("report/summary_baseline.csv", "report/summary_id_align.csv")
+_VARIED = ("NPY_DISABLE_CPU_FEATURES", "OPENBLAS_CORETYPE", "OPENBLAS_NUM_THREADS")
+
+
+def _readme_run(where: Path, env: dict[str, str]) -> dict[str, bytes]:
+    """Each README command, reduced, in a fresh interpreter with ``env``
+    over this one's environment less the varied settings, in the fresh
+    directory ``where``: each command's stdout and the outputs' bytes."""
+    child = {k: v for k, v in os.environ.items() if k not in (*_VARIED, "ROPEALIGN_OUTPUT_DIR")} | env
+    child["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), child.get("PYTHONPATH")]))
+    out = {}
+    for argv in _readme_commands():
+        argv = [sys.executable, "-m", "ropealign", *argv[1:], *_REDUCED.get(argv[1], [])]
+        proc = subprocess.run(argv, env=child, cwd=where, capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        out[f"stdout of {argv[3]}"] = proc.stdout
+    return out | {name: (where / name).read_bytes() for name in _PORTABLE + _SUMMARIES}
+
+
+@pytest.fixture(scope="module")
+def default_readme_run(tmp_path_factory):
+    return _readme_run(tmp_path_factory.mktemp("default"), {})
+
+
+def _other_environment(kind: str) -> tuple[dict[str, str], tuple[str, ...]]:
+    """The settings of one varied environment, and the outputs compared
+    under it: every dispatched SIMD level but the lowest disabled, or
+    another OpenBLAS kernel on one BLAS thread."""
+    if kind == "simd":
+        from numpy._core import _multiarray_umath as umath
+
+        found = [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)]
+        return {"NPY_DISABLE_CPU_FEATURES": " ".join(found[1:])}, _PORTABLE
+    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {}).get("name", "")
+    if "openblas" not in blas:
+        pytest.skip(f"numpy's BLAS is {blas or 'unknown'}, not OpenBLAS, so OPENBLAS_CORETYPE picks nothing")
+    core = {"x86_64": "Sandybridge", "AMD64": "Sandybridge", "aarch64": "ARMV8"}.get(platform.machine())
+    if core is None:
+        pytest.skip(f"no second OpenBLAS kernel is named for a {platform.machine()} CPU")
+    return {"OPENBLAS_CORETYPE": core, "OPENBLAS_NUM_THREADS": "1"}, _PORTABLE + _SUMMARIES
+
+
+@pytest.mark.parametrize("kind", ["simd", "blas"])
+def test_readme_outputs_equal_across_environments(kind, default_readme_run, tmp_path):
+    """The README's commands, reduced, give the same stdout and portable
+    outputs in fresh interpreters under the default environment and under
+    each varied one.  Under another BLAS kernel on one BLAS thread the
+    summaries, whose two modes are summed on two threads at once, are the
+    same bytes too."""
+    env, compared = _other_environment(kind)
+    run = _readme_run(tmp_path, env)
+    for name in [key for key in run if key.startswith("stdout of ")] + list(compared):
+        assert run[name] == default_readme_run[name], name

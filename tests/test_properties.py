@@ -49,7 +49,7 @@ from ropealign import cli, codec, harness, layout
 from ropealign.codec import REQUIRED, IntRange, csv_lines, csv_text, int_chunks, int_lines, json_chunks
 from ropealign.layout import SEGMENT_KINDS
 
-from oracles import CorrespondencePair, attention_scores, correspondence_oracle
+from oracles import CorrespondencePair, attention_scores, correspondence_oracle, two_table_summary
 
 dims = st.sampled_from([2, 4, 8, 64, 128])
 thetas = st.sampled_from([1e4, 1e7])
@@ -448,6 +448,27 @@ def test_summary_counts_match_id_histogram_correlation_over_many_blocks(mode, po
     pop = population_gaussian(plan, config, mean=0.5, seed=6)
     rows = attention_summary(pop, idmap, config, normalize).rows
     assert [row[:6] for row in rows] == count_oracle(plan.slot_roles(), idmap.ids)
+
+
+@pytest.mark.parametrize("block_rows", [1, 37, 64])
+@given(
+    plan=layout_plans(), mode=st.sampled_from(["baseline", "id_align"]), seed=seeds,
+    normalize=st.booleans(), scale=st.booleans(),
+)  # fmt: skip
+@settings(max_examples=40, deadline=None)
+def test_one_table_fold_matches_two_table_fold(block_rows, plan, mode, seed, normalize, scale):
+    """The summary's one fold a block, over a table of 2 * size groups,
+    gives the bytes of the two folds a block it replaced, at block sizes
+    that split the square and the rectangle anywhere."""
+    try:
+        idmap = assign_position_ids(plan, mode)
+    except ValueError:
+        return  # an aligned map needs a thumbnail before the high-res grid
+    config = RopeConfig(dim=8)
+    pop = population_gaussian(plan, config, mean=0.5, seed=seed)
+    with mock.patch.object(harness, "_BLOCK_ROWS", block_rows):
+        got = attention_summary(pop, idmap, config, normalize, scale).to_csv()
+        assert got == two_table_summary(pop, idmap, config, normalize, scale).to_csv()
 
 
 _edge_floats = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1.7e308, -1.7e308, 1 / 3, 0.1])
