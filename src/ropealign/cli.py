@@ -36,7 +36,6 @@ from .decay import decay_profile
 from .harness import (
     TokenPopulation,
     _distance_blocks,
-    _summary_entries,
     alignment_gain_report,
     attention_summary,
     population_constant,
@@ -345,11 +344,9 @@ def cmd_attention_report(opts: dict) -> int:
     score_opts = {"normalize": opts["normalize"], "scale": opts["scale"]}
     # The modes are summed at once: the first on this thread, each other one on a
     # worker thread of its own (einsum releases the GIL, so one mode's walk runs
-    # while another folds).  All are held at once, so the size checked is their
-    # sum.  No worker outlives the block.
-    entries = sum(_summary_entries(pop, idmap, opts["normalize"]) for idmap in maps.values())
+    # while another folds).  No worker outlives the block.
     first, *rest = maps.values()
-    with allocating_slots(plan, entries), ThreadPoolExecutor(len(rest)) as pool:
+    with allocating_slots(plan), ThreadPoolExecutor(len(rest)) as pool:
         futures = [pool.submit(attention_summary, pop, idmap, config, **score_opts) for idmap in rest]
         summaries = itertools.chain(
             [attention_summary(pop, first, config, **score_opts)], (future.result() for future in futures)

@@ -223,9 +223,9 @@ def read_array(value, name: str, shape: tuple | None, kind=float) -> np.ndarray:
     """``value`` as a float64 array of ``shape``, where None allows any
     length on its axis (a None ``shape``, any shape at all), with finite
     entries only; with ``kind`` an
-    ``IntRange``, each entry an integer in it (an integer array's range
-    is checked on its integers, not on their nearest floats).  Anything
-    else raises ValueError naming ``name``."""
+    ``IntRange``, each entry an integer in it, never a bool (an integer
+    array's range is checked on its integers, not on their nearest
+    floats).  Anything else raises ValueError naming ``name``."""
     try:
         arr = np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -238,8 +238,10 @@ def read_array(value, name: str, shape: tuple | None, kind=float) -> np.ndarray:
         raise ValueError(f"{name} must be finite")
     if isinstance(kind, IntRange) and arr.size:
         ints = np.asarray(value)
-        ints = ints if ints.dtype.kind in "iu" else arr
         field = Field(name, kind)
+        if ints.dtype.kind == "b":  # a bool is never an integer
+            read_value(field, ints.flat[0].item())
+        ints = ints if ints.dtype.kind in "iu" else arr
         # The first fractional entry, if any, then the extremes, each read as one value.
         for entry in (*arr[arr != np.trunc(arr)][:1].tolist(), int(ints.min()), int(ints.max())):
             read_value(field, entry)

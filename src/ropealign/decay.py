@@ -232,12 +232,11 @@ def _shared_sample_moments(
                     np.einsum("ij,ij->i", q, q, out=sq[r : r + len(q)])
                     # einsum, not BLAS: a BLAS product's bits vary with its thread count.
                     np.einsum("ij,kj->ki", q, group, out=out[:, r : r + len(q)])
-                m_free = np.sqrt(sq) * rng.standard_normal(n)
-                for i, dots in enumerate(out, lo):
-                    dots += m_free
-                    mean[i] = dots.mean()
-                    dots -= mean[i]
-                    m2[i] = np.square(dots, out=dots).sum()
+                out += np.sqrt(sq) * rng.standard_normal(n)
+                hi = lo + len(group)
+                mean[lo:hi] = out.mean(axis=1)
+                out -= mean[lo:hi, None]
+                m2[lo:hi] = np.square(out, out=out).sum(axis=1)
         return n, mean, m2
 
     count, mean, m2 = 0, np.zeros(len(distances)), np.zeros(len(distances))

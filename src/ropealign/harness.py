@@ -138,6 +138,8 @@ def score_blocks(
     columns keys; the scores depend on the IDs only through differences
     id_i - id_j, the rotary shift invariance the harness exists to exhibit.
     """
+    normalize = read_value(Field("normalize", bool), normalize)
+    scale = read_value(Field("scale", bool), scale)
     return _walk(pop, idmap, config, normalize, scale, upper=False)
 
 
@@ -182,15 +184,6 @@ def _width(ids: np.ndarray) -> int:
     return int(ids.max() - ids.min()) + 1 if len(ids) else 1
 
 
-def _summary_entries(pop: TokenPopulation, idmap: PositionIdMap, normalize: bool) -> int:
-    """The 8-byte entries of the arrays ``attention_summary`` holds through
-    its walk: its table, the rotated population and one block of scores
-    and distances (its temporaries come on top)."""
-    n = len(idmap.ids)
-    groups = len(set(pop.roles)) ** 2 * _width(idmap.ids) * (1 if normalize else 2)
-    return 3 * groups + n * pop.vectors.shape[1] + 2 * _BLOCK_ROWS * n
-
-
 def attention_summary(
     pop: TokenPopulation,
     idmap: PositionIdMap,
@@ -221,6 +214,8 @@ def attention_summary(
     max(id) - min(id), which for the maps ``assign_position_ids`` builds
     is below the slot count.
     """
+    normalize = read_value(Field("normalize", bool), normalize)
+    scale = read_value(Field("scale", bool), scale)
     ids = idmap.ids
     names, codes = np.unique(np.asarray(pop.roles, dtype=str), return_inverse=True)
     n_roles = len(names)

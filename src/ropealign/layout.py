@@ -201,10 +201,7 @@ def _read_segment(raw, where: str) -> Segment:
     if isinstance(raw, dict) and raw.get("kind") in _KIND_FIELD.kind:
         fields += SEGMENT_KINDS[raw["kind"]].FIELDS
     kind, *values = read_object(raw, fields, where)
-    try:
-        return SEGMENT_KINDS[kind].of(*values)
-    except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from None
+    return SEGMENT_KINDS[kind].of(*values)  # each value is read already, so this cannot raise
 
 
 @dataclass(frozen=True)
@@ -296,16 +293,15 @@ class LayoutPlan:
 
 
 @contextmanager
-def allocating_slots(plan: LayoutPlan, entries: int | None = None):
-    """A block that builds arrays of ``entries`` 8-byte entries in all,
-    one per slot of ``plan`` when None: a plan too large for that is a
-    ValueError naming its slot count, whether the allocation fails, in
-    the block or in a thread whose error it re-raises, or the size is
-    past the address space (where numpy may return an empty array
-    instead of failing)."""
+def allocating_slots(plan: LayoutPlan):
+    """A block that builds arrays sized by the slots of ``plan``: a plan
+    too large for them is a ValueError naming its slot count, whether it
+    has more slots than the address space holds 8-byte entries, or an
+    allocation fails, in the block or in a thread whose error it
+    re-raises."""
     n = plan.total_tokens
     error = ValueError(f"a plan of {n} slots cannot be allocated")
-    if (n if entries is None else entries) > sys.maxsize // 8:
+    if n > sys.maxsize // 8:
         raise error
     try:
         yield
@@ -372,6 +368,7 @@ def select_resolution(
     from counting as gain.
     """
     input = read_value(Field("input", Resolution), input)
+    cap_effective_at_input = read_value(Field("cap_effective_at_input", bool), cap_effective_at_input)
     field = Field("candidates", Resolution)
     candidates = [read_value(field, cand) for cand in candidates]
     if not candidates:
@@ -452,6 +449,8 @@ def build_layout(
     post_text = read_value(Field("post_text", _NON_NEGATIVE), post_text)
     patch_size = read_value(Field("patch_size", _POSITIVE), patch_size)
     vit_resolution = read_value(Field("vit_resolution", Resolution), vit_resolution)
+    row_separators = read_value(Field("row_separators", bool), row_separators)
+    thumbnail_first = read_value(Field("thumbnail_first", bool), thumbnail_first)
     if vit_resolution.height % patch_size or vit_resolution.width % patch_size:
         raise ValueError("vit resolution must be divisible by patch size")
     thumb = ThumbnailGrid(

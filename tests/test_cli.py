@@ -25,7 +25,7 @@ from ropealign import (
     GridShape, HighResGrid, LayoutPlan, Resolution, RopeConfig, Separator, TextSegment, ThumbnailGrid,
     decay_profile, harness, idalign,
 )  # fmt: skip
-from ropealign import cli, codec, layout
+from ropealign import cli, codec
 from ropealign.cli import main
 from ropealign.codec import csv_lines, csv_text
 
@@ -182,6 +182,8 @@ class TestSimulateDecay:
         (["attention-report", "--pop", "constant:x"], "pop", "constant:x"),
         (["attention-report", "--pop", "gaussian:0.5:-1"], "pop", "gaussian:0.5:-1"),
         (["simulate-decay", "--distances", "log:0..10:4:junk"], "distances", "log:0..10:4:junk"),
+        (["simulate-decay", "--mu", "uniform:1"], "mu", "uniform:1"),
+        (["attention-report", "--pop", "uniform:1"], "pop", "uniform:1"),
     ],
 )
 def test_bad_spec_names_option_and_spec(argv, key, spec, tmp_path, capsys):
@@ -238,10 +240,19 @@ def test_lin_distances_and_zero_mean(tmp_path, capsys):
     assert (tmp_path / "zeros.csv").read_text() == want.to_csv()
 
 
-@pytest.mark.parametrize("spec, want", [("log:0..0", [0]), ("log:0..0:5", [0]), ("log:0..1", [0, 1])])
+@pytest.mark.parametrize(
+    "spec, want",
+    [
+        ("log:0..0", [0]),
+        ("log:0..0:5", [0]),
+        ("log:0..1", [0, 1]),
+        ("log:1..64:4", sorted({round(v) for v in np.geomspace(1, 64, 4)})),
+    ],
+)
 def test_log_distances_from_zero_stay_in_range(spec, want, tmp_path, capsys):
     """A log range from 0 keeps the exact 0 point and no distance past
-    its end: ``log:0..0`` is 0 alone, in the spec and in the CSV rows."""
+    its end: ``log:0..0`` is 0 alone, in the spec and in the CSV rows.
+    A range from A >= 1 is its rounded geometric points, with no 0."""
     assert cli._parse_distances(spec) == want
     out = tmp_path / "decay.csv"
     assert main(["simulate-decay", "--dim", "4", "--samples", "8", "--distances", spec, "--out", str(out)]) == 0
@@ -762,20 +773,6 @@ class TestAttentionReport:
         stdout = "".join(f"wrote {out / name}\n" for name in written)
         assert capsys.readouterr() == (stdout, "error: a plan of 617 slots cannot be allocated\n")
         assert (sorted(p.name for p in out.iterdir()) if out.exists() else []) == written
-
-    def test_summary_size_counts_both_modes(self, tmp_path, capsys):
-        """Both summaries are live at once, so the size checked before the
-        walks is the sum of the two: each of these fits the address space
-        alone, not both together."""
-        entries = sys.maxsize // 16 + 1
-        with layout.allocating_slots(LayoutPlan(segments=(TextSegment(1),), patch_size=14), entries):
-            pass
-        argv = ["attention-report"] + SMALL_PLAN_ARGS + ["--dim", "8", "--out-dir", str(tmp_path / "rep")]
-        with mock.patch.object(cli, "_summary_entries", return_value=entries):
-            assert main(argv) == 2
-        n = cli._plan_from(cli._merged(cli.build_parser().parse_args(argv))).total_tokens
-        assert capsys.readouterr().err == f"error: a plan of {n} slots cannot be allocated\n"
-        assert not (tmp_path / "rep").exists()
 
 
 class TestConfigPrecedence:

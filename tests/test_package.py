@@ -21,9 +21,9 @@ import ropealign
 from ropealign import (
     DecayProfile, GridShape, HighResGrid, LayoutPlan, PaddedPlacement, Resolution, RopeConfig,
     TextSegment, ThumbnailGrid, TokenPopulation, abel_bound_check, alignment_gain_report,
-    apply_rope, apply_rope_many, assign_position_ids, cli, decay_profile, expected_dot_closed_form,
-    id_span_report, layout, map_highres_ids, monte_carlo_expected_dot, population_gaussian,
-    rope_dot, select_resolution,
+    apply_rope, apply_rope_many, assign_position_ids, attention_summary, build_layout, cli,
+    decay_profile, expected_dot_closed_form, id_span_report, layout, map_highres_ids,
+    monte_carlo_expected_dot, population_gaussian, rope_dot, score_blocks, select_resolution,
 )  # fmt: skip
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -149,6 +149,9 @@ _WRONG_MAPS = {  # each: the parameter, and what is passed for it
     "baseline-as-id_align": ("id_align", assign_position_ids(_TWO_SLOTS, "baseline")),
 }
 _MAPS = {mode: assign_position_ids(_TWO_SLOTS, mode) for mode in ("baseline", "id_align")}
+_POP = population_gaussian(_TWO_SLOTS, _CONFIG)
+_SQUARE = Resolution(336, 336)
+_LAYOUT_ARGS = (0, _SQUARE, [_SQUARE], _SQUARE, 14, 0)  # the required arguments of build_layout
 HOSTILE = {
     "theta_base=10**400": (lambda: RopeConfig(4, 10**400), "theta_base"),
     "theta_base='1e4'": (lambda: RopeConfig(4, "1e4"), "theta_base"),
@@ -157,6 +160,8 @@ HOSTILE = {
     "apply_rope_many-nan": (lambda: apply_rope_many(_NAN[None], [1], _CONFIG), "vectors"),
     "apply_rope_many-position=nan": (lambda: apply_rope_many(_ONES[None], [np.nan], _CONFIG), "positions"),
     "apply_rope_many-2-positions-1-row": (lambda: apply_rope_many(_ONES[None], [1, 2], _CONFIG), "positions"),
+    "apply_rope_many-position=True": (lambda: apply_rope_many(_ONES[None], True, _CONFIG), "positions"),
+    "apply_rope_many-positions=[True]": (lambda: apply_rope_many(_ONES[None], [True], _CONFIG), "positions"),
     "apply_rope_many-ragged-positions": (
         lambda: apply_rope_many(np.ones((2, 4)), [[1], [1, 2]], _CONFIG), "positions"
     ),
@@ -201,6 +206,25 @@ HOSTILE = {
     **{
         f"{name}-plan='x'": (lambda r=report: r("x"), "plan") for name, report in _REPORTS.items()
     },
+    # Each library flag, given as a value that Python reads as true but is not a bool.
+    "score_blocks-normalize='false'": (
+        lambda: score_blocks(_POP, _MAPS["baseline"], _CONFIG, normalize="false"), "normalize"
+    ),
+    "score_blocks-scale=1": (lambda: score_blocks(_POP, _MAPS["baseline"], _CONFIG, scale=1), "scale"),
+    "attention_summary-normalize='false'": (
+        lambda: attention_summary(_POP, _MAPS["baseline"], _CONFIG, normalize="false"), "normalize"
+    ),
+    "attention_summary-scale=1": (lambda: attention_summary(_POP, _MAPS["baseline"], _CONFIG, scale=1), "scale"),
+    "select_resolution-cap_effective_at_input='no'": (
+        lambda: select_resolution(_SQUARE, [_SQUARE], cap_effective_at_input="no"), "cap_effective_at_input"
+    ),
+    "build_layout-cap_effective_at_input='no'": (
+        lambda: build_layout(*_LAYOUT_ARGS, cap_effective_at_input="no"), "cap_effective_at_input"
+    ),
+    "build_layout-thumbnail_first='no'": (lambda: build_layout(*_LAYOUT_ARGS, thumbnail_first="no"), "thumbnail_first"),
+    "build_layout-row_separators=np.True_": (
+        lambda: build_layout(*_LAYOUT_ARGS, row_separators=np.True_), "row_separators"
+    ),
     **{  # both maps given, so nothing else reads the policy
         f"{name}-policy='drop'": (lambda r=report: r(_TWO_SLOTS, "drop", **_MAPS), "separator_policy")
         for name, report in _REPORTS.items()
