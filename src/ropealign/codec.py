@@ -10,8 +10,9 @@ written by one numpy kernel, ``int_lines``, which gives the same bytes as
 ``str`` of each entry without a Python object per entry, a fixed chunk of
 entries at a time.  Every plan or config file is parsed by ``read_json``,
 and every value read from one, from a flag or by a library call goes
-through ``read_value``: a dataclass's fields through ``read_fields``, a
-float array through ``read_array``, an integer with its range (``IntRange``).
+through ``read_value``: a dataclass's fields through ``read_fields``, an
+array through ``read_array`` (float64, or int64 under the rule for one
+integer), an integer with its range (``IntRange``).
 """
 
 from __future__ import annotations
@@ -220,31 +221,36 @@ def read_fields(obj, **kinds) -> None:
 
 
 def read_array(value, name: str, shape: tuple | None, kind=float) -> np.ndarray:
-    """``value`` as a float64 array of ``shape``, where None allows any
-    length on its axis (a None ``shape``, any shape at all), with finite
-    entries only; with ``kind`` an
-    ``IntRange``, each entry an integer in it, never a bool (an integer
-    array's range is checked on its integers, not on their nearest
-    floats).  Anything else raises ValueError naming ``name``."""
+    """``value`` as an array of ``shape``, where None allows any length on
+    its axis (a None ``shape``, any shape at all): float64 with finite
+    entries only or, with ``kind`` an ``IntRange`` within int64, int64
+    under ``read_value``'s rule for one integer.  An integer array's range
+    is checked on its extremes, with no Python step per entry; a nested
+    sequence's entries (or an object array's) are each read by
+    ``read_value``, so 2.0 or ``True`` is refused anywhere; a non-empty
+    array of any other dtype is refused.  Anything else raises ValueError
+    naming ``name``."""
+    ints = isinstance(kind, IntRange)
     try:
-        arr = np.asarray(value, dtype=np.float64)
+        arr = value if ints and isinstance(value, np.ndarray) else np.asarray(value, object if ints else np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{name} must be an array of numbers: {exc}") from None
+    if ints:
+        if arr.dtype.kind not in "iuO" and arr.size:  # a float, bool or other array
+            raise ValueError(f"{name} must be {_want(kind)}, got {arr.flat[0].item()!r}")
+        field = Field(name, kind)
+        if arr.dtype == object:  # Python objects: each entry read as one value
+            arr = np.array([read_value(field, entry) for entry in arr.flat], np.int64).reshape(arr.shape)
+        elif arr.size:  # integers: the range checked on the extremes
+            for extreme in (arr.min(), arr.max()):
+                read_value(field, int(extreme))
+        arr = arr.astype(np.int64, copy=False)
     fits = shape is None or arr.ndim == len(shape) and all(want in (n, None) for n, want in zip(arr.shape, shape))
     if not fits:
         want = ", ".join("any" if n is None else str(n) for n in shape) + ("," if len(shape) == 1 else "")
         raise ValueError(f"{name} must have shape ({want}), got {arr.shape}")
-    if not np.isfinite(arr).all():
+    if not (ints or np.isfinite(arr).all()):
         raise ValueError(f"{name} must be finite")
-    if isinstance(kind, IntRange) and arr.size:
-        ints = np.asarray(value)
-        field = Field(name, kind)
-        if ints.dtype.kind == "b":  # a bool is never an integer
-            read_value(field, ints.flat[0].item())
-        ints = ints if ints.dtype.kind in "iu" else arr
-        # The first fractional entry, if any, then the extremes, each read as one value.
-        for entry in (*arr[arr != np.trunc(arr)][:1].tolist(), int(ints.min()), int(ints.max())):
-            read_value(field, entry)
     return arr
 
 

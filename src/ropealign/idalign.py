@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codec import Field, IntRange, csv_text, read_fields, read_value
+from .codec import Field, IntRange, csv_text, read_array, read_fields, read_value
 from .layout import (
     GridShape,
     HighResGrid,
@@ -38,14 +38,16 @@ __all__ = [
 
 MODES = ("baseline", "id_align")
 SEPARATOR_POLICIES = ("inherit-row-end", "sequential-after-image")
+_ID = IntRange(0, 2**63 - 1)  # the kind of a position ID: any int64 but a negative one
 
 
 @dataclass(frozen=True, eq=False)
 class GridMapping:
     """Thumbnail ID inherited by each high-resolution cell.
 
-    ``ids`` has shape (shape.rows, shape.cols) and is nondecreasing along
-    every row and every column; all entries are at least ``base``.
+    ``ids`` is read as an int64 array of shape (shape.rows, shape.cols),
+    as ``PositionIdMap.ids`` is, and is nondecreasing along every row and
+    every column; all entries are at least ``base``.
     """
 
     shape: GridShape
@@ -53,9 +55,8 @@ class GridMapping:
     base: int
 
     def __post_init__(self) -> None:
-        read_fields(self, base=IntRange(0))
-        if self.ids.shape != (self.shape.rows, self.shape.cols):
-            raise ValueError("ids matrix does not match the declared shape")
+        read_fields(self, shape=GridShape, base=IntRange(0))
+        object.__setattr__(self, "ids", read_array(self.ids, "ids", (self.shape.rows, self.shape.cols), _ID))
         if np.any(self.ids < self.base):
             raise ValueError("all mapped ids must be at least base")
         if np.any(np.diff(self.ids, axis=0) < 0) or np.any(np.diff(self.ids, axis=1) < 0):
@@ -73,10 +74,11 @@ class GridMapping:
 class PositionIdMap:
     """One position ID per sequence slot plus the final running counter.
 
-    ``ids`` is stored as a read-only 1-D int64 array, whatever integer
-    sequence or array was passed.  ``max_pid``, derived from ``ids``, is
-    where the next sequential token would go: one past the largest
-    assigned ID, 0 for an empty map.
+    ``ids`` is stored as a read-only 1-D int64 array, read by
+    ``codec.read_array`` from an integer array or a sequence of integers
+    (never a float or bool), each from 0 to 2**63 - 1.  ``max_pid``,
+    derived from ``ids``, is where the next sequential token would go:
+    one past the largest assigned ID, 0 for an empty map.
     """
 
     ids: np.ndarray
@@ -85,14 +87,9 @@ class PositionIdMap:
 
     def __post_init__(self) -> None:
         read_fields(self, mode=MODES)
-        ids = np.array(self.ids)  # a copy: the map owns its IDs
-        if ids.ndim != 1 or (ids.size and ids.dtype.kind not in "iu"):
-            raise ValueError(f"ids must be a 1-D sequence of integers, got {ids.dtype} {ids.shape}")
-        ids = ids.astype(np.int64, copy=False)
+        ids = read_array(self.ids, "ids", (None,), _ID).copy()  # a copy: the map owns its IDs
         ids.flags.writeable = False
         object.__setattr__(self, "ids", ids)
-        if ids.size and ids.min() < 0:
-            raise ValueError("position ids must be non-negative")
         object.__setattr__(self, "max_pid", int(ids.max()) + 1 if ids.size else 0)
 
     def to_doc(self) -> dict:

@@ -78,8 +78,9 @@ def apply_rope_many(vectors, positions, config: RopeConfig) -> np.ndarray:
     """Rotate each row of ``vectors`` by its own position.
 
     ``vectors`` has shape (n, dim), with finite entries; ``positions`` is
-    a scalar or an array of length n, each entry an integer of magnitude
-    at most 2**53 (``POSITION``).
+    a scalar or an array of length n, read as int64, each entry an
+    integer of magnitude at most 2**53 (``POSITION``), never a float or a
+    bool.  Each is exact in float64, so the angles are those of its float.
     """
     arr = read_array(vectors, "vectors", (None, config.dim))
     pos = read_array(positions, "positions", None, POSITION)  # read first: a ragged list is named

@@ -227,7 +227,7 @@ class TestAttentionSummary:
         config = RopeConfig(dim=16)
         pop = population_gaussian(plan, config, mean=0.5, seed=5)
         idmap = assign_position_ids(plan, "baseline")
-        rotated = harness.apply_rope_many(pop.vectors, np.asarray(idmap.ids, dtype=np.float64), config)
+        rotated = harness.apply_rope_many(pop.vectors, idmap.ids, config)
         want = np.einsum("ik,jk->ij", rotated, rotated) / np.sqrt(config.dim)
         if normalize:
             want = np.exp(want - want.max(axis=1, keepdims=True))

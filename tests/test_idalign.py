@@ -143,7 +143,7 @@ class TestGridMapping:
     @pytest.mark.parametrize(
         "ids, base, message",
         [
-            ([[0, 1, 2]], 0, "does not match the declared shape"),
+            ([[0, 1, 2]], 0, r"^ids must have shape \(2, 2\), got \(1, 3\)$"),
             ([[0, 1], [2, 3]], -1, "^base must be an integer of at least 0, got -1$"),
             ([[4, 5], [6, 7]], 5, "at least base"),
             ([[1, 0], [2, 3]], 0, "nondecreasing"),
@@ -154,6 +154,15 @@ class TestGridMapping:
     def test_bad_mapping_rejected(self, ids, base, message):
         with pytest.raises(ValueError, match=message):
             GridMapping(shape=GridShape(2, 2), ids=np.array(ids), base=base)
+
+    @pytest.mark.parametrize(
+        "ids", [[[0, 1]], ((0, 1),), np.array([[0, 1]], dtype=np.uint8)], ids=["list", "tuple", "uint8"]
+    )
+    def test_ids_read_as_int64(self, ids):
+        """A nested sequence of ints or an integer array of any dtype is
+        stored as int64."""
+        ids = GridMapping(shape=GridShape(1, 2), ids=ids, base=0).ids
+        assert ids.dtype == np.int64 and ids.tolist() == [[0, 1]]
 
 
 class TestCorrespondenceOracle:
@@ -394,13 +403,23 @@ class TestPositionIdMap:
         assert "".join(json_chunks(idmap.to_doc())) == '{"ids":[],"max_pid":0,"mode":"baseline"}'
 
     @pytest.mark.parametrize(
-        "ids",
-        [np.array([0.0, 1.0]), (0, 1.5), np.array([True, False]), np.zeros((2, 2), dtype=np.int64), (0, 2**64)],
-        ids=["float-array", "float-in-tuple", "bool-array", "2-D", "past-int64"],
+        "ids, shown",
+        [
+            (np.array([0.0, 1.0]), r"0\.0"),
+            ((0, 1.5), r"1\.5"),
+            (np.array([True, False]), "True"),
+            ((0, 2**64), str(2**64)),
+            (np.array([0, 2**63], dtype=np.uint64), str(2**63)),
+        ],
+        ids=["float-array", "float-in-tuple", "bool-array", "past-int64", "uint64-past-int64"],
     )
-    def test_non_integer_ids_rejected(self, ids):
-        with pytest.raises(ValueError, match="^ids must be a 1-D sequence of integers"):
+    def test_non_integer_ids_rejected(self, ids, shown):
+        with pytest.raises(ValueError, match=f"^ids must be an integer from 0 to {2**63 - 1}, got {shown}$"):
             PositionIdMap(ids=ids, mode="baseline")
+
+    def test_two_dimensional_ids_rejected(self):
+        with pytest.raises(ValueError, match=r"^ids must have shape \(any,\), got \(2, 2\)$"):
+            PositionIdMap(ids=np.zeros((2, 2), dtype=np.int64), mode="baseline")
 
     def test_max_pid_is_derived_not_passed(self):
         """``max_pid`` is one past the largest ID, wherever it sits, and
@@ -422,8 +441,9 @@ class TestPositionIdMap:
             PositionIdMap(ids=[0, 1], mode=mode)
 
     def test_negative_ids_rejected(self):
-        with pytest.raises(ValueError):
-            PositionIdMap(ids=(0, -1), mode="baseline")
+        for ids in ((0, -1), np.array([0, -1])):
+            with pytest.raises(ValueError, match=f"^ids must be an integer from 0 to {2**63 - 1}, got -1$"):
+                PositionIdMap(ids=ids, mode="baseline")
 
 
 class TestIdSpanReport:

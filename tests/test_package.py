@@ -19,8 +19,8 @@ import pytest
 
 import ropealign
 from ropealign import (
-    DecayProfile, GridShape, HighResGrid, LayoutPlan, PaddedPlacement, Resolution, RopeConfig,
-    TextSegment, ThumbnailGrid, TokenPopulation, abel_bound_check, alignment_gain_report,
+    DecayProfile, GridMapping, GridShape, HighResGrid, LayoutPlan, PaddedPlacement, PositionIdMap,
+    Resolution, RopeConfig, TextSegment, ThumbnailGrid, TokenPopulation, abel_bound_check, alignment_gain_report,
     apply_rope, apply_rope_many, assign_position_ids, attention_summary, build_layout, cli,
     decay_profile, expected_dot_closed_form, id_span_report, layout, map_highres_ids,
     monte_carlo_expected_dot, population_gaussian, rope_dot, score_blocks, select_resolution,
@@ -134,6 +134,17 @@ def test_only_codec_imports_operator():
     assert importers == ["codec.py"]
 
 
+def test_only_codec_reads_dtype_kinds():
+    """``codec.read_array`` is the one reader of integer arrays, so no
+    other module inspects an array's ``dtype.kind``."""
+    readers = []
+    for path in SRC:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "kind" and getattr(node.value, "attr", None) == "dtype":
+                readers.append(path.name)
+    assert set(readers) == {"codec.py"}
+
+
 _ONES = np.ones(4)
 _NAN = np.array([1.0, np.nan, 0.0, 0.0])
 _CONFIG = RopeConfig(4)
@@ -225,6 +236,19 @@ HOSTILE = {
     "build_layout-row_separators=np.True_": (
         lambda: build_layout(*_LAYOUT_ARGS, row_separators=np.True_), "row_separators"
     ),
+    # Integer arrays, each read by codec.read_array: a bool or float is never an integer.
+    "apply_rope_many-positions=[1, True]": (lambda: apply_rope_many(np.ones((2, 4)), [1, True], _CONFIG), "positions"),
+    "apply_rope_many-positions=[7.0]": (lambda: apply_rope_many(_ONES[None], [7.0], _CONFIG), "positions"),
+    "PositionIdMap-ids=[1, True]": (lambda: PositionIdMap(ids=[1, True], mode="baseline"), "ids"),
+    "PositionIdMap-ids=[2**63]": (lambda: PositionIdMap(ids=[2**63], mode="baseline"), "ids"),
+    **{
+        f"GridMapping-ids={case}": (lambda ids=ids: GridMapping(GridShape(1, 1), ids, 0), "ids")
+        for case, ids in {
+            "[[1.5]]": np.array([[1.5]]), "[[True]]": np.array([[True]]), "[[nan]]": np.array([[np.nan]]),
+            "list-[[-1]]": [[-1]],  # a list: once an AttributeError, as [[1]] was (now a 1x1 grid)
+        }.items()
+    },
+    "GridMapping-shape=(1, 1)": (lambda: GridMapping((1, 1), np.array([[1]]), 0), "shape"),
     **{  # both maps given, so nothing else reads the policy
         f"{name}-policy='drop'": (lambda r=report: r(_TWO_SLOTS, "drop", **_MAPS), "separator_policy")
         for name, report in _REPORTS.items()

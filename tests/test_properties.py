@@ -19,10 +19,11 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import arrays, integer_dtypes, unsigned_integer_dtypes
 
 from ropealign import (
     DecayProfile,
+    GridMapping,
     GridShape,
     HighResGrid,
     LayoutPlan,
@@ -33,6 +34,7 @@ from ropealign import (
     ThumbnailGrid,
     abel_bound_check,
     apply_rope,
+    apply_rope_many,
     assign_position_ids,
     attention_summary,
     decay_profile,
@@ -696,6 +698,77 @@ def test_apply_rope_matches_reference_bitwise(dim, theta, seed, m):
     config = RopeConfig(dim=dim, theta_base=theta)
     v = _vec(dim, seed)
     assert apply_rope(v, m, config).tobytes() == reference_apply_rope(v, m, config).tobytes()
+
+
+# Integer arrays: rotary positions, PositionIdMap.ids and GridMapping.ids,
+# each read by codec.read_array under one rule.
+
+
+def _rotated_positions(value) -> np.ndarray:
+    """The positions ``apply_rope_many`` read from ``value``: it rotates
+    one row per entry at dim 2, whose one frequency is 1, bitwise as the
+    reference rotates each row by its integer."""
+    config = RopeConfig(dim=2)
+    got = apply_rope_many(np.ones((len(value), 2)), value, config)
+    ints = np.array(value, dtype=np.int64)  # accepted, so each entry is an integer
+    assert got.tobytes() == np.stack([reference_apply_rope(np.ones(2), int(m), config) for m in ints]).tobytes()
+    return ints
+
+
+def _grid_row(value) -> np.ndarray:
+    """The one row of the grid ``GridMapping`` read from ``[value]``."""
+    row = [value] if isinstance(value, list) else value[None]
+    return GridMapping(GridShape(1, len(value)), row, 0).ids[0]
+
+
+# Each reader: the parameter it names, its range, and what it read from a
+# 1-D value as a 1-D array.
+_INT_READERS = {
+    "positions": ("positions", (-(2**53), 2**53), _rotated_positions),
+    "PositionIdMap": ("ids", (0, 2**63 - 1), lambda value: PositionIdMap(ids=value, mode="baseline").ids),
+    "GridMapping": ("ids", (0, 2**63 - 1), _grid_row),
+}
+# The bounds of each range and the integers on either side of them.
+_INT_EDGES = sorted({b + d for _, bounds, _ in _INT_READERS.values() for b in bounds for d in (-1, 0, 1)})
+_NOT_INTS = [True, False, np.True_, 0.0, 7.0, 2.5, float("nan"), np.float64(1.0)]
+
+
+@st.composite
+def int_array_inputs(draw):
+    """(value, ints, poisoned): a sorted list of ints, an array of any
+    integer dtype and byte order, or an object array, and the Python ints
+    it holds; poisoned when a bool or float sits at a random place (a
+    numpy array then has a float or bool dtype).  Sorted, so that a grid
+    row is nondecreasing."""
+    form = draw(st.sampled_from(["list", "array", "object"]))
+    dtype = np.dtype(object) if form != "array" else draw(integer_dtypes() | unsigned_integer_dtypes())
+    lo, hi = (-(2**64), 2**64) if form != "array" else (int(np.iinfo(dtype).min), int(np.iinfo(dtype).max))
+    entry = st.integers(lo, hi) | st.sampled_from([e for e in _INT_EDGES if lo <= e <= hi])
+    ints = sorted(draw(st.lists(entry, min_size=1, max_size=6)))
+    value = ints if form == "list" else np.array(ints, dtype=dtype)
+    if not draw(st.booleans()):
+        return value, ints, False
+    if form == "array":
+        return value.astype(draw(st.sampled_from([np.float64, np.float32, bool]))), ints, True
+    poisoned = list(value)
+    poisoned.insert(draw(st.integers(0, len(ints))), draw(st.sampled_from(_NOT_INTS)))
+    return (poisoned if form == "list" else np.array(poisoned, dtype=object)), ints, True
+
+
+@given(st.sampled_from(sorted(_INT_READERS)), int_array_inputs())
+@settings(max_examples=400, deadline=None)
+def test_integer_arrays_have_one_reader(reader, drawn):
+    """Each reader gives the drawn ints as int64, or refuses the value
+    with its parameter's name and range: a bool or float anywhere, or an
+    integer outside the range, even in a wider integer dtype."""
+    value, ints, poisoned = drawn
+    name, (lo, hi), read = _INT_READERS[reader]
+    if poisoned or not all(lo <= i <= hi for i in ints):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer from {lo} to {hi}, got "):
+            read(value)
+        return
+    got = read(value)
+    assert got.dtype == np.int64 and got.tolist() == ints
 
 
 # The segment table, and the CLI contract for every plan, config and argv.

@@ -168,20 +168,33 @@ class TestApplyRopeMany:
             apply_rope_many(np.ones(4), 0, RopeConfig(dim=4))
 
     def test_positions_are_rotary_positions(self):
-        """Each position is an integer of magnitude at most 2**53, checked
-        on the integers themselves for an integer array; integral floats
-        and a 0-d array are accepted."""
+        """Each position is an integer of magnitude at most 2**53, read as
+        int64 and checked on the integers themselves.  A float is refused
+        even when integral, as ``apply_rope``'s ``m`` is; ±2**53 in an int64
+        array or a list, and a 0-d array, are accepted, and rotate bitwise
+        as their exact floats."""
         config = RopeConfig(dim=4)
         vecs = np.ones((2, 4))
         want = "^positions must be an integer from -9007199254740992 to 9007199254740992, got "
-        cases = [([0, 2.5], "2.5"), (np.array([0, 2**53 + 1]), str(2**53 + 1)), ([-(2.0**54), 0], str(-(2**54)))]
+        cases = [
+            ([0, 2.5], r"2\.5"),
+            ([7.0, 7.0], r"7\.0"),
+            (np.array([7.0, 7.0]), r"7\.0"),
+            ([-(2.0**54), 0], r"-1\.8014398509481984e\+16"),
+            ([-(2**54), 0], str(-(2**54))),
+            (np.array([0, 2**53 + 1]), str(2**53 + 1)),
+        ]
         for bad, shown in cases:
             with pytest.raises(ValueError, match=want + shown + "$"):
                 apply_rope_many(vecs, bad, config)
         edge = apply_rope_many(vecs, np.array([2**53, -(2**53)]), config)
-        assert np.array_equal(edge, apply_rope_many(vecs, [2.0**53, -(2.0**53)], config))
+        angles = np.multiply.outer([2.0**53, -(2.0**53)], rope_frequencies(config))
+        x, y, cos, sin = vecs[:, 0::2], vecs[:, 1::2], np.cos(angles), np.sin(angles)
+        floats = np.stack([x * cos - y * sin, x * sin + y * cos], axis=-1).reshape(vecs.shape)
+        assert edge.tobytes() == floats.tobytes()
+        assert edge.tobytes() == apply_rope_many(vecs, [2**53, -(2**53)], config).tobytes()
         scalar = apply_rope_many(vecs, np.array(7), config)
-        assert np.array_equal(scalar, apply_rope_many(vecs, [7.0, 7.0], config))
+        assert np.array_equal(scalar, apply_rope_many(vecs, [7, 7], config))
 
 
 class TestRopeDot:
