@@ -200,11 +200,6 @@ def _flag(opt: Option) -> tuple[str, dict]:
     return "--" + opt.name.replace("_", "-"), kw
 
 
-# Derived once per process, not per parser: in-process callers of main
-# build a parser on every call.
-_FLAGS = [(opt, *_flag(opt)) for opt in OPTIONS]
-
-
 def _merged(args: argparse.Namespace) -> dict:
     """Final values of the options of ``args.command``: a flag, read by
     ``codec.read_value``, over the config file, read whole by
@@ -400,8 +395,9 @@ def build_parser() -> argparse.ArgumentParser:
     for command, (func, help_text) in _COMMANDS.items():
         sp = sub.add_parser(command, help=help_text)
         sp.add_argument("--config", help="JSON config file; flags take precedence over it")
-        for opt, flag, kw in _FLAGS:
+        for opt in OPTIONS:
             if command in opt.commands:
+                flag, kw = _flag(opt)
                 sp.add_argument(flag, **kw)
         sp.set_defaults(func=func)
     parser.commands = sub.choices

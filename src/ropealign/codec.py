@@ -12,7 +12,10 @@ entries at a time.  Every plan or config file is parsed by ``read_json``,
 and every value read from one, from a flag or by a library call goes
 through ``read_value``: a dataclass's fields through ``read_fields``, an
 array through ``read_array`` (float64, or int64 under the rule for one
-integer), an integer with its range (``IntRange``).
+integer), an integer with its range (``IntRange``).  ``read_array`` also
+owns the one rule of who may change an array a value holds once checked:
+no one.  It returns a read-only array, copied unless it built the array
+itself or was given a read-only array that owns its memory.
 """
 
 from __future__ import annotations
@@ -221,15 +224,22 @@ def read_fields(obj, **kinds) -> None:
 
 
 def read_array(value, name: str, shape: tuple | None, kind=float) -> np.ndarray:
-    """``value`` as an array of ``shape``, where None allows any length on
-    its axis (a None ``shape``, any shape at all): float64 with finite
-    entries only or, with ``kind`` an ``IntRange`` within int64, int64
-    under ``read_value``'s rule for one integer.  An integer array's range
-    is checked on its extremes, with no Python step per entry; a nested
-    sequence's entries (or an object array's) are each read by
-    ``read_value``, so 2.0 or ``True`` is refused anywhere; a non-empty
-    array of any other dtype is refused.  Anything else raises ValueError
-    naming ``name``."""
+    """``value`` as a read-only array of ``shape``, where None allows any
+    length on its axis (a None ``shape``, any shape at all): float64 with
+    finite entries only or, with ``kind`` an ``IntRange`` within int64,
+    int64 under ``read_value``'s rule for one integer.  An integer array's
+    range is checked on its extremes, with no Python step per entry, and so
+    is a nested sequence's (or an object array's) once each of its entries
+    is an integer (``operator.index``, no bool) at C speed; otherwise its
+    entries are read by ``read_value`` in turn, so the first refused one,
+    2.0 or ``True`` anywhere, is named.  A non-empty array of any other
+    dtype is refused.  Anything else raises ValueError naming ``name``.
+
+    The array returned is read-only, and a copy unless built here (from
+    a sequence, by a dtype conversion) or ``value`` is a read-only array
+    that owns its memory: a caller's writable array, a view or a buffer
+    is copied, so no one can change a checked value.
+    """
     ints = isinstance(kind, IntRange)
     try:
         arr = value if ints and isinstance(value, np.ndarray) else np.asarray(value, object if ints else np.float64)
@@ -239,11 +249,20 @@ def read_array(value, name: str, shape: tuple | None, kind=float) -> np.ndarray:
         if arr.dtype.kind not in "iuO" and arr.size:  # a float, bool or other array
             raise ValueError(f"{name} must be {_want(kind)}, got {arr.flat[0].item()!r}")
         field = Field(name, kind)
-        if arr.dtype == object:  # Python objects: each entry read as one value
-            arr = np.array([read_value(field, entry) for entry in arr.flat], np.int64).reshape(arr.shape)
-        elif arr.size:  # integers: the range checked on the extremes
-            for extreme in (arr.min(), arr.max()):
-                read_value(field, int(extreme))
+        if arr.dtype == object:  # Python objects: all checked at once, one by one only if one is refused
+            entries = arr.ravel().tolist()
+            try:
+                values = list(map(operator.index, entries))
+            except TypeError:  # an entry that is no integer
+                values = None
+            if values is None or bool in map(type, entries):  # a bool is an index, but no integer here
+                for entry in entries:  # raises at the first refused entry
+                    read_value(field, entry)
+            extremes = (min(values), max(values)) if values else ()
+        else:  # integers
+            extremes = (int(arr.min()), int(arr.max())) if arr.size else ()
+        for extreme in extremes:  # the range, checked on the extremes
+            read_value(field, extreme)
         arr = arr.astype(np.int64, copy=False)
     fits = shape is None or arr.ndim == len(shape) and all(want in (n, None) for n, want in zip(arr.shape, shape))
     if not fits:
@@ -251,6 +270,9 @@ def read_array(value, name: str, shape: tuple | None, kind=float) -> np.ndarray:
         raise ValueError(f"{name} must have shape ({want}), got {arr.shape}")
     if not (ints or np.isfinite(arr).all()):
         raise ValueError(f"{name} must be finite")
+    if arr is value and arr.flags.writeable or not arr.flags.owndata:
+        arr = arr.copy()
+    arr.flags.writeable = False
     return arr
 
 

@@ -56,7 +56,9 @@ __all__ = [
 @dataclass(frozen=True, eq=False)
 class TokenPopulation:
     """One synthetic head vector per sequence slot, with its slot role:
-    a finite float64 (slots, dim) array and a tuple of strings."""
+    a finite, read-only float64 (slots, dim) array, read by
+    ``codec.read_array`` (a caller's writable array is copied), and a
+    tuple of strings."""
 
     vectors: np.ndarray
     roles: tuple[str, ...]
@@ -73,6 +75,7 @@ def population_constant(plan: LayoutPlan, config: RopeConfig, value: float = 1.0
     """Every slot gets the same constant vector."""
     roles = plan.slot_roles()
     vectors = np.full((len(roles), config.dim), float(value), dtype=np.float64)
+    vectors.flags.writeable = False  # handed over: the population is stored once
     return TokenPopulation(vectors=vectors, roles=roles)
 
 
@@ -83,6 +86,7 @@ def population_gaussian(
     roles = plan.slot_roles()
     rng = np.random.Generator(np.random.Philox(read_value(Field("seed", IntRange(0)), seed)))
     vectors = mean + rng.standard_normal((len(roles), config.dim))
+    vectors.flags.writeable = False  # handed over: the population is stored once
     return TokenPopulation(vectors=vectors, roles=roles)
 
 

@@ -45,9 +45,9 @@ _ID = IntRange(0, 2**63 - 1)  # the kind of a position ID: any int64 but a negat
 class GridMapping:
     """Thumbnail ID inherited by each high-resolution cell.
 
-    ``ids`` is read as an int64 array of shape (shape.rows, shape.cols),
-    as ``PositionIdMap.ids`` is, and is nondecreasing along every row and
-    every column; all entries are at least ``base``.
+    ``ids`` is read as a read-only int64 array of shape (shape.rows,
+    shape.cols), as ``PositionIdMap.ids`` is, and is nondecreasing along
+    every row and every column; all entries are at least ``base``.
     """
 
     shape: GridShape
@@ -74,9 +74,10 @@ class GridMapping:
 class PositionIdMap:
     """One position ID per sequence slot plus the final running counter.
 
-    ``ids`` is stored as a read-only 1-D int64 array, read by
-    ``codec.read_array`` from an integer array or a sequence of integers
-    (never a float or bool), each from 0 to 2**63 - 1.  ``max_pid``,
+    ``ids`` is a read-only 1-D int64 array, read by ``codec.read_array``
+    from an integer array or a sequence of integers (never a float or
+    bool), each from 0 to 2**63 - 1, and owned under its rule: a caller's
+    writable array is copied.  ``max_pid``,
     derived from ``ids``, is where the next sequential token would go:
     one past the largest assigned ID, 0 for an empty map.
     """
@@ -87,10 +88,8 @@ class PositionIdMap:
 
     def __post_init__(self) -> None:
         read_fields(self, mode=MODES)
-        ids = read_array(self.ids, "ids", (None,), _ID).copy()  # a copy: the map owns its IDs
-        ids.flags.writeable = False
-        object.__setattr__(self, "ids", ids)
-        object.__setattr__(self, "max_pid", int(ids.max()) + 1 if ids.size else 0)
+        object.__setattr__(self, "ids", read_array(self.ids, "ids", (None,), _ID))
+        object.__setattr__(self, "max_pid", int(self.ids.max()) + 1 if self.ids.size else 0)
 
     def to_doc(self) -> dict:
         """The JSON document of the map, with ``ids`` as the array, for
@@ -118,6 +117,7 @@ def map_highres_ids(thumb: GridShape, high: GridShape, base: int = 0) -> GridMap
     rows = _axis_targets(thumb.rows, high.rows)
     cols = _axis_targets(thumb.cols, high.cols)
     ids = base + rows[:, None] * thumb.cols + cols[None, :]
+    ids.flags.writeable = False  # handed over: the grid is stored once
     return GridMapping(shape=high, ids=ids, base=base)
 
 

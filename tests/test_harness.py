@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import ropealign
-from ropealign import harness, idalign
+from ropealign import harness, idalign, rope
 from ropealign.codec import csv_text
 from ropealign import (
     GridShape,
@@ -262,6 +262,19 @@ class TestAttentionSummary:
         for lo, upper in zip(range(0, 203, 64), harness._distance_blocks(ids, upper=True)):
             assert np.array_equal(upper, want[lo : lo + 64, lo:])
 
+    def test_walk_rotates_library_arrays_without_a_copy(self, monkeypatch):
+        """The rotation reads a library-built population and map as they
+        are: both are read-only arrays that own their memory."""
+        plan = grid_plan(2)
+        config = RopeConfig(dim=8)
+        pop = population_gaussian(plan, config, seed=3)
+        idmap = assign_position_ids(plan, "id_align")
+        read, reads = rope.read_array, []
+        monkeypatch.setattr(rope, "read_array", lambda *args: reads.append(read(*args)) or reads[-1])
+        next(score_blocks(pop, idmap, config))
+        vectors, positions = reads
+        assert np.shares_memory(vectors, pop.vectors) and np.shares_memory(positions, idmap.ids)
+
     def test_empty_plan_gives_empty_matrix(self):
         plan = LayoutPlan(segments=(), patch_size=14)
         config = RopeConfig(dim=4)
@@ -410,6 +423,14 @@ class TestTokenPopulation:
         a = population_gaussian(plan, config, mean=1.0, seed=3)
         b = population_gaussian(plan, config, mean=1.0, seed=3)
         assert np.array_equal(a.vectors, b.vectors)
+
+    @pytest.mark.parametrize("build", [population_constant, population_gaussian])
+    def test_builders_hand_their_array_over(self, build, monkeypatch):
+        """A builder's fresh array is the population's, stored once."""
+        read, given = harness.read_array, []
+        monkeypatch.setattr(harness, "read_array", lambda value, *args: given.append(value) or read(value, *args))
+        pop = build(trace_plan(), RopeConfig(dim=4))
+        assert len(given) == 1 and given[0] is pop.vectors
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="^vectors must be finite$"):

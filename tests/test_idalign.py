@@ -6,12 +6,15 @@ cell, with overlap decided by an independent floating-point rectangle
 check where the integer oracle of ``oracles.py`` is itself under test.
 """
 
+import dataclasses
 import json
 import tracemalloc
+import typing
 
 import numpy as np
 import pytest
 
+import ropealign
 from ropealign import (
     GridMapping,
     GridShape,
@@ -21,10 +24,12 @@ from ropealign import (
     Separator,
     TextSegment,
     ThumbnailGrid,
+    TokenPopulation,
     assign_position_ids,
     id_span_report,
     map_highres_ids,
 )
+from ropealign import codec
 from ropealign.codec import json_chunks
 from ropealign.idalign import _axis_partners
 
@@ -390,13 +395,6 @@ class TestPositionIdMap:
         with pytest.raises(ValueError):
             idmap.ids[0] = 5
 
-    def test_callers_array_is_copied(self):
-        ids = np.arange(4)
-        idmap = PositionIdMap(ids=ids, mode="baseline")
-        ids[0] = 9
-        assert ids.flags.writeable
-        assert idmap.ids.tolist() == [0, 1, 2, 3]
-
     def test_empty_map(self):
         idmap = PositionIdMap(ids=(), mode="baseline")
         assert_id_array(idmap.ids, [])
@@ -440,10 +438,91 @@ class TestPositionIdMap:
         with pytest.raises(ValueError, match="mode must be one of"):
             PositionIdMap(ids=[0, 1], mode=mode)
 
+    @pytest.mark.parametrize(
+        "ids, shown",
+        [
+            ([1, True], "True"),
+            ([1, 2.5, True], r"2\.5"),
+            ([-1, 2.5], "-1"),
+            ([np.array(1), np.array(2.5)], r"array\(2\.5\)"),
+            ([-1, -5], "-5"),
+            ([3, np.int8(-2), -1], "-2"),
+        ],
+        ids=["bool-after-int", "float-before-bool", "range-before-float", "0-d-float-array", "list-extreme",
+             "mixed-types-extreme"],
+    )
+    def test_list_refused_at_its_first_refused_entry_or_extreme(self, ids, shown):
+        """A list whose entries are not all integers is named at its first
+        refused entry, read in turn, as the type of an entry does not settle
+        it (a 0-d array's dtype is not in its type); a list of integers out
+        of range is named by its extreme, as an integer array is."""
+        with pytest.raises(ValueError, match=f"^ids must be an integer from 0 to {2**63 - 1}, got {shown}$"):
+            PositionIdMap(ids=ids, mode="baseline")
+
+    def test_list_of_integers_reads_only_its_extremes(self, monkeypatch):
+        """A long list costs two ``read_value`` calls, its extremes, not
+        one per entry."""
+        read, names = codec.read_value, []
+        monkeypatch.setattr(codec, "read_value", lambda field, *args: names.append(field.name) or read(field, *args))
+        ids = [*range(10_000), np.int64(7), np.uint8(3), np.array(4), *range(5)]
+        assert PositionIdMap(ids=ids, mode="baseline").ids.tolist() == [int(i) for i in ids]
+        assert names.count("ids") == 2
+
     def test_negative_ids_rejected(self):
         for ids in ((0, -1), np.array([0, -1])):
             with pytest.raises(ValueError, match=f"^ids must be an integer from 0 to {2**63 - 1}, got -1$"):
                 PositionIdMap(ids=ids, mode="baseline")
+
+
+# Each array a library value holds: a caller's writable array for it, and
+# the array a value built from a given array holds.
+_HELD_ARRAYS = {
+    "PositionIdMap.ids": (np.arange(4), lambda a: PositionIdMap(ids=a, mode="baseline").ids),
+    "GridMapping.ids": (np.arange(4).reshape(2, 2), lambda a: GridMapping(GridShape(2, 2), a, 0).ids),
+    "TokenPopulation.vectors": (
+        np.arange(4.0).reshape(2, 2),
+        lambda a: TokenPopulation(vectors=a, roles=("text",) * len(a)).vectors,
+    ),
+}
+
+
+@pytest.mark.parametrize("held", _HELD_ARRAYS)
+def test_callers_array_is_copied(held):
+    """``codec.read_array``'s one rule of ownership, for every array a
+    value holds: it is read-only, a writable array or any view is copied,
+    and a read-only array that owns its memory is shared."""
+    given, read = _HELD_ARRAYS[held]
+    callers = given.copy()
+    got = read(callers)
+    assert not got.flags.writeable and not np.shares_memory(got, callers)
+    callers[0, ...] = 9
+    assert callers.flags.writeable
+    assert got.tolist() == given.tolist()
+
+    memory = given.copy()
+    view = memory[:]
+    view.flags.writeable = False
+    got = read(view)
+    memory[0, ...] = 9
+    assert not np.shares_memory(got, memory) and got.tolist() == given.tolist()
+
+    owned = given.copy()
+    owned.flags.writeable = False
+    assert read(owned) is owned
+    held_once = read(given.copy())  # so a held array is read again with no copy
+    assert read(held_once) is held_once
+
+
+def test_held_arrays_are_every_array_field():
+    """The ownership test covers exactly the ``np.ndarray`` fields of the
+    public dataclasses, so a new one cannot skip it."""
+    fields = set()
+    for name in ropealign.__all__:
+        cls = getattr(ropealign, name)
+        if dataclasses.is_dataclass(cls):
+            hints = typing.get_type_hints(cls)
+            fields |= {f"{name}.{f.name}" for f in dataclasses.fields(cls) if hints[f.name] is np.ndarray}
+    assert fields == set(_HELD_ARRAYS)
 
 
 class TestIdSpanReport:

@@ -145,6 +145,17 @@ def test_only_codec_reads_dtype_kinds():
     assert set(readers) == {"codec.py"}
 
 
+def test_only_codec_copies_arrays():
+    """``codec.read_array`` owns the one rule of who may change a held
+    array, so no other module copies one to own it."""
+    copiers = []
+    for path in SRC:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "copy":
+                copiers.append(path.name)
+    assert copiers == ["codec.py"]
+
+
 _ONES = np.ones(4)
 _NAN = np.array([1.0, np.nan, 0.0, 0.0])
 _CONFIG = RopeConfig(4)

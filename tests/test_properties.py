@@ -955,7 +955,7 @@ _ARGV_BASES = {
     "attention-report": {"input": "28x56", "candidates": "28x56", "dim": 4},
 }
 _FLAG_NAMES = sorted(
-    {flag for _opt, flag, _kw in cli._FLAGS}
+    {cli._flag(opt)[0] for opt in cli.OPTIONS}
     | {"--no-" + opt.name.replace("_", "-") for opt in cli.OPTIONS if opt.kind is bool}
 )
 _TOKENS = st.sampled_from(_FLAG_NAMES) | _SMALL_INTS.map(str) | _WORDS
