@@ -9,18 +9,19 @@ separate so they can cross-check each other in tests:
 
 The Monte Carlo draws fixed 16384-sample chunks, chunk c from its own
 Philox substream keyed by word c of a SeedSequence, and evaluates every
-distance of a profile on the same chunks.  A chunk of n samples draws its
-n rows of q, then n normals g: the key noise enters a sample only through
-q . z_k, which given q is N(0, |q|^2), so |q| g has its law exactly.  The
-rows of q come off the stream in blocks of 1024, each projected onto the
-rotated key means while it is still in cache, so q is never held whole.
-Projections are kept for at most 128 distances a pass, and a larger grid
-replays the chunk's substream once for each further 128.  A chunk's
-memory is thus bounded by the chunk size, not by the grid or the sample
-count: one block of rows plus at most 128 rows of n projections.
-Profiles are reproducible bit for bit on a given platform, whatever the
-thread count, and a point is the same whichever other distances share
-its grid.
+distance of a profile on the same chunks.  A chunk is read off its
+substream once, in blocks of 1024 samples: a block of n samples draws its
+n rows of q, then n normals g.  The key noise enters a sample only
+through q . z_k, which given q is N(0, |q|^2), so |q| g has its law
+exactly.  Each block is projected onto the rotated key means, at most 128
+distances an einsum, while it is still in cache, and reduced to its mean
+and m2 per distance; block moments merge in stream order.  A chunk's
+memory is thus bounded by the block size and the grid's moments, not by
+the chunk or the sample count: one block of rows, one 128 x 1024 buffer
+of projections and two moments a block and distance (1.9 MB traced at dim
+64 over 300 distances, 1.0 MB at dim 8 over 100).  Profiles are
+reproducible bit for bit on a given platform, whatever the thread count,
+and a point is the same whichever other distances share its grid.
 
 Distances, like rotary positions, are integers, and so are sample counts,
 seeds and worker counts: each is read by ``codec.read_value`` with its
@@ -31,10 +32,10 @@ distance past 2**53 in magnitude (``rope.POSITION``) or a negative seed.
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -56,12 +57,12 @@ __all__ = [
 # it would change every archived profile.
 _MC_CHUNK = 16384
 
-# Rows of q drawn and projected while they are in cache (512 KB at dim
-# 64), and the most distances projected in one pass over a chunk; a larger
-# grid replays the chunk's substream for each further group.  Fixed like
-# _MC_CHUNK, but both move only memory and speed, never a bit: the draws
-# leave the stream in the same order, and each projection is the same sum
-# over dim.
+# Samples a block.  A block draws its rows of q, then its g, is projected
+# while in cache (512 KB at dim 64) and is reduced to one (mean, m2) per
+# distance.  Fixed like _MC_CHUNK: block boundaries decide which draws are
+# q and which g, and which moments merge.  _GROUP is the most distances
+# projected by one einsum; it moves only memory and speed, never a bit,
+# since each projection is the same sum over dim.
 _ROWS = 1024
 _GROUP = 128
 
@@ -189,67 +190,68 @@ def _shared_sample_moments(
 
     A sample is q . R_m k with k = mu_k + z_k.  R_m z_k has the law of z_k
     (isotropic noise), so it is q . z_k + q . R_m mu_k with only the second
-    term depending on m.  Given q, q . z_k is N(0, |q|^2), so a chunk of n
-    samples draws its n rows of q, then n normals g, and takes
-    q . z_k = |q| g: dim + 1 normals a sample instead of 2 dim, with the
-    joint law over all distances unchanged.  The rows are drawn ``_ROWS`` at
-    a time into one reused block, which is projected onto up to ``_GROUP``
-    rotated means at once while it is in cache; a grid of more distances
-    replays the chunk's substream for each further group.  A chunk holds
-    one block and at most ``_GROUP`` rows of n projections, whatever the
-    grid.  Each distance is reduced on its own, and chunk moments merge in
-    chunk order (Chan's update), so neither the grid nor ``max_workers``
-    changes a value.  Moments that overflow float64 are a ValueError.
+    term depending on m.  Given q, q . z_k is N(0, |q|^2), so each block of
+    at most ``_ROWS`` samples draws its rows of q, then one normal g a row,
+    and takes q . z_k = |q| g: dim + 1 normals a sample instead of 2 dim,
+    with the joint law over all distances unchanged.  A chunk makes one
+    pass over its substream.  Each block, while in cache, is projected
+    onto up to ``_GROUP`` rotated means at once, and each distance is
+    reduced to the block's mean and m2 on its own.  Block moments merge in
+    stream order (Chan's update), chunk by chunk and block by block, so
+    neither the grid nor ``max_workers`` changes a value.  A chunk holds
+    one block of rows, one (group x block) buffer of projections and the
+    moments of its blocks, whatever its grid.  Moments that overflow
+    float64 are a ValueError, and so is a grid whose rotated means or
+    moments cannot be allocated.
     """
     samples = read_value(Field("samples", IntRange(2)), samples)
     mq = read_array(mu_q, "mu_q", (config.dim,))
     mk = read_array(mu_k, "mu_k", (config.dim,))
-    rotated = apply_rope_many(np.tile(mk, (len(distances), 1)), distances, config)
     n_chunks = -(-samples // _MC_CHUNK)
     try:
         chunk_seeds = np.random.SeedSequence(base).generate_state(n_chunks, dtype=np.uint64)
     except (ValueError, MemoryError) as exc:  # more chunks than numpy can allocate
         raise ValueError(f"samples {samples}: {exc}") from None
 
-    def chunk(c: int) -> tuple[int, np.ndarray, np.ndarray]:
+    def chunk(c: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
         n = min(_MC_CHUNK, samples - c * _MC_CHUNK)
-        mean, m2 = np.empty((2, len(distances)))
+        rng = np.random.Generator(np.random.Philox(int(chunk_seeds[c])))
         block = np.empty((min(_ROWS, n), config.dim))
-        proj = np.empty((min(_GROUP, len(rotated)), n))
-        sq = np.empty(n)
+        proj = np.empty((min(_GROUP, len(rotated)), len(block)))
+        moments = []
         # Set in the worker thread, which a caller's errstate does not reach:
         # an overflow is reported once, as the ValueError below.
         with np.errstate(over="ignore", invalid="ignore"):
-            for lo in range(0, len(rotated), _GROUP):
-                group = rotated[lo : lo + _GROUP]
-                out = proj[: len(group)]
-                # Each group of distances replays the chunk's substream from its start.
-                rng = np.random.Generator(np.random.Philox(int(chunk_seeds[c])))
-                for r in range(0, n, _ROWS):
-                    q = block[: min(_ROWS, n - r)]
-                    rng.standard_normal(out=q)
-                    q += mq
-                    np.einsum("ij,ij->i", q, q, out=sq[r : r + len(q)])
+            for r in range(0, n, _ROWS):
+                q = rng.standard_normal(out=block[: min(_ROWS, n - r)])
+                q += mq
+                u = np.sqrt(np.einsum("ij,ij->i", q, q)) * rng.standard_normal(len(q))
+                mean, m2 = np.empty((2, len(rotated)))
+                for lo in range(0, len(rotated), _GROUP):
+                    hi = min(lo + _GROUP, len(rotated))
                     # einsum, not BLAS: a BLAS product's bits vary with its thread count.
-                    np.einsum("ij,kj->ki", q, group, out=out[:, r : r + len(q)])
-                out += np.sqrt(sq) * rng.standard_normal(n)
-                hi = lo + len(group)
-                mean[lo:hi] = out.mean(axis=1)
-                out -= mean[lo:hi, None]
-                m2[lo:hi] = np.square(out, out=out).sum(axis=1)
-        return n, mean, m2
+                    out = np.einsum("ij,kj->ki", q, rotated[lo:hi], out=proj[: hi - lo, : len(q)])
+                    out += u
+                    mean[lo:hi] = out.mean(axis=1)
+                    out -= mean[lo:hi, None]
+                    m2[lo:hi] = np.square(out, out=out).sum(axis=1)
+                moments.append((len(q), mean, m2))
+        return moments
 
-    count, mean, m2 = 0, np.zeros(len(distances)), np.zeros(len(distances))
-    pool = concurrent.futures.ThreadPoolExecutor(max_workers=max_workers)
-    with pool, np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, n_chunks, max_workers):  # at most max_workers chunks in flight
-            batch = range(lo, min(lo + max_workers, n_chunks))
-            for n, chunk_mean, chunk_m2 in pool.map(chunk, batch):
-                delta = chunk_mean - mean
-                mean = mean + delta * (n / (count + n))
-                m2 = m2 + chunk_m2 + delta * delta * (count * n / (count + n))
-                count += n
-        stderr = np.sqrt(m2 / (samples - 1)) / np.sqrt(samples)
+    try:
+        rotated = apply_rope_many(np.tile(mk, (len(distances), 1)), distances, config)
+        count, mean, m2 = 0, *np.zeros((2, len(distances)))
+        with ThreadPoolExecutor(max_workers) as pool, np.errstate(over="ignore", invalid="ignore"):
+            for lo in range(0, n_chunks, max_workers):  # at most max_workers chunks in flight
+                batch = range(lo, min(lo + max_workers, n_chunks))
+                for n, block_mean, block_m2 in chain.from_iterable(pool.map(chunk, batch)):
+                    delta = block_mean - mean
+                    mean = mean + delta * (n / (count + n))
+                    m2 = m2 + block_m2 + delta * delta * (count * n / (count + n))
+                    count += n
+            stderr = np.sqrt(m2 / (samples - 1)) / np.sqrt(samples)
+    except MemoryError:  # in this thread or a worker's: the grid is too large
+        raise ValueError(f"distances: a grid of {len(distances)} points cannot be allocated") from None
     for d, m, s in zip(distances, mean.tolist(), stderr.tolist()):
         if not (math.isfinite(m) and math.isfinite(s)):
             raise ValueError(f"mean_dot and stderr must be finite, got {m} and {s} at distance {d}")
@@ -263,10 +265,10 @@ def monte_carlo_expected_dot(
 
     Draws ``samples`` independent (q, k) pairs with identity covariance,
     chunk c from the Philox substream keyed by word c of
-    ``SeedSequence(seed)``: the chunk's q block, then one normal g per
-    sample, since q . R_m k = |q| g + q . R_m mu_k in law (given q, the
-    key noise term q . R_m z_k is N(0, |q|^2)).  Deterministic for a fixed
-    seed.
+    ``SeedSequence(seed)``, in blocks of 1024 samples: a block's rows of
+    q, then one normal g per sample, since q . R_m k = |q| g + q . R_m mu_k
+    in law (given q, the key noise term q . R_m z_k is N(0, |q|^2)).  Block
+    moments merge in stream order.  Deterministic for a fixed seed.
     """
     m = read_value(Field("m", POSITION), m)
     seed = read_value(Field("seed", IntRange(0)), seed)

@@ -7,9 +7,10 @@ the mapping soundness checks test each inherited ID against;
 the score and summary checks compare whole; ``two_table_summary`` folds
 each upper-triangle block twice, its square and the rectangle right of
 it into two tables, which the one-table fold of ``attention_summary``
-must match bit for bit; ``whole_chunk_moments`` draws each Monte Carlo
-chunk whole and projects it one distance at a time, which the blocked
-chunk worker of ``decay_profile`` must match bit for bit.
+must match bit for bit; ``whole_chunk_moments`` walks each Monte Carlo
+chunk's blocks in a plain loop and projects them one distance at a
+time, which the grouped chunk worker of ``decay_profile`` must match bit
+for bit.
 """
 
 from dataclasses import dataclass
@@ -91,10 +92,11 @@ def two_table_summary(
 
 def whole_chunk_moments(mu_q, mu_k, distances, samples: int, seed: int, config: RopeConfig):
     """Mean and stderr per distance, as ``decay_profile(..., seed)`` gives
-    them, with each chunk's (n, dim) block of q drawn at once and each
-    distance projected by its own ``einsum``; chunk moments merge in
-    chunk order by Chan's update."""
-    chunk_size = 16384
+    them, from a plain loop over each chunk's 1024-sample blocks: a block
+    draws its rows of q, then one normal g a row, projects each distance
+    by its own ``einsum`` and reduces it to the block's mean and m2 in two
+    passes; block moments merge in stream order by Chan's update."""
+    chunk_size, block_size = 16384, 1024
     mq = np.asarray(mu_q, dtype=np.float64)
     mk = np.asarray(mu_k, dtype=np.float64)
     rotated = apply_rope_many(np.tile(mk, (len(distances), 1)), list(distances), config)
@@ -103,17 +105,19 @@ def whole_chunk_moments(mu_q, mu_k, distances, samples: int, seed: int, config: 
     chunk_seeds = np.random.SeedSequence(base).generate_state(n_chunks, dtype=np.uint64)
     count, mean, m2 = 0, np.zeros(len(distances)), np.zeros(len(distances))
     for c in range(n_chunks):
-        n = min(chunk_size, samples - c * chunk_size)
         rng = np.random.Generator(np.random.Philox(int(chunk_seeds[c])))
-        q = mq + rng.standard_normal((n, config.dim))
-        m_free = np.sqrt(np.einsum("ij,ij->i", q, q)) * rng.standard_normal(n)
-        chunk_mean, chunk_m2 = np.empty((2, len(distances)))
-        for i, r in enumerate(rotated):
-            dots = m_free + np.einsum("ij,j->i", q, r)
-            chunk_mean[i] = dots.mean()
-            chunk_m2[i] = np.square(dots - chunk_mean[i]).sum()
-        delta = chunk_mean - mean
-        mean = mean + delta * (n / (count + n))
-        m2 = m2 + chunk_m2 + delta * delta * (count * n / (count + n))
-        count += n
+        chunk_end = min(samples, (c + 1) * chunk_size)
+        for start in range(c * chunk_size, chunk_end, block_size):
+            n = min(block_size, chunk_end - start)
+            q = mq + rng.standard_normal((n, config.dim))
+            m_free = np.sqrt(np.einsum("ij,ij->i", q, q)) * rng.standard_normal(n)
+            block_mean, block_m2 = np.empty((2, len(distances)))
+            for i, r in enumerate(rotated):
+                dots = m_free + np.einsum("ij,j->i", q, r)
+                block_mean[i] = dots.mean()
+                block_m2[i] = np.square(dots - block_mean[i]).sum()
+            delta = block_mean - mean
+            mean = mean + delta * (n / (count + n))
+            m2 = m2 + block_m2 + delta * delta * (count * n / (count + n))
+            count += n
     return mean, np.sqrt(m2 / (samples - 1)) / np.sqrt(samples)

@@ -25,7 +25,7 @@ from ropealign import (
     GridShape, HighResGrid, LayoutPlan, Resolution, RopeConfig, Separator, TextSegment, ThumbnailGrid,
     decay_profile, harness, idalign,
 )  # fmt: skip
-from ropealign import cli, codec
+from ropealign import cli, codec, decay
 from ropealign.cli import main
 from ropealign.codec import csv_lines, csv_text
 
@@ -157,8 +157,29 @@ class TestSimulateDecay:
         assert main(args + ["--threads", "4", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("where", ["rotated", "moments"])
+    def test_unallocatable_grid_names_distances(self, where, tmp_path, capsys):
+        """A grid too large for its rotated means or its moments exits 2
+        with one error line naming ``distances`` and the grid size, and
+        writes no CSV.  The allocation is made to raise MemoryError, so no
+        giant grid is allocated."""
+        owner, name = (decay, "apply_rope_many") if where == "rotated" else (np, "zeros")
+        real = getattr(owner, name)
+
+        def no_room(*args, **kwargs):
+            if owner is decay or args[:1] == ((2, 3),):
+                raise MemoryError
+            return real(*args, **kwargs)
+
+        out = tmp_path / "decay.csv"
+        argv = ["simulate-decay", "--dim", "4", "--samples", "10", "--distances", "0,1,2", "--out", str(out)]
+        with mock.patch.object(owner, name, no_room):
+            assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: distances: a grid of 3 points cannot be allocated\n")
+        assert not out.exists()
+
     def test_threads_do_not_change_bytes_on_a_large_grid(self, tmp_path):
-        """300 distances take three projection passes over each of three chunks."""
+        """300 distances are projected in three groups in each block of three chunks."""
         args = ["simulate-decay", "--dim", "8", "--samples", "40000", "--distances", "lin:0..1000:300"]
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"

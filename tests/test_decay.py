@@ -370,6 +370,26 @@ class TestDecayProfile:
         with pytest.raises(ValueError, match="^samples 100000000000000000000: "):
             decay_profile(np.ones(4), np.ones(4), [0], samples=10**20, seed=0, config=RopeConfig(dim=4))
 
+    @pytest.mark.parametrize(
+        "owner, name", [(decay, "apply_rope_many"), (np, "zeros"), (np, "empty")], ids=["rotated", "merged", "block"]
+    )
+    def test_unallocatable_grid_named(self, owner, name, monkeypatch):
+        """A grid whose rotated means, merged moments or a block's moments
+        (made in a worker thread) cannot be allocated is a ValueError naming
+        the grid.  The allocation is made to raise MemoryError, so no giant
+        grid is allocated."""
+        grid, mu = list(range(7)), np.ones(4)
+        real = getattr(owner, name)
+
+        def no_room(*args, **kwargs):
+            if owner is decay or args[:1] == ((2, len(grid)),):
+                raise MemoryError
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, no_room)
+        with pytest.raises(ValueError, match="^distances: a grid of 7 points cannot be allocated$"):
+            decay_profile(mu, mu, grid, samples=100, seed=0, config=RopeConfig(dim=4), max_workers=2)
+
     def test_numpy_scalars_write_the_same_bytes(self):
         plain = DecayProfile(distances=(1, 4), mean_dot=(0.5, -2.25), stderr=(0.1, 0.0), sample_count=10)
         from_numpy = DecayProfile(
@@ -478,34 +498,52 @@ class TestSharedSamples:
     @pytest.mark.parametrize("n_dist", [1, 17, 300])
     @pytest.mark.parametrize("workers", [1, 3])
     def test_matches_whole_chunk_oracle(self, dim, n_dist, workers):
-        """Row blocks and grouped projections give the bits of drawing each
-        chunk whole and projecting one distance at a time.  300 distances
-        cross two group boundaries, and the third chunk is partial."""
+        """Grouped projections and block moments give the bits of a plain
+        loop that projects each block one distance at a time.  300
+        distances cross two group boundaries, and the third chunk is
+        partial: one full block of 1024 rows and a partial one of 476."""
         config = RopeConfig(dim=dim, theta_base=1e4)
         mu_q = np.linspace(-1.0, 2.0, dim)
         mu_k = np.linspace(1.5, -0.5, dim)
         grid = list(range(0, 13 * n_dist, 13))
-        samples = 2 * 16384 + 5
+        samples = 2 * 16384 + 1500
         prof = decay_profile(mu_q, mu_k, grid, samples=samples, seed=19, config=config, max_workers=workers)
         mean, stderr = whole_chunk_moments(mu_q, mu_k, grid, samples, 19, config)
         assert prof.mean_dot == tuple(mean.tolist())
         assert prof.stderr == tuple(stderr.tolist())
 
-    @pytest.mark.parametrize("rows", [1, 7, 1024, 20_000])
+    @pytest.mark.parametrize("samples", [2, 1024, 16384 + 37, 2 * 16384 + 1025])
     @pytest.mark.parametrize("group", [1, 5, 128])
-    def test_block_and_group_sizes_do_not_change_bits(self, rows, group, monkeypatch):
-        """``_ROWS`` and ``_GROUP`` move only memory and speed: 20000 rows
-        is more than a chunk, and 7 distances in groups of 5 replay each
-        chunk's substream once."""
+    def test_block_and_group_sizes_do_not_change_bits(self, samples, group, monkeypatch):
+        """``_GROUP`` moves only memory and speed: 7 distances in groups of
+        5 are projected in two einsums a block.  The sample counts give a
+        block of 2 rows, one whole block, a partial chunk of 37 rows, and a
+        partial chunk of one whole block and a block of 1 row."""
         config = RopeConfig(dim=8, theta_base=1e4)
         mu_q = np.linspace(-1.0, 2.0, 8)
         mu_k = np.linspace(1.5, -0.5, 8)
         grid = [0, 1, 3, 8, 40, 300, 9000]
-        want = decay_profile(mu_q, mu_k, grid, samples=16384 + 37, seed=23, config=config, max_workers=2)
-        monkeypatch.setattr(decay, "_ROWS", rows)
+        want = decay_profile(mu_q, mu_k, grid, samples=samples, seed=23, config=config, max_workers=2)
         monkeypatch.setattr(decay, "_GROUP", group)
-        got = decay_profile(mu_q, mu_k, grid, samples=16384 + 37, seed=23, config=config, max_workers=2)
+        got = decay_profile(mu_q, mu_k, grid, samples=samples, seed=23, config=config, max_workers=2)
         assert got == want
+
+    @pytest.mark.parametrize("n_dist", [1, 17, 300])
+    def test_each_substream_is_drawn_once(self, n_dist, monkeypatch):
+        """One Philox generator a chunk, whatever the grid: two full chunks
+        and a partial one construct exactly 3."""
+        made = []
+        real = np.random.Philox
+
+        def philox(*args, **kwargs):
+            made.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", philox)
+        config = RopeConfig(dim=8, theta_base=1e4)
+        mu = np.ones(8)
+        decay_profile(mu, mu, range(n_dist), samples=2 * 16384 + 5, seed=3, config=config, max_workers=2)
+        assert len(made) == 3
 
     def test_bad_max_workers_rejected(self):
         for workers in (0, -2):
@@ -532,12 +570,24 @@ class TestSharedSamples:
         assert peak(32 * 16384) <= small + 1_000_000
 
     @pytest.mark.parametrize(
-        "dim, n_dist, limit", [(64, 17, 6_000_000), (128, 17, 8_000_000), (64, 300, 20_000_000)]
+        "dim, n_dist, limit",
+        [
+            (64, 17, 6_000_000),
+            (128, 17, 8_000_000),
+            (64, 300, 20_000_000),
+            (4, 300, 3_000_000),
+            (8, 300, 3_000_000),
+            (64, 300, 3_000_000),
+            (8, 100, 3_000_000),
+        ],
     )
     def test_one_chunk_memory_is_bounded(self, dim, n_dist, limit):
-        """A chunk holds one block of rows and at most 128 rows of
-        projections, never its whole (n, dim) block of q: drawn whole, one
-        chunk peaked at 16.9 MB at dim 64 and 33.7 MB at dim 128."""
+        """A chunk holds one block of rows, one 128 x 1024 buffer of
+        projections and its blocks' moments, never its whole (n, dim)
+        block of q nor a row of projections per sample: drawn whole, one
+        chunk peaked at 16.9 MB at dim 64 and 33.7 MB at dim 128, and
+        with a row of projections per sample and distance it peaked at
+        17.4-18.0 MB over 300 distances and 13.7 MB at dim 8 over 100."""
         config = RopeConfig(dim=dim, theta_base=1e4)
         mu = np.ones(dim)
         tracemalloc.start()

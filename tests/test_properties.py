@@ -628,8 +628,9 @@ def test_decay_csv_matches_reference(points, samples):
 def reference_shared_sample_profile(mu_q, mu_k, distances, samples, seed, config):
     """Mean and stderr per distance from a plain loop over 16384-sample
     chunks.  Chunk c draws from Philox keyed by word c of the profile's
-    substream: its (n, dim) block of q, then n normals g.  A sample at
-    distance m is |q| g + q . apply_rope(mu_k, m)."""
+    substream, in blocks of 1024 samples: a block's (n, dim) rows of q,
+    then its n normals g.  A sample at distance m is
+    |q| g + q . apply_rope(mu_k, m)."""
     base = int(np.random.SeedSequence(seed).generate_state(1, dtype=np.uint64)[0])
     n_chunks = -(-samples // 16384)
     words = np.random.SeedSequence(base).generate_state(n_chunks, dtype=np.uint64)
@@ -637,8 +638,10 @@ def reference_shared_sample_profile(mu_q, mu_k, distances, samples, seed, config
     for c, word in enumerate(words):
         n = min(16384, samples - c * 16384)
         rng = np.random.Generator(np.random.Philox(int(word)))
-        q = mu_q + rng.standard_normal((n, config.dim))
-        g = rng.standard_normal(n)
+        sizes = [min(1024, n - r) for r in range(0, n, 1024)]
+        blocks = [(rng.standard_normal((b, config.dim)), rng.standard_normal(b)) for b in sizes]
+        q = mu_q + np.concatenate([z for z, _ in blocks])
+        g = np.concatenate([g for _, g in blocks])
         for out, m in zip(dots, distances):
             out.append(np.linalg.norm(q, axis=1) * g + q @ apply_rope(mu_k, m, config))
     values = [np.concatenate(chunks) for chunks in dots]
