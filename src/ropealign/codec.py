@@ -9,13 +9,14 @@ lists of ``ids.json``, the ``map.csv`` grid, ``--dense`` distances) are
 written by one numpy kernel, ``int_lines``, which gives the same bytes as
 ``str`` of each entry without a Python object per entry, a fixed chunk of
 entries at a time.  Every plan or config file is parsed by ``read_json``,
-and every value read from one, from a flag or by a library call goes
-through ``read_value``: a dataclass's fields through ``read_fields``, an
-array through ``read_array`` (float64, or int64 under the rule for one
-integer), an integer with its range (``IntRange``).  ``read_array`` also
-owns the one rule of who may change an array a value holds once checked:
-no one.  It returns a read-only array, copied unless it built the array
-itself or was given a read-only array that owns its memory.
+which refuses a key given twice, and every value read from one, from a
+flag or by a library call goes through ``read_value``: a dataclass's
+fields through ``read_fields``, an array through ``read_array`` (float64,
+or int64 under the rule for one integer), an integer with its range
+(``IntRange``).  ``read_array`` also owns the one rule of who may change
+an array a value holds once checked: no one.  It returns a read-only
+array, copied unless it built the array itself or was given a read-only
+array that owns its memory.
 """
 
 from __future__ import annotations
@@ -134,11 +135,23 @@ def csv_text(header: Sequence[str] | None, rows: Iterable[Iterable]) -> str:
     return "".join(csv_lines(header, rows))
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object from its pairs; a key given twice is refused by name,
+    never resolved to its last value."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"duplicate key: {key}")
+        doc[key] = value
+    return doc
+
+
 def read_json(text: str, where: str):
-    """The JSON document ``text``.  Malformed text, or nesting too deep to
-    parse, raises ValueError naming ``where``."""
+    """The JSON document ``text``.  Malformed text, nesting too deep to
+    parse, or an object with a key given twice raises ValueError naming
+    ``where``."""
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ValueError(f"{where}: {exc}") from None
 

@@ -15,11 +15,12 @@ n rows of q, then n normals g.  The key noise enters a sample only
 through q . z_k, which given q is N(0, |q|^2), so |q| g has its law
 exactly.  Each block is projected onto the rotated key means, at most 128
 distances an einsum, while it is still in cache, and reduced to its mean
-and m2 per distance; block moments merge in stream order.  A chunk's
-memory is thus bounded by the block size and the grid's moments, not by
-the chunk or the sample count: one block of rows, one 128 x 1024 buffer
-of projections and two moments a block and distance (1.9 MB traced at dim
-64 over 300 distances, 1.0 MB at dim 8 over 100).  Profiles are
+and m2 per distance.  A chunk merges each block into its own moments as
+the block is drawn (Chan's update), and the chunks' moments merge in
+chunk order.  A chunk's memory is thus bounded by the block size and the
+grid, not by the chunk or the sample count: one block of rows, one
+128 x 1024 buffer of projections and one moment pair (1.9 MB traced at
+dim 64 over 300 distances, 1.0 MB at dim 8 over 100).  Profiles are
 reproducible bit for bit on a given platform, whatever the thread count,
 and a point is the same whichever other distances share its grid.
 
@@ -35,7 +36,8 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import chain, repeat
+from functools import reduce
+from itertools import repeat
 
 import numpy as np
 
@@ -60,9 +62,9 @@ _MC_CHUNK = 16384
 # Samples a block.  A block draws its rows of q, then its g, is projected
 # while in cache (512 KB at dim 64) and is reduced to one (mean, m2) per
 # distance.  Fixed like _MC_CHUNK: block boundaries decide which draws are
-# q and which g, and which moments merge.  _GROUP is the most distances
-# projected by one einsum; it moves only memory and speed, never a bit,
-# since each projection is the same sum over dim.
+# q and which g, and which moments a chunk merges.  _GROUP is the most
+# distances projected by one einsum; it moves only memory and speed, never
+# a bit, since each projection is the same sum over dim.
 _ROWS = 1024
 _GROUP = 128
 
@@ -183,6 +185,16 @@ def expected_dot_closed_form(mu_q, mu_k, m: int, config: RopeConfig) -> float:
     return float(np.sum(a * np.cos(angles) + b * np.sin(angles)))
 
 
+def _merge(a: tuple, b: tuple) -> tuple:
+    """The (count, mean, m2) of two sample sets joined, from each set's
+    own: Chan, Golub and LeVeque's pairwise update (1983).  A zero count
+    on the left, with zero moments, gives the right set's moments."""
+    (na, mean_a, m2_a), (nb, mean_b, m2_b) = a, b
+    n = na + nb
+    delta = mean_b - mean_a
+    return n, mean_a + delta * (nb / n), m2_a + m2_b + delta * delta * (na * nb / n)
+
+
 def _shared_sample_moments(
     mu_q, mu_k, distances: list[int], samples: int, base: int, config: RopeConfig, max_workers: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -196,11 +208,12 @@ def _shared_sample_moments(
     with the joint law over all distances unchanged.  A chunk makes one
     pass over its substream.  Each block, while in cache, is projected
     onto up to ``_GROUP`` rotated means at once, and each distance is
-    reduced to the block's mean and m2 on its own.  Block moments merge in
-    stream order (Chan's update), chunk by chunk and block by block, so
-    neither the grid nor ``max_workers`` changes a value.  A chunk holds
-    one block of rows, one (group x block) buffer of projections and the
-    moments of its blocks, whatever its grid.  Moments that overflow
+    reduced to the block's mean and m2 on its own.  ``_merge`` folds each
+    block into its chunk's moments as it is drawn, and each chunk's into
+    the total in chunk order, so neither the grid nor ``max_workers``
+    changes a value.  A chunk holds one block of rows, one (group x block)
+    buffer of projections and one moment pair, whatever its grid, and at
+    most ``max_workers`` chunks are in flight.  Moments that overflow
     float64 are a ValueError, and so is a grid whose rotated means or
     moments cannot be allocated.
     """
@@ -213,12 +226,12 @@ def _shared_sample_moments(
     except (ValueError, MemoryError) as exc:  # more chunks than numpy can allocate
         raise ValueError(f"samples {samples}: {exc}") from None
 
-    def chunk(c: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    def chunk(c: int) -> tuple[int, np.ndarray, np.ndarray]:
         n = min(_MC_CHUNK, samples - c * _MC_CHUNK)
         rng = np.random.Generator(np.random.Philox(int(chunk_seeds[c])))
         block = np.empty((min(_ROWS, n), config.dim))
         proj = np.empty((min(_GROUP, len(rotated)), len(block)))
-        moments = []
+        moments = (0, *np.zeros((2, len(rotated))))
         # Set in the worker thread, which a caller's errstate does not reach:
         # an overflow is reported once, as the ValueError below.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -235,20 +248,17 @@ def _shared_sample_moments(
                     mean[lo:hi] = out.mean(axis=1)
                     out -= mean[lo:hi, None]
                     m2[lo:hi] = np.square(out, out=out).sum(axis=1)
-                moments.append((len(q), mean, m2))
+                moments = _merge(moments, (len(q), mean, m2))
         return moments
 
     try:
         rotated = apply_rope_many(np.tile(mk, (len(distances), 1)), distances, config)
-        count, mean, m2 = 0, *np.zeros((2, len(distances)))
+        moments = (0, *np.zeros((2, len(distances))))
         with ThreadPoolExecutor(max_workers) as pool, np.errstate(over="ignore", invalid="ignore"):
             for lo in range(0, n_chunks, max_workers):  # at most max_workers chunks in flight
                 batch = range(lo, min(lo + max_workers, n_chunks))
-                for n, block_mean, block_m2 in chain.from_iterable(pool.map(chunk, batch)):
-                    delta = block_mean - mean
-                    mean = mean + delta * (n / (count + n))
-                    m2 = m2 + block_m2 + delta * delta * (count * n / (count + n))
-                    count += n
+                moments = reduce(_merge, pool.map(chunk, batch), moments)
+            _count, mean, m2 = moments
             stderr = np.sqrt(m2 / (samples - 1)) / np.sqrt(samples)
     except MemoryError:  # in this thread or a worker's: the grid is too large
         raise ValueError(f"distances: a grid of {len(distances)} points cannot be allocated") from None
@@ -267,8 +277,9 @@ def monte_carlo_expected_dot(
     chunk c from the Philox substream keyed by word c of
     ``SeedSequence(seed)``, in blocks of 1024 samples: a block's rows of
     q, then one normal g per sample, since q . R_m k = |q| g + q . R_m mu_k
-    in law (given q, the key noise term q . R_m z_k is N(0, |q|^2)).  Block
-    moments merge in stream order.  Deterministic for a fixed seed.
+    in law (given q, the key noise term q . R_m z_k is N(0, |q|^2)).  A
+    chunk merges its blocks' moments, and chunks merge in chunk order.
+    Deterministic for a fixed seed.
     """
     m = read_value(Field("m", POSITION), m)
     seed = read_value(Field("seed", IntRange(0)), seed)

@@ -72,9 +72,11 @@ class TokenPopulation:
 
 
 def population_constant(plan: LayoutPlan, config: RopeConfig, value: float = 1.0) -> TokenPopulation:
-    """Every slot gets the same constant vector."""
+    """Every slot gets the same constant vector, ``value`` (a finite
+    number, read by ``codec.read_value``) in each coordinate."""
+    value = read_value(Field("value", float), value)
     roles = plan.slot_roles()
-    vectors = np.full((len(roles), config.dim), float(value), dtype=np.float64)
+    vectors = np.full((len(roles), config.dim), value, dtype=np.float64)
     vectors.flags.writeable = False  # handed over: the population is stored once
     return TokenPopulation(vectors=vectors, roles=roles)
 
@@ -82,7 +84,9 @@ def population_constant(plan: LayoutPlan, config: RopeConfig, value: float = 1.0
 def population_gaussian(
     plan: LayoutPlan, config: RopeConfig, mean: float = 0.0, seed: int = 0
 ) -> TokenPopulation:
-    """Independent N(mean, 1) coordinates from a seeded Philox stream."""
+    """Independent N(mean, 1) coordinates from a seeded Philox stream;
+    ``mean`` is a finite number, read by ``codec.read_value``."""
+    mean = read_value(Field("mean", float), mean)
     roles = plan.slot_roles()
     rng = np.random.Generator(np.random.Philox(read_value(Field("seed", IntRange(0)), seed)))
     vectors = mean + rng.standard_normal((len(roles), config.dim))

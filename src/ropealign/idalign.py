@@ -99,8 +99,8 @@ class PositionIdMap:
 
 def _axis_targets(n0: int, n1: int) -> np.ndarray:
     src = (np.arange(n1, dtype=np.float64) + 0.5) * (n0 / n1) - 0.5
-    rounded = np.sign(src) * np.floor(np.abs(src) + 0.5)
-    return np.clip(rounded.astype(np.int64), 0, n0 - 1)
+    # src > -1/2 for every cell, so rounding half away from zero is floor(src + 1/2).
+    return np.clip(np.floor(src + 0.5).astype(np.int64), 0, n0 - 1)
 
 
 def map_highres_ids(thumb: GridShape, high: GridShape, base: int = 0) -> GridMapping:

@@ -205,10 +205,16 @@ class TestSimulateDecay:
         (["simulate-decay", "--distances", "log:0..10:4:junk"], "distances", "log:0..10:4:junk"),
         (["simulate-decay", "--mu", "uniform:1"], "mu", "uniform:1"),
         (["attention-report", "--pop", "uniform:1"], "pop", "uniform:1"),
+        (["attention-report", "--pop", "constant:nan"], "pop", "constant:nan"),
+        (["attention-report", "--pop", "constant:inf"], "pop", "constant:inf"),
+        (["attention-report", "--pop", "constant:1e999"], "pop", "constant:1e999"),
+        (["attention-report", "--pop", "gaussian:nan:1"], "pop", "gaussian:nan:1"),
     ],
 )
 def test_bad_spec_names_option_and_spec(argv, key, spec, tmp_path, capsys):
-    """A malformed spec string exits 2 with the option and the spec named."""
+    """A malformed spec string exits 2 with the option and the spec named.
+    A population's coordinate is read as a finite number, and the spec is
+    named whole, whichever check refused it."""
     out = "--out-dir" if argv[0] == "attention-report" else "--out"
     assert main(argv + [out, str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
@@ -1302,6 +1308,28 @@ class TestDocumentContract:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {path}{message}"), captured.err
+
+    @pytest.mark.parametrize(
+        "flag, text, key",
+        [
+            ("--plan", '{"segments": [], "patch_size": 14, "patch_size": 28}', "patch_size"),
+            ("--plan", '{"segments": [{"kind": "text", "len": 2, "len": 3}], "patch_size": 14}', "len"),
+            ("--config", '{"dim": 4, "dim": 8}', "dim"),
+        ],
+        ids=["plan", "segment", "config"],
+    )
+    def test_duplicate_key_exits_2(self, tmp_path, capsys, flag, text, key):
+        """A key given twice is refused by name, at any depth, never read
+        as its last value."""
+        path = tmp_path / "in.json"
+        path.write_text(text)
+        if flag == "--plan":
+            argv = ["assign-ids", "--plan", str(path), "--out", str(tmp_path / "o")]
+        else:
+            argv = ["simulate-decay", "--config", str(path), "--samples", "8", "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {path}: duplicate key: {key}\n")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "doc, flags, message",

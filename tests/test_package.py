@@ -23,7 +23,7 @@ from ropealign import (
     Resolution, RopeConfig, TextSegment, ThumbnailGrid, TokenPopulation, abel_bound_check, alignment_gain_report,
     apply_rope, apply_rope_many, assign_position_ids, attention_summary, build_layout, cli,
     decay_profile, expected_dot_closed_form, id_span_report, layout, map_highres_ids,
-    monte_carlo_expected_dot, population_gaussian, rope_dot, score_blocks, select_resolution,
+    monte_carlo_expected_dot, population_constant, population_gaussian, rope_dot, score_blocks, select_resolution,
 )  # fmt: skip
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -198,6 +198,15 @@ HOSTILE = {
     "population-seed=-1": (
         lambda: population_gaussian(LayoutPlan((TextSegment(2),), 14), _CONFIG, seed=-1), "seed"
     ),
+    # Population inputs: a bool, a string or a non-finite number is never a coordinate.
+    **{
+        f"population_constant-value={case}": (lambda v=v: population_constant(_TWO_SLOTS, _CONFIG, v), "value")
+        for case, v in {"True": True, "'2.5'": "2.5", "10**400": 10**400, "nan": np.nan, "inf": np.inf}.items()
+    },
+    **{
+        f"population_gaussian-mean={case}": (lambda m=m: population_gaussian(_TWO_SLOTS, _CONFIG, mean=m), "mean")
+        for case, m in {"True": True, "'x'": "x", "nan": np.nan, "-inf": -np.inf}.items()
+    },
     "decay_profile-seed=-1": (
         lambda: decay_profile(_ONES, _ONES, [0], samples=8, seed=-1, config=_CONFIG), "seed"
     ),

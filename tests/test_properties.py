@@ -51,7 +51,9 @@ from ropealign import cli, codec, harness, layout
 from ropealign.codec import REQUIRED, IntRange, csv_lines, csv_text, int_chunks, int_lines, json_chunks
 from ropealign.layout import SEGMENT_KINDS
 
-from oracles import CorrespondencePair, attention_scores, correspondence_oracle, two_table_summary
+from oracles import (
+    CorrespondencePair, attention_scores, correspondence_oracle, histogram_summary, two_table_summary,
+)  # fmt: skip
 
 dims = st.sampled_from([2, 4, 8, 64, 128])
 thetas = st.sampled_from([1e4, 1e7])
@@ -388,34 +390,16 @@ def test_summary_matches_plain_loop_grouping_over_many_blocks(mode):
     check_summary(plan, mode, "inherit-row-end", 4, False, True)
 
 
-def count_oracle(roles, ids) -> list:
-    """The (query role, key role, bucket, count, mean distance, max
-    distance) columns of the summary from the ID histograms alone, with
-    no score walk: h_a counts role a's IDs, c_ab(k) = sum_x h_a(x) h_b(x + k)
-    is an exact int64 correlation, and the pairs at |delta id| = d number
-    c_ab(d) + c_ab(-d) for d > 0, c_ab(0) at d = 0."""
-    if not len(ids):
-        return []
-    ids = np.asarray(ids, dtype=np.int64) - min(ids)
-    roles = np.asarray(roles)
-    width = int(ids.max()) + 1
-    names = sorted(set(roles.tolist()))
-    hist = {a: np.bincount(ids[roles == a], minlength=width) for a in names}
-    rows = []
-    for a in names:
-        for b in names:
-            c = np.correlate(hist[b], hist[a], "full")  # c[width - 1 + k] = c_ab(k)
-            assert c.dtype == np.int64
-            at = c[width - 1 :].copy()
-            at[1:] += c[width - 2 :: -1]
-            buckets: dict = {}
-            for d, n in enumerate(at.tolist()):
-                if n:
-                    buckets.setdefault(0 if d == 0 else 1 << (d.bit_length() - 1), []).append((d, n))
-            for lower, group in buckets.items():
-                count = sum(n for _d, n in group)
-                rows.append((a, b, lower, count, sum(d * n for d, n in group) / count, group[-1][0]))
-    return rows
+_MANY_BLOCKS = LayoutPlan(
+    segments=(
+        TextSegment(9),
+        ThumbnailGrid(GridShape(9, 7)),
+        HighResGrid(GridShape(18, 14), row_separator=True),
+        Separator(2),
+        TextSegment(4),
+    ),
+    patch_size=14,
+)  # 348 slots: five full score blocks and a short one
 
 
 @given(layout_plans(), st.sampled_from(["baseline", "id_align"]), policies, seeds, st.booleans())
@@ -428,28 +412,77 @@ def test_summary_counts_match_id_histogram_correlation(plan, mode, policy, seed,
     config = RopeConfig(dim=8)
     pop = population_gaussian(plan, config, mean=0.5, seed=seed)
     rows = attention_summary(pop, idmap, config, normalize).rows
-    assert [row[:6] for row in rows] == count_oracle(plan.slot_roles(), idmap.ids)
+    assert [row[:6] for row in rows] == [row[:6] for row in histogram_summary(pop, idmap, config)]
 
 
 @pytest.mark.parametrize("policy", ["inherit-row-end", "sequential-after-image"])
 @pytest.mark.parametrize("mode", ["baseline", "id_align"])
 @pytest.mark.parametrize("normalize", [False, True])
 def test_summary_counts_match_id_histogram_correlation_over_many_blocks(mode, policy, normalize):
-    plan = LayoutPlan(
-        segments=(
-            TextSegment(9),
-            ThumbnailGrid(GridShape(9, 7)),
-            HighResGrid(GridShape(18, 14), row_separator=True),
-            Separator(2),
-            TextSegment(4),
-        ),
-        patch_size=14,
-    )  # 348 slots: five full score blocks and a short one
+    idmap = assign_position_ids(_MANY_BLOCKS, mode, policy)
+    config = RopeConfig(dim=8)
+    pop = population_gaussian(_MANY_BLOCKS, config, mean=0.5, seed=6)
+    rows = attention_summary(pop, idmap, config, normalize).rows
+    assert [row[:6] for row in rows] == [row[:6] for row in histogram_summary(pop, idmap, config)]
+
+
+def check_histogram_summary(plan, mode, policy, seed, scale):
+    """The summary against ``histogram_summary``: counts and distances
+    exactly, and each mean score within a first-order bound.  Each of the
+    group's scores enters the walk's sum with an error of at most
+    (dim + count + 8) eps |v_i| |v_j| (rotation, a dim-term dot product,
+    a count-term group sum) and the oracle's with at most
+    (dim + 3 * slots + 8) eps |v_i| |v_j| (an ID histogram, a correlation
+    over IDs, pair and bucket sums, each at most the slot count long):
+    by Cauchy-Schwarz each pair's product is at most |v_i| |v_j|."""
     idmap = assign_position_ids(plan, mode, policy)
     config = RopeConfig(dim=8)
-    pop = population_gaussian(plan, config, mean=0.5, seed=6)
-    rows = attention_summary(pop, idmap, config, normalize).rows
-    assert [row[:6] for row in rows] == count_oracle(plan.slot_roles(), idmap.ids)
+    pop = population_gaussian(plan, config, mean=0.5, seed=seed)
+    rows = attention_summary(pop, idmap, config, scale=scale).rows
+    want = histogram_summary(pop, idmap, config, scale)
+    assert [row[:6] for row in rows] == [row[:6] for row in want]
+    eps = np.finfo(np.float64).eps
+    for row, (*_, count, _mean_d, _max_d, mean_score, mean_norm) in zip(rows, want):
+        bound = (2 * config.dim + count + 3 * len(idmap.ids) + 16) * eps * mean_norm
+        assert abs(row[6] - mean_score) <= bound, (row, mean_score, bound)
+
+
+@given(layout_plans(), st.sampled_from(["baseline", "id_align"]), policies, seeds, st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_summary_matches_id_histogram_oracle(plan, mode, policy, seed, scale):
+    try:
+        assign_position_ids(plan, mode, policy)
+    except ValueError:
+        return  # an aligned map needs a thumbnail before the high-res grid
+    check_histogram_summary(plan, mode, policy, seed, scale)
+
+
+def _drop_last_block(blocks):
+    return list(blocks)[:-1]
+
+
+def _swap_key_columns(blocks):
+    for scores in blocks:
+        scores = scores.copy()
+        scores[:, [0, 1]] = scores[:, [1, 0]]
+        yield scores
+
+
+@pytest.mark.parametrize("policy", ["inherit-row-end", "sequential-after-image"])
+@pytest.mark.parametrize("mode", ["baseline", "id_align"])
+def test_summary_matches_id_histogram_oracle_over_many_blocks(mode, policy):
+    check_histogram_summary(_MANY_BLOCKS, mode, policy, 6, True)
+
+
+@pytest.mark.parametrize("fault", [_drop_last_block, _swap_key_columns], ids=["dropped-block", "swapped-keys"])
+@pytest.mark.parametrize("mode", ["baseline", "id_align"])
+def test_id_histogram_oracle_catches_a_faulty_walk(fault, mode, monkeypatch):
+    """The oracle reads no score the walk gives: a walk that loses its
+    last block, or swaps two key columns of each block, fails it."""
+    real = harness._walk
+    monkeypatch.setattr(harness, "_walk", lambda *args: fault(real(*args)))
+    with pytest.raises(AssertionError):
+        check_histogram_summary(_MANY_BLOCKS, mode, "inherit-row-end", 6, True)
 
 
 @pytest.mark.parametrize("block_rows", [1, 37, 64])
