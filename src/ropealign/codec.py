@@ -13,10 +13,11 @@ which refuses a key given twice, and every value read from one, from a
 flag or by a library call goes through ``read_value``: a dataclass's
 fields through ``read_fields``, an array through ``read_array`` (float64,
 or int64 under the rule for one integer), an integer with its range
-(``IntRange``).  ``read_array`` also owns the one rule of who may change
-an array a value holds once checked: no one.  It returns a read-only
-array, copied unless it built the array itself or was given a read-only
-array that owns its memory.
+(``IntRange``).  ``read_array`` reads both kinds by one entry rule (a
+bool or a string is never a number) and only checks and converts, so a
+reader uses the caller's array as given.  ``hold_array`` is the one rule
+of who may change an array a value holds: no one.  It holds it read-only,
+copied unless built in the read or given read-only and owning its memory.
 """
 
 from __future__ import annotations
@@ -160,6 +161,7 @@ REQUIRED = object()  # the default of a field a document must hold
 _KIND_NAMES = {
     int: "an integer", float: "a number", bool: "true or false", str: "a string", list: "a list",
 }  # fmt: skip
+_REALS = (int, float, np.integer, np.floating)  # the entries of a float array read at once
 
 
 @dataclass(frozen=True)
@@ -237,52 +239,52 @@ def read_fields(obj, **kinds) -> None:
 
 
 def read_array(value, name: str, shape: tuple | None, kind=float) -> np.ndarray:
-    """``value`` as a read-only array of ``shape``, where None allows any
-    length on its axis (a None ``shape``, any shape at all): float64 with
-    finite entries only or, with ``kind`` an ``IntRange`` within int64,
-    int64 under ``read_value``'s rule for one integer.  An integer array's
-    range is checked on its extremes, with no Python step per entry, and so
-    is a nested sequence's (or an object array's) once each of its entries
-    is an integer (``operator.index``, no bool) at C speed; otherwise its
-    entries are read by ``read_value`` in turn, so the first refused one,
-    2.0 or ``True`` anywhere, is named.  A non-empty array of any other
-    dtype is refused.  Anything else raises ValueError naming ``name``.
-
-    The array returned is read-only, and a copy unless built here (from
-    a sequence, by a dtype conversion) or ``value`` is a read-only array
-    that owns its memory: a caller's writable array, a view or a buffer
-    is copied, so no one can change a checked value.
-    """
+    """``value`` as an array of ``shape`` (None: any length on that axis,
+    or any shape): float64 with finite entries or, with ``kind`` an
+    ``IntRange`` within int64, int64 under ``read_value``'s rule for one
+    integer.  One entry rule: an integer array (a float one too, for
+    float64) is read as it is, anything else at C speed once its entries
+    are plain numbers, never a bool, else entry by entry, naming the first
+    refused one.  An integer range is checked on the extremes.  Nothing is
+    copied, no flag set.  Anything else is a ValueError naming ``name``."""
     ints = isinstance(kind, IntRange)
+    field = Field(name, kind)
+    arr = value
+    if not (isinstance(value, np.ndarray) and value.dtype.kind in "iuf"[: 3 - ints]):
+        if isinstance(value, np.ndarray) and value.dtype != object and value.size:  # a bool, string or date array
+            raise ValueError(f"{name} must be {_want(kind)}, got {value.flat[0].item()!r}")
+        try:
+            arr = np.asarray(value, object)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{name} must be an array of numbers: {exc}") from None
+        entries = arr.ravel().tolist()
+        types = set(map(type, entries))
+        try:  # all at once, with no Python step per entry
+            if bool in types or not (ints or all(issubclass(t, _REALS) for t in types)):
+                raise TypeError
+            values = list(map(operator.index, entries)) if ints else ()
+        except TypeError:  # not plain numbers: raises at the first refused entry
+            values = [read_value(field, entry) for entry in entries]
+    if ints and arr.size:  # the range, checked on the extremes
+        for extreme in (min(values), max(values)) if arr.dtype == object else (arr.min(), arr.max()):
+            read_value(field, int(extreme))
     try:
-        arr = value if ints and isinstance(value, np.ndarray) else np.asarray(value, object if ints else np.float64)
-    except (TypeError, ValueError, OverflowError) as exc:
+        arr = arr.astype(np.int64 if ints else np.float64, copy=False)
+    except OverflowError as exc:  # an integer past the float range
         raise ValueError(f"{name} must be an array of numbers: {exc}") from None
-    if ints:
-        if arr.dtype.kind not in "iuO" and arr.size:  # a float, bool or other array
-            raise ValueError(f"{name} must be {_want(kind)}, got {arr.flat[0].item()!r}")
-        field = Field(name, kind)
-        if arr.dtype == object:  # Python objects: all checked at once, one by one only if one is refused
-            entries = arr.ravel().tolist()
-            try:
-                values = list(map(operator.index, entries))
-            except TypeError:  # an entry that is no integer
-                values = None
-            if values is None or bool in map(type, entries):  # a bool is an index, but no integer here
-                for entry in entries:  # raises at the first refused entry
-                    read_value(field, entry)
-            extremes = (min(values), max(values)) if values else ()
-        else:  # integers
-            extremes = (int(arr.min()), int(arr.max())) if arr.size else ()
-        for extreme in extremes:  # the range, checked on the extremes
-            read_value(field, extreme)
-        arr = arr.astype(np.int64, copy=False)
     fits = shape is None or arr.ndim == len(shape) and all(want in (n, None) for n, want in zip(arr.shape, shape))
     if not fits:
         want = ", ".join("any" if n is None else str(n) for n in shape) + ("," if len(shape) == 1 else "")
         raise ValueError(f"{name} must have shape ({want}), got {arr.shape}")
     if not (ints or np.isfinite(arr).all()):
         raise ValueError(f"{name} must be finite")
+    return arr
+
+
+def hold_array(value, name: str, shape: tuple | None, kind=float) -> np.ndarray:
+    """``read_array``'s array as a value holds it, read-only: a copy unless
+    the read built it or ``value`` is a read-only array owning its memory."""
+    arr = read_array(value, name, shape, kind)
     if arr is value and arr.flags.writeable or not arr.flags.owndata:
         arr = arr.copy()
     arr.flags.writeable = False

@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .codec import Field, IntRange, csv_text, json_text, read_array, read_value
+from .codec import Field, IntRange, csv_text, hold_array, json_text, read_value
 from .idalign import PositionIdMap, _axis_partners, _map_pair
 from .layout import LayoutPlan, segment_ranges
 from .rope import RopeConfig, apply_rope_many
@@ -55,16 +55,15 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class TokenPopulation:
-    """One synthetic head vector per sequence slot, with its slot role:
-    a finite, read-only float64 (slots, dim) array, read by
-    ``codec.read_array`` (a caller's writable array is copied), and a
-    tuple of strings."""
+    """One synthetic head vector per sequence slot, with its slot role: a
+    finite, read-only float64 (slots, dim) array held by ``codec.hold_array``
+    (a caller's writable array is copied), and a tuple of strings."""
 
     vectors: np.ndarray
     roles: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "vectors", read_array(self.vectors, "vectors", (None, None)))
+        object.__setattr__(self, "vectors", hold_array(self.vectors, "vectors", (None, None)))
         field = Field("roles", str)  # built once: a Field per role triples the read's time
         object.__setattr__(self, "roles", tuple(read_value(field, role) for role in self.roles))
         if self.vectors.shape[0] != len(self.roles):

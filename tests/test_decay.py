@@ -23,7 +23,7 @@ from ropealign import (
     rope_dot,
     rope_frequencies,
 )
-from ropealign import decay
+from ropealign import decay, rope
 
 # Frozen regression values for (1/(d/2))*sum|S_j| at d=128, theta=1e4,
 # computed once from the direct complex-sum oracle below.
@@ -617,3 +617,32 @@ class TestSharedSamples:
         finally:
             tracemalloc.stop()
         assert peak < 30_000_000
+
+
+_Q, _K, _CONFIG4 = np.arange(1.0, 5.0), np.ones(4), RopeConfig(dim=4)
+_READERS = {  # each call, and the caller's arrays it reads
+    "apply_rope": (lambda: apply_rope(_Q, 3, _CONFIG4), [_Q]),
+    "abel_bound_check": (lambda: abel_bound_check(_Q, _K, 1, _CONFIG4), [_Q, _K]),
+    "expected_dot_closed_form": (lambda: expected_dot_closed_form(_Q, _K, 1, _CONFIG4), [_Q, _K]),
+    "monte_carlo_expected_dot": (
+        lambda: monte_carlo_expected_dot(_Q, _K, 1, samples=8, seed=0, config=_CONFIG4), [_Q, _K]
+    ),
+    "decay_profile": (lambda: decay_profile(_Q, _K, [0, 1], samples=8, seed=0, config=_CONFIG4), [_Q, _K]),
+}
+
+
+@pytest.mark.parametrize("reader", _READERS)
+def test_reads_use_the_callers_array(reader, monkeypatch):
+    """A call that only reads its vectors or means holds none of them, so
+    each array it reads, the caller's writable ones included, is used as
+    given: no read copies it."""
+    call, callers = _READERS[reader]
+    reads = []
+    for module in (rope, decay):
+        read = module.read_array
+        monkeypatch.setattr(module, "read_array", lambda v, *args, read=read: reads.append((v, read(v, *args))) or reads[-1][1])
+    call()
+    arrays = [(given, got) for given, got in reads if isinstance(given, np.ndarray)]
+    assert all(array.flags.writeable for array in callers)
+    assert all(any(given is array for given, _ in arrays) for array in callers)
+    assert all(np.shares_memory(given, got) for given, got in arrays)

@@ -427,8 +427,8 @@ class TestTokenPopulation:
     @pytest.mark.parametrize("build", [population_constant, population_gaussian])
     def test_builders_hand_their_array_over(self, build, monkeypatch):
         """A builder's fresh array is the population's, stored once."""
-        read, given = harness.read_array, []
-        monkeypatch.setattr(harness, "read_array", lambda value, *args: given.append(value) or read(value, *args))
+        hold, given = harness.hold_array, []
+        monkeypatch.setattr(harness, "hold_array", lambda value, *args: given.append(value) or hold(value, *args))
         pop = build(trace_plan(), RopeConfig(dim=4))
         assert len(given) == 1 and given[0] is pop.vectors
 

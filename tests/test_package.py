@@ -256,6 +256,20 @@ HOSTILE = {
     "build_layout-row_separators=np.True_": (
         lambda: build_layout(*_LAYOUT_ARGS, row_separators=np.True_), "row_separators"
     ),
+    # Float arrays, read by codec.read_array's one entry rule: a bool or a string is never a number.
+    "apply_rope_many-vectors='1'": (lambda: apply_rope_many([["1", "0", "0", "0"]], 0, _CONFIG), "vectors"),
+    "TokenPopulation-vectors=[[True]]": (lambda: TokenPopulation(vectors=[[True]], roles=("text",)), "vectors"),
+    "closed-form-mu_q=True": (lambda: expected_dot_closed_form([True] * 4, _ONES, 0, _CONFIG), "mu_q"),
+    "decay_profile-mu_k='1'": (
+        lambda: decay_profile(_ONES, ["1"] * 4, [0], samples=4, seed=0, config=_CONFIG), "mu_k"
+    ),
+    "abel-q=True": (lambda: abel_bound_check([True] * 4, _ONES, 1, _CONFIG), "q"),
+    "TokenPopulation-vectors=bool-array": (
+        lambda: TokenPopulation(vectors=np.ones((1, 4), bool), roles=("text",)), "vectors"
+    ),
+    "apply_rope_many-vectors=datetime64[ns]": (
+        lambda: apply_rope_many(np.zeros((1, 4), "datetime64[ns]"), 0, _CONFIG), "vectors"
+    ),
     # Integer arrays, each read by codec.read_array: a bool or float is never an integer.
     "apply_rope_many-positions=[1, True]": (lambda: apply_rope_many(np.ones((2, 4)), [1, True], _CONFIG), "positions"),
     "apply_rope_many-positions=[7.0]": (lambda: apply_rope_many(_ONES[None], [7.0], _CONFIG), "positions"),

@@ -5,10 +5,12 @@ inside the tests: a log/exp identity for the frequency spectrum and an
 explicit 2x2 rotation-matrix product for the block rotation.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from ropealign import RopeConfig, apply_rope, apply_rope_many, rope_dot, rope_frequencies
+from ropealign import RopeConfig, apply_rope, apply_rope_many, codec, rope_dot, rope_frequencies
 
 
 def dense_rotation_oracle(v, m, config):
@@ -195,6 +197,39 @@ class TestApplyRopeMany:
         assert edge.tobytes() == apply_rope_many(vecs, [2**53, -(2**53)], config).tobytes()
         scalar = apply_rope_many(vecs, np.array(7), config)
         assert np.array_equal(scalar, apply_rope_many(vecs, [7, 7], config))
+
+    def test_list_of_floats_is_read_at_once(self, monkeypatch):
+        """The float twin of ``PositionIdMap``'s long list: plain Python
+        and numpy numbers cost no ``read_value`` call per entry."""
+        read, names = codec.read_value, []
+        monkeypatch.setattr(codec, "read_value", lambda field, *args: names.append(field.name) or read(field, *args))
+        entries = [*map(float, range(10_000)), np.float64(7.5), np.float32(3), np.int8(4), 2]
+        rows = [entries[i : i + 2] for i in range(0, len(entries), 2)]
+        got = apply_rope_many(rows, 0, RopeConfig(dim=2))  # position 0 rotates by cos 1, sin 0: exact
+        assert got.tolist() == np.array([float(e) for e in entries]).reshape(-1, 2).tolist()
+        assert names.count("vectors") == 0
+
+    def test_writable_input_costs_no_copy(self):
+        """Rotation only reads its inputs, so a caller's writable array
+        peaks no higher than the same array read-only: the 10.24 MB copy
+        of a (20000, 64) float64 array would sit far above the 1 MB slack
+        for allocator noise."""
+        config = RopeConfig(dim=64)
+        vectors = np.random.Generator(np.random.Philox(1)).standard_normal((20_000, 64))
+        positions = np.arange(20_000)
+        frozen_vectors, frozen_positions = vectors.copy(), positions.copy()
+        frozen_vectors.flags.writeable = frozen_positions.flags.writeable = False
+        apply_rope_many(vectors[:2], positions[:2], config)  # warm
+
+        def peak(v, m):
+            tracemalloc.start()
+            try:
+                apply_rope_many(v, m, config)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(vectors, positions) <= peak(frozen_vectors, frozen_positions) + 1_000_000
 
 
 class TestRopeDot:
