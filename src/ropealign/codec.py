@@ -187,9 +187,9 @@ def read_value(field, value, where: str = ""):
     """``value`` as ``field.kind`` (``field`` has the attributes of a
     ``Field``), never coerced: an integer through ``operator.index``, then
     checked against its ``IntRange`` if it has one, a number as any finite
-    real, a numpy scalar included, stored as a float (JSON's 1e400 is inf,
-    past the float range), a bool only as true/false, a choice only as a
-    listed string.  A bool is never a number.  A bad value raises
+    real, a numpy scalar or 0-d array included, stored as a float (JSON's
+    1e400 is inf, past the float range), a bool only as true/false (never
+    a number), a choice only as a listed string.  A bad value raises
     ValueError naming ``where`` (file and segment, if any) and the field."""
     kind = field.kind
     if value is None and field.default is None:
@@ -210,6 +210,8 @@ def read_value(field, value, where: str = ""):
             ok = isinstance(value, numbers.Real) and math.isfinite(value)
         except OverflowError:  # an integer past the float range
             ok = False
+        if not ok and isinstance(value, np.ndarray) and value.shape == () and value.dtype.kind in "iuf":
+            ok = math.isfinite(value)  # a 0-d real array is its one entry, as the integer rule reads one
         value = float(value) if ok else value
     else:
         ok = isinstance(value, kind)

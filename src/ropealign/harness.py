@@ -88,7 +88,8 @@ def population_gaussian(
     mean = read_value(Field("mean", float), mean)
     roles = plan.slot_roles()
     rng = np.random.Generator(np.random.Philox(read_value(Field("seed", IntRange(0)), seed)))
-    vectors = mean + rng.standard_normal((len(roles), config.dim))
+    vectors = rng.standard_normal((len(roles), config.dim))
+    vectors += mean  # in place: the draws' bits plus mean, with no second array
     vectors.flags.writeable = False  # handed over: the population is stored once
     return TokenPopulation(vectors=vectors, roles=roles)
 
@@ -300,45 +301,40 @@ class AlignmentGainReport:
         return json_text(asdict(self))
 
 
-def _mode_geometry(plan: LayoutPlan, idmap: PositionIdMap) -> ModeGeometry:
-    ids = idmap.ids
+def _slot_sets(plan: LayoutPlan) -> tuple[tuple[np.ndarray, np.ndarray] | None, np.ndarray, np.ndarray]:
+    """The slots the gain report reads, from the plan alone: the (high-res,
+    thumbnail) slots of every overlapping cell pair (None without both
+    grids), the image slots, and the text slots after the image's last."""
     thumb, high = plan.thumbnail(), plan.highres()
-    pair_mean = None
+    pairs = None
     if thumb is not None and high is not None:
-        # The overlapping pairs are row partners x column partners, so one
-        # np.ix_ read per grid gives every pair's |delta id|.
+        # The overlapping pairs are row partners x column partners: one np.ix_ read per grid.
         r, tr = _axis_partners(thumb.shape.rows, high.shape.rows)
         c, tc = _axis_partners(thumb.shape.cols, high.shape.cols)
-        high_ids = ids[plan.cell_slots(high)][np.ix_(r, c)]
-        d = np.abs(high_ids - ids[plan.cell_slots(thumb)][np.ix_(tr, tc)])
-        pair_mean = int(d.sum()) / d.size
-
+        pairs = plan.cell_slots(high)[np.ix_(r, c)], plan.cell_slots(thumb)[np.ix_(tr, tc)]
     image = plan.image_slots()
-    post_mean = None
-    post_max = None
-    if image.size:
-        # A text segment's cells fill its range.
-        post = [
-            np.arange(start, stop)
-            for seg, start, stop in segment_ranges(plan)
-            if seg.KIND == "text" and start > image.max()
-        ]
-        if post:
-            # With the n image IDs x sorted and k of them below p, the sum of
-            # |p - x| is p (2k - n) - 2 (sum of those k) + (sum of all n):
-            # exact integers, and no post-text x image matrix.
-            p, x = ids[np.concatenate(post)], np.sort(ids[image])
-            below = np.searchsorted(x, p)
-            prefix = np.concatenate(([0], np.cumsum(x)))
-            total = int(np.sum(p * (2 * below - len(x)) - 2 * prefix[below] + prefix[-1]))
-            post_mean = total / (len(p) * len(x))
-            post_max = int(max(p.max() - x[0], x[-1] - p.min()))
-    return ModeGeometry(
-        pair_mean_distance=pair_mean,
-        post_text_mean_image_distance=post_mean,
-        post_text_max_image_distance=post_max,
-        max_id=int(ids.max()) if len(ids) else 0,
-    )
+    last = image.max() if image.size else np.inf  # no image: no text after it
+    post = [np.zeros(0, np.int64)] + [
+        np.arange(start, stop) for seg, start, stop in segment_ranges(plan) if seg.KIND == "text" and start > last
+    ]  # a text segment's cells fill its range
+    return pairs, image, np.concatenate(post)
+
+
+def _mode_geometry(ids: np.ndarray, pairs, image: np.ndarray, post: np.ndarray) -> ModeGeometry:
+    """One map's geometry, its ``ids`` read at the slot sets of ``_slot_sets``."""
+    pair_mean = None if pairs is None else int(np.abs(ids[pairs[0]] - ids[pairs[1]]).sum()) / pairs[0].size
+    post_mean = post_max = None
+    if post.size:
+        # With the n image IDs x sorted and k of them below p, the sum of
+        # |p - x| is p (2k - n) - 2 (sum of those k) + (sum of all n):
+        # exact integers, and no post-text x image matrix.
+        p, x = ids[post], np.sort(ids[image])
+        below = np.searchsorted(x, p)
+        prefix = np.concatenate(([0], np.cumsum(x)))
+        total = int(np.sum(p * (2 * below - len(x)) - 2 * prefix[below] + prefix[-1]))
+        post_mean = total / (len(p) * len(x))
+        post_max = int(max(p.max() - x[0], x[-1] - p.min()))
+    return ModeGeometry(pair_mean, post_mean, post_max, max_id=int(ids.max()) if len(ids) else 0)
 
 
 def alignment_gain_report(
@@ -356,7 +352,5 @@ def alignment_gain_report(
     map's separator policy is the caller's contract: it is not checked.
     """
     baseline, id_align = _map_pair(plan, separator_policy, baseline, id_align)
-    return AlignmentGainReport(
-        baseline=_mode_geometry(plan, baseline),
-        id_align=_mode_geometry(plan, id_align),
-    )
+    slots = _slot_sets(plan)  # the plan's work, once for both maps
+    return AlignmentGainReport(_mode_geometry(baseline.ids, *slots), _mode_geometry(id_align.ids, *slots))

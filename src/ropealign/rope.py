@@ -27,6 +27,9 @@ __all__ = [
 # neighbouring one.
 POSITION = IntRange(-(2**53), 2**53)
 
+# Rows rotated at a time by ``apply_rope_many``, straight into its output.
+_BLOCK_ROWS = 1024
+
 
 @dataclass(frozen=True)
 class RopeConfig:
@@ -81,19 +84,20 @@ def apply_rope_many(vectors, positions, config: RopeConfig) -> np.ndarray:
     a scalar or an array of length n, read as int64, each entry an
     integer of magnitude at most 2**53 (``POSITION``), never a float or a
     bool.  Each is exact in float64, so the angles are those of its float.
+    Rotated ``_BLOCK_ROWS`` rows at a time: the peak is the inputs, the
+    output and one block's temporaries.
     """
     arr = read_array(vectors, "vectors", (None, config.dim))
     pos = read_array(positions, "positions", None, POSITION)  # read first: a ragged list is named
     if pos.shape not in ((), (len(arr),)):
         raise ValueError(f"positions must be a scalar or one per row, got shape {pos.shape} for {len(arr)} rows")
-    angles = np.multiply.outer(np.atleast_1d(pos), rope_frequencies(config))
-    cos = np.cos(angles)
-    sin = np.sin(angles)
-    x = arr[:, 0::2]
-    y = arr[:, 1::2]
-    out = np.empty_like(arr)
-    out[:, 0::2] = x * cos - y * sin
-    out[:, 1::2] = x * sin + y * cos
+    freqs, out = rope_frequencies(config), np.empty_like(arr)
+    for lo in range(0, len(arr), _BLOCK_ROWS):  # elementwise: a block's rows are the whole's, bit for bit
+        rows = slice(lo, lo + _BLOCK_ROWS)
+        angles = np.multiply.outer(pos[rows] if pos.ndim else pos[None], freqs)
+        cos, sin, x, y = np.cos(angles), np.sin(angles), arr[rows, 0::2], arr[rows, 1::2]
+        out[rows, 0::2] = x * cos - y * sin
+        out[rows, 1::2] = x * sin + y * cos
     return out
 
 

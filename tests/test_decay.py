@@ -23,7 +23,7 @@ from ropealign import (
     rope_dot,
     rope_frequencies,
 )
-from ropealign import decay, rope
+from ropealign import cli, decay, rope
 
 # Frozen regression values for (1/(d/2))*sum|S_j| at d=128, theta=1e4,
 # computed once from the direct complex-sum oracle below.
@@ -482,6 +482,36 @@ class TestSharedSamples:
         for err in prof.stderr:
             assert abs(err - analytic) <= 0.05 * analytic
 
+    @pytest.mark.parametrize(
+        "dim, mu_q, mu_k, samples, seeds, distances",
+        [
+            (8, np.linspace(-1.0, 2.0, 8), np.linspace(1.5, -0.5, 8), 3 * 16384 + 5, (0, 1, 2), [0, 1, 7, 100, 4096]),
+            (64, np.ones(64), np.ones(64), 100_000, (7,), cli._parse_distances("log:0..8192:16")),
+        ],
+        ids=["dim-8", "readme"],
+    )
+    def test_sample_variance_is_the_exact_law(self, dim, mu_q, mu_k, samples, seeds, distances):
+        """A sample X_m = |q| g + q . R_m mu_k has the law of q . k with
+        k ~ N(R_m mu_k, I), so at every distance Var X_m = dim + A + B,
+        A = |mu_q|^2 and B = |mu_k|^2 (192 for the README run).  Given
+        q = mu_q + u, X - E X is normal with mean R_m mu_k . u and variance
+        |q|^2, whence X's fourth central moment is exactly
+        mu4 = 3 B^2 + 6 B (A + dim + 2) + 3 ((dim + A)^2 + 2 (dim + 2 A)),
+        and the sample variance s^2 = n stderr^2 has variance
+        mu4 / n - sigma^4 (n - 3) / (n (n - 1)).  Each s^2 is within five
+        of its standard errors of sigma^2; without the |q| g term the
+        variance would be A + B, more than dim below it."""
+        config = RopeConfig(dim=dim, theta_base=1e4)
+        a, b = float(mu_q @ mu_q), float(mu_k @ mu_k)
+        var = dim + a + b
+        mu4 = 3 * b**2 + 6 * b * (a + dim + 2) + 3 * ((dim + a) ** 2 + 2 * (dim + 2 * a))
+        sd = np.sqrt(mu4 / samples - var**2 * (samples - 3) / (samples * (samples - 1)))
+        assert 5 * sd < dim  # the bound tells the law from one without |q| g
+        for seed in seeds:
+            prof = decay_profile(mu_q, mu_k, distances, samples=samples, seed=seed, config=config)
+            for err in prof.stderr:
+                assert abs(samples * err**2 - var) <= 5 * sd
+
     def test_thread_counts_identical_with_partial_chunk(self):
         config = RopeConfig(dim=8)
         mu = np.ones(8)
@@ -605,9 +635,10 @@ class TestSharedSamples:
         moment pair, so a wide grid's moments are held once a chunk in
         flight.  When each chunk handed back its 16 blocks' moments, dim 4
         over 100 000 distances and two chunks peaked at 38.7 MB traced
-        with 1 worker and 64.0 MB with 2.  Of the 23.1 MB left, 22.4 MB
-        is the peak of rotating the grid's key means, which rotating in
-        row blocks would lower."""
+        with 1 worker and 64.0 MB with 2.  Now the run peaks at 17.0 MB
+        with 1 worker (19.9 MB when the grid's key means were rotated all
+        at once, not in row blocks) and at 21.4 MB with 2, where the peak
+        is the two chunks in flight, not the rotation."""
         config = RopeConfig(dim=4, theta_base=1e4)
         mu = np.ones(4)
         tracemalloc.start()

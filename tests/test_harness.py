@@ -1,6 +1,7 @@
 """Tests for the score walk, score matrices, score summaries and the
 gain report."""
 
+import inspect
 import os
 import subprocess
 import sys
@@ -423,6 +424,25 @@ class TestTokenPopulation:
         a = population_gaussian(plan, config, mean=1.0, seed=3)
         b = population_gaussian(plan, config, mean=1.0, seed=3)
         assert np.array_equal(a.vectors, b.vectors)
+        draws = np.random.Generator(np.random.Philox(3)).standard_normal((plan.total_tokens, 4))
+        assert a.vectors.tobytes() == (1.0 + draws).tobytes()  # the mean added in place: the same bits
+
+    @pytest.mark.parametrize("build", [population_constant, population_gaussian])
+    def test_builder_peak_is_its_output(self, build):
+        """A builder's traced peak is its (slots, dim) output, plus the
+        read's finiteness mask (one byte an entry), three slot-role
+        sequences (8 bytes a slot each) and 64 KB of slack: no second
+        (slots, dim) array."""
+        plan = LayoutPlan(segments=(TextSegment(20_000),), patch_size=14)
+        config = RopeConfig(dim=64)
+        build(trace_plan(), config)  # warm
+        tracemalloc.start()
+        try:
+            out = build(plan, config, 0.5).vectors.nbytes
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out + out // 8 + 3 * 8 * plan.total_tokens + 64_000
 
     @pytest.mark.parametrize("build", [population_constant, population_gaussian])
     def test_builders_hand_their_array_over(self, build, monkeypatch):
@@ -566,3 +586,18 @@ class TestAlignmentGainReport:
 
         monkeypatch.setattr(idalign, "assign_position_ids", fail)
         assert alignment_gain_report(plan, policy, **maps) == want
+
+    def test_plan_is_read_once_for_both_maps(self, monkeypatch):
+        """The slot sets are the plan's alone, so one report finds them
+        once: two ``_axis_partners`` calls (rows and columns) and one
+        ``image_slots`` call, not one set per map.  A map's geometry is read
+        from its IDs and those sets, with no plan."""
+        plan = trace_plan(GridShape(4, 6))
+        calls = []
+        for owner, name in ((harness, "_axis_partners"), (LayoutPlan, "image_slots")):
+            real = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+        report = alignment_gain_report(plan)
+        assert sorted(calls) == ["_axis_partners", "_axis_partners", "image_slots"]
+        assert report.id_align.pair_mean_distance == 0.0
+        assert "plan" not in inspect.signature(harness._mode_geometry).parameters

@@ -447,9 +447,11 @@ class TestPositionIdMap:
             ([np.array(1), np.array(2.5)], r"array\(2\.5\)"),
             ([-1, -5], "-5"),
             ([3, np.int8(-2), -1], "-2"),
+            ([1, np.array(True)], r"array\(True\)"),
+            ([1, np.array("7")], r"array\('7', dtype='<U1'\)"),
         ],
         ids=["bool-after-int", "float-before-bool", "range-before-float", "0-d-float-array", "list-extreme",
-             "mixed-types-extreme"],
+             "mixed-types-extreme", "0-d-bool-array", "0-d-string-array"],
     )
     def test_list_refused_at_its_first_refused_entry_or_extreme(self, ids, shown):
         """A list whose entries are not all integers is named at its first

@@ -856,7 +856,7 @@ def test_mode_geometry_matches_matrix_reference(plan, policy):
             idmaps.append(assign_position_ids(plan, mode, policy))
     for idmap in idmaps:
         ids = np.asarray(idmap.ids)
-        got = harness._mode_geometry(plan, idmap)
+        got = harness._mode_geometry(idmap.ids, *harness._slot_sets(plan))
         want_pair = None
         if thumb is not None and high is not None:
             grid = {
