@@ -13,11 +13,13 @@ which refuses a key given twice, and every value read from one, from a
 flag or by a library call goes through ``read_value``: a dataclass's
 fields through ``read_fields``, an array through ``read_array`` (float64,
 or int64 under the rule for one integer), an integer with its range
-(``IntRange``).  ``read_array`` reads both kinds by one entry rule (a
-bool or a string is never a number) and only checks and converts, so a
-reader uses the caller's array as given.  ``hold_array`` is the one rule
-of who may change an array a value holds: no one.  It holds it read-only,
-copied unless built in the read or given read-only and owning its memory.
+(``IntRange``).  ``read_value`` is the one check of an array entry (a
+bool or a string is never a number): ``read_array`` reads a numeric
+array at its two extremes, anything else entry by entry, and only checks
+and converts, so a reader uses the caller's array as given.
+``hold_array`` is the one rule of who may change an array a value holds:
+no one.  It holds it read-only, copied unless built in the read or given
+read-only and owning its memory.
 """
 
 from __future__ import annotations
@@ -160,8 +162,8 @@ def read_json(text: str, where: str):
 REQUIRED = object()  # the default of a field a document must hold
 _KIND_NAMES = {
     int: "an integer", float: "a number", bool: "true or false", str: "a string", list: "a list",
+    Iterable: "a sequence",
 }  # fmt: skip
-_REALS = (int, float, np.integer, np.floating)  # the entries of a float array read at once
 
 
 @dataclass(frozen=True)
@@ -190,7 +192,8 @@ def read_value(field, value, where: str = ""):
     real, a numpy scalar or 0-d array included, stored as a float (JSON's
     1e400 is inf, past the float range), a bool only as true/false (never
     a number), a choice only as a listed string.  A bad value raises
-    ValueError naming ``where`` (file and segment, if any) and the field."""
+    ValueError naming ``where`` (file and segment, if any) and the field,
+    and showing the value (an integer too long for ``repr`` by its bits)."""
     kind = field.kind
     if value is None and field.default is None:
         return None
@@ -217,8 +220,12 @@ def read_value(field, value, where: str = ""):
         ok = isinstance(value, kind)
     if ok:
         return value
+    try:
+        shown = repr(value)
+    except ValueError:  # an integer past Python's limit on the digits it converts
+        shown = f"an integer of {value.bit_length()} bits"
     prefix = f"{where}: " if where else ""
-    raise ValueError(f"{prefix}{field.name} must be {_want(kind)}, got {value!r}")
+    raise ValueError(f"{prefix}{field.name} must be {_want(kind)}, got {shown}")
 
 
 def _want(kind) -> str:
@@ -242,44 +249,33 @@ def read_fields(obj, **kinds) -> None:
 
 def read_array(value, name: str, shape: tuple | None, kind=float) -> np.ndarray:
     """``value`` as an array of ``shape`` (None: any length on that axis,
-    or any shape): float64 with finite entries or, with ``kind`` an
-    ``IntRange`` within int64, int64 under ``read_value``'s rule for one
-    integer.  One entry rule: an integer array (a float one too, for
-    float64) is read as it is, anything else at C speed once its entries
-    are plain numbers, never a bool, else entry by entry, naming the first
-    refused one.  An integer range is checked on the extremes.  Nothing is
-    copied, no flag set.  Anything else is a ValueError naming ``name``."""
+    or any shape): float64 or, with ``kind`` an ``IntRange`` within int64,
+    int64.  ``read_value`` is the one check of an entry: an integer array
+    (a float one too, for float64) is read at its two extremes, its min
+    and max, where a NaN carries through both, and anything else entry by
+    entry, naming the first refused one, the array built from the values
+    read.  Nothing is copied, no flag set.  Anything else is a ValueError
+    naming ``name``."""
     ints = isinstance(kind, IntRange)
     field = Field(name, kind)
-    arr = value
-    if not (isinstance(value, np.ndarray) and value.dtype.kind in "iuf"[: 3 - ints]):
+    dtype = np.int64 if ints else np.float64
+    if isinstance(value, np.ndarray) and value.dtype.kind in "iuf"[: 3 - ints]:
+        for extreme in (value.min(), value.max()) if value.size else ():
+            read_value(field, extreme.item())
+        arr = value.astype(dtype, copy=False)
+    else:
         if isinstance(value, np.ndarray) and value.dtype != object and value.size:  # a bool, string or date array
             raise ValueError(f"{name} must be {_want(kind)}, got {value.flat[0].item()!r}")
         try:
-            arr = np.asarray(value, object)
+            entries = np.asarray(value, object)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{name} must be an array of numbers: {exc}") from None
-        entries = arr.ravel().tolist()
-        types = set(map(type, entries))
-        try:  # all at once, with no Python step per entry
-            if bool in types or not (ints or all(issubclass(t, _REALS) for t in types)):
-                raise TypeError
-            values = list(map(operator.index, entries)) if ints else ()
-        except TypeError:  # not plain numbers: raises at the first refused entry
-            values = [read_value(field, entry) for entry in entries]
-    if ints and arr.size:  # the range, checked on the extremes
-        for extreme in (min(values), max(values)) if arr.dtype == object else (arr.min(), arr.max()):
-            read_value(field, int(extreme))
-    try:
-        arr = arr.astype(np.int64 if ints else np.float64, copy=False)
-    except OverflowError as exc:  # an integer past the float range
-        raise ValueError(f"{name} must be an array of numbers: {exc}") from None
+        values = (read_value(field, entry) for entry in entries.flat)
+        arr = np.fromiter(values, dtype, entries.size).reshape(entries.shape)
     fits = shape is None or arr.ndim == len(shape) and all(want in (n, None) for n, want in zip(arr.shape, shape))
     if not fits:
         want = ", ".join("any" if n is None else str(n) for n in shape) + ("," if len(shape) == 1 else "")
         raise ValueError(f"{name} must have shape ({want}), got {arr.shape}")
-    if not (ints or np.isfinite(arr).all()):
-        raise ValueError(f"{name} must be finite")
     return arr
 
 

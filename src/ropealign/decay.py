@@ -104,11 +104,11 @@ class DecayProfile:
 
     def __post_init__(self) -> None:
         read_fields(self, sample_count=IntRange(2))
-        for field in (Field("distances", _DISTANCE), Field("mean_dot", float), Field("stderr", float)):
-            values = tuple(read_value(field, v) for v in getattr(self, field.name))
-            object.__setattr__(self, field.name, values)
-        if not (len(self.distances) == len(self.mean_dot) == len(self.stderr)):
-            raise ValueError("distances, mean_dot and stderr must have equal length")
+        shape = (None,)  # any length for the distances, then theirs for each column
+        for name, kind in (("distances", _DISTANCE), ("mean_dot", float), ("stderr", float)):
+            column = read_array(getattr(self, name), name, shape, kind)
+            shape = column.shape
+            object.__setattr__(self, name, tuple(column.tolist()))
         if any(s < 0 for s in self.stderr):
             raise ValueError("stderr entries must be non-negative")
         if any(b <= a for a, b in zip(self.distances, self.distances[1:])):
@@ -297,10 +297,10 @@ def decay_profile(
     ``SeedSequence(seed)``, whatever else is in the grid.  Chunks may run
     on ``max_workers`` threads without changing the result.
     """
-    dist = [read_value(Field("distances", _DISTANCE), d) for d in distances]
-    if not dist:
+    dist = read_array(distances, "distances", (None,), _DISTANCE)
+    if not dist.size:
         raise ValueError("distances must be non-empty")
-    if any(b <= a for a, b in zip(dist, dist[1:])):
+    if (dist[1:] <= dist[:-1]).any():
         raise ValueError("distances must be strictly increasing")
     max_workers = read_value(Field("max_workers", IntRange(1)), max_workers)
     seed = read_value(Field("seed", IntRange(0)), seed)

@@ -25,7 +25,7 @@ library.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -65,7 +65,8 @@ class TokenPopulation:
     def __post_init__(self) -> None:
         object.__setattr__(self, "vectors", hold_array(self.vectors, "vectors", (None, None)))
         field = Field("roles", str)  # built once: a Field per role triples the read's time
-        object.__setattr__(self, "roles", tuple(read_value(field, role) for role in self.roles))
+        roles = read_value(Field("roles", Iterable), self.roles)
+        object.__setattr__(self, "roles", tuple(read_value(field, role) for role in roles))
         if self.vectors.shape[0] != len(self.roles):
             raise ValueError("one role per vector required")
 

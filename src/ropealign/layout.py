@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Iterable
 from contextlib import contextmanager
 from dataclasses import astuple, dataclass
 from functools import cached_property
@@ -217,7 +218,7 @@ class LayoutPlan:
     patch_size: int
 
     def __post_init__(self) -> None:
-        read_fields(self, patch_size=_POSITIVE)
+        read_fields(self, patch_size=_POSITIVE, segments=Iterable)
         object.__setattr__(self, "segments", tuple(self.segments))
         for seg in self.segments:
             if not isinstance(seg, _SegmentKind):
@@ -370,7 +371,7 @@ def select_resolution(
     input = read_value(Field("input", Resolution), input)
     cap_effective_at_input = read_value(Field("cap_effective_at_input", bool), cap_effective_at_input)
     field = Field("candidates", Resolution)
-    candidates = [read_value(field, cand) for cand in candidates]
+    candidates = [read_value(field, cand) for cand in read_value(Field("candidates", Iterable), candidates)]
     if not candidates:
         raise ValueError("candidate list must be non-empty")
 

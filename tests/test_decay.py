@@ -326,8 +326,10 @@ class TestDecayProfile:
             decay_profile(np.zeros(4), np.zeros(4), [-1, 0], samples=100, seed=0, config=RopeConfig(dim=4))
 
     def test_profile_validation(self):
-        with pytest.raises(ValueError, match="must have equal length"):
+        with pytest.raises(ValueError, match=r"^mean_dot must have shape \(2,\), got \(1,\)$"):
             DecayProfile(distances=(0, 1), mean_dot=(0.0,), stderr=(0.0, 0.0), sample_count=10)
+        with pytest.raises(ValueError, match=r"^stderr must have shape \(2,\), got \(3,\)$"):
+            DecayProfile(distances=(0, 1), mean_dot=(0.0, 0.0), stderr=(0.0, 0.0, 0.0), sample_count=10)
         with pytest.raises(ValueError, match="must be non-negative"):
             DecayProfile(distances=(0, 1), mean_dot=(0.0, 0.0), stderr=(0.0, -1.0), sample_count=10)
         for distances in [(1, 1), (2, 1)]:

@@ -453,7 +453,7 @@ class TestTokenPopulation:
         assert len(given) == 1 and given[0] is pop.vectors
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError, match="^vectors must be finite$"):
+        with pytest.raises(ValueError, match="^vectors must be a number, got inf$"):
             TokenPopulation(vectors=np.array([[np.inf, 0.0]]), roles=("text",))
 
     @pytest.mark.parametrize(

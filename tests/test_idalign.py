@@ -445,7 +445,7 @@ class TestPositionIdMap:
             ([1, 2.5, True], r"2\.5"),
             ([-1, 2.5], "-1"),
             ([np.array(1), np.array(2.5)], r"array\(2\.5\)"),
-            ([-1, -5], "-5"),
+            ([-1, -5], "-1"),
             ([3, np.int8(-2), -1], "-2"),
             ([1, np.array(True)], r"array\(True\)"),
             ([1, np.array("7")], r"array\('7', dtype='<U1'\)"),
@@ -454,20 +454,23 @@ class TestPositionIdMap:
              "mixed-types-extreme", "0-d-bool-array", "0-d-string-array"],
     )
     def test_list_refused_at_its_first_refused_entry_or_extreme(self, ids, shown):
-        """A list whose entries are not all integers is named at its first
-        refused entry, read in turn, as the type of an entry does not settle
-        it (a 0-d array's dtype is not in its type); a list of integers out
-        of range is named by its extreme, as an integer array is."""
+        """A list is named at its first refused entry, each read in turn by
+        ``read_value``, whether it is refused for its type (a 0-d array's
+        dtype is not in its type) or for its range; only an integer array
+        is named by an extreme."""
         with pytest.raises(ValueError, match=f"^ids must be an integer from 0 to {2**63 - 1}, got {shown}$"):
             PositionIdMap(ids=ids, mode="baseline")
 
-    def test_list_of_integers_reads_only_its_extremes(self, monkeypatch):
-        """A long list costs two ``read_value`` calls, its extremes, not
-        one per entry."""
+    def test_list_of_integers_reads_each_entry(self, monkeypatch):
+        """``read_value`` is the one check of an entry: a long list costs
+        one call per entry, an integer array two, its extremes."""
         read, names = codec.read_value, []
         monkeypatch.setattr(codec, "read_value", lambda field, *args: names.append(field.name) or read(field, *args))
         ids = [*range(10_000), np.int64(7), np.uint8(3), np.array(4), *range(5)]
         assert PositionIdMap(ids=ids, mode="baseline").ids.tolist() == [int(i) for i in ids]
+        assert names.count("ids") == len(ids)
+        names.clear()
+        assert PositionIdMap(ids=np.array(ids, np.int64), mode="baseline").ids.tolist() == [int(i) for i in ids]
         assert names.count("ids") == 2
 
     def test_negative_ids_rejected(self):

@@ -283,6 +283,15 @@ HOSTILE = {
         }.items()
     },
     "GridMapping-shape=(1, 1)": (lambda: GridMapping((1, 1), np.array([[1]]), 0), "shape"),
+    # A sequence argument that is no sequence, once a TypeError naming nothing.
+    "select_resolution-candidates=5": (lambda: select_resolution(_SQUARE, 5), "candidates"),
+    "build_layout-candidates=5": (lambda: build_layout(0, _SQUARE, 5, _SQUARE, 14, 0), "candidates"),
+    "TokenPopulation-roles=5": (lambda: TokenPopulation(np.zeros((2, 4)), roles=5), "roles"),
+    "LayoutPlan-segments=5": (lambda: LayoutPlan(5, 14), "segments"),
+    # An integer past Python's limit on the digits of its repr, once a ValueError naming nothing.
+    "PositionIdMap-ids=[-10**5000]": (lambda: PositionIdMap(ids=[-(10**5000)], mode="baseline"), "ids"),
+    "theta_base=10**5000": (lambda: RopeConfig(4, 10**5000), "theta_base"),
+    "apply_rope-m=10**5000": (lambda: apply_rope([1.0, 0.0], 10**5000, RopeConfig(2)), "m"),
     **{  # both maps given, so nothing else reads the policy
         f"{name}-policy='drop'": (lambda r=report: r(_TWO_SLOTS, "drop", **_MAPS), "separator_policy")
         for name, report in _REPORTS.items()
@@ -303,6 +312,15 @@ def test_hostile_value_is_a_value_error_naming_it(call, name):
     OverflowError or TypeError."""
     with pytest.raises(ValueError, match=f"^{name} must be "):
         call()
+
+
+@pytest.mark.parametrize("form", [list, tuple, iter, lambda xs: np.array(xs, object)], ids=["list", "tuple", "iter", "array"])
+def test_sequence_arguments_take_any_iterable(form):
+    """A sequence argument read as ``Iterable`` takes any iterable of its
+    entries: a list, a tuple, an iterator or an object array."""
+    assert select_resolution(_SQUARE, form([Resolution(336, 672), _SQUARE])) == _SQUARE
+    assert TokenPopulation(np.zeros((2, 4)), roles=form(["text", "image"])).roles == ("text", "image")
+    assert LayoutPlan(form([TextSegment(1), TextSegment(2)]), 14).total_tokens == 3
 
 
 def test_readme_library_tour_runs(capsys):

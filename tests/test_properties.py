@@ -13,6 +13,7 @@ import json
 import math
 import os
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -805,6 +806,80 @@ def test_integer_arrays_have_one_reader(reader, drawn):
         return
     got = read(value)
     assert got.dtype == np.int64 and got.tolist() == ints
+
+
+# Any array, read by codec.read_array: read_value is the one check of an entry.
+
+_ARRAY_KINDS = st.sampled_from([float, IntRange(-(2**53), 2**53), IntRange(0, 2**63 - 1)])
+_ENTRIES = st.one_of(
+    st.integers(-(2**64), 2**64),
+    st.sampled_from([2**53 + 1, 2**63, -(2**63) - 1, 10**400, -(10**5000)]),  # past int64, float, repr
+    st.floats(),  # NaN and ±inf included
+    st.booleans(),
+    st.text(max_size=2),
+    st.builds(lambda n, t: t(n), st.integers(-128, 127), st.sampled_from([np.int8, np.int64, np.float32, np.float64])),
+    st.sampled_from([np.True_, np.uint64(2**64 - 1), np.float64("nan"), np.float16("inf")]),
+    st.builds(np.array, st.integers(-(2**63), 2**63 - 1) | st.floats() | st.booleans() | st.just("7")),  # 0-d
+)
+
+
+def _refusal(call):
+    """The message of the ValueError ``call`` raises, or None."""
+    try:
+        call()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@given(_ARRAY_KINDS, st.lists(_ENTRIES, min_size=1, max_size=6), st.sampled_from([1, 2]))
+@settings(max_examples=400, deadline=None)
+def test_a_list_is_read_entry_by_entry(kind, entries, ndim):
+    """A 1-D or 2-D list reads as the array of ``read_value``'s results,
+    or is refused with the message of its first entry ``read_value``
+    refuses."""
+    field = codec.Field("x", kind)
+    value = entries if ndim == 1 else [[e] for e in entries]
+    refused = next(filter(None, (_refusal(lambda e=e: codec.read_value(field, e)) for e in entries)), None)
+    assert _refusal(lambda: codec.read_array(value, "x", None, kind)) == refused
+    if refused is None:
+        got = codec.read_array(value, "x", None, kind)
+        want = np.array([codec.read_value(field, e) for e in entries], np.float64 if kind is float else np.int64)
+        want = want.reshape((len(entries), 1)[:ndim])
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@given(_ARRAY_KINDS, st.data())
+@settings(max_examples=400, deadline=None)
+def test_a_numeric_array_is_read_at_its_extremes(kind, data):
+    """An integer array, or a float one read as floats, is accepted
+    exactly when ``read_value`` accepts its min and its max, and refused
+    with the message of the first of the two it refuses."""
+    dtypes = ["int8", "uint8", "int64", "uint64", *["float16", "float32", "float64"] * (kind is float)]
+    value = data.draw(arrays(st.sampled_from(dtypes), st.sampled_from([(3,), (2, 2)])))
+    field = codec.Field("x", kind)
+    refused = _refusal(lambda: [codec.read_value(field, x.item()) for x in (value.min(), value.max())])
+    got = _refusal(lambda: codec.read_array(value, "x", None, kind))
+    assert got == refused
+    if refused is None:
+        want = value.astype(np.float64 if kind is float else np.int64)
+        assert codec.read_array(value, "x", None, kind).tobytes() == want.tobytes()
+
+
+def test_a_float_array_read_allocates_nothing_per_entry():
+    """Reading a read-only (20000, 64) float64 array checks it at its two
+    extremes: nothing of its size is allocated (a finiteness mask would
+    be 1.28 MB)."""
+    value = np.random.Generator(np.random.Philox(0)).standard_normal((20_000, 64))
+    value.flags.writeable = False
+    codec.read_array(value[:2], "vectors", (None, 64))  # warm
+    tracemalloc.start()
+    try:
+        assert codec.read_array(value, "vectors", (None, 64)) is value
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64_000
 
 
 # The segment table, and the CLI contract for every plan, config and argv.

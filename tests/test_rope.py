@@ -203,16 +203,21 @@ class TestApplyRopeMany:
         scalar = apply_rope_many(vecs, np.array(7), config)
         assert np.array_equal(scalar, apply_rope_many(vecs, [7, 7], config))
 
-    def test_list_of_floats_is_read_at_once(self, monkeypatch):
-        """The float twin of ``PositionIdMap``'s long list: plain Python
-        and numpy numbers cost no ``read_value`` call per entry."""
+    def test_list_of_floats_reads_each_entry(self, monkeypatch):
+        """The float twin of ``PositionIdMap``'s long list: each entry of
+        a nested list, plain Python or numpy number, costs one
+        ``read_value`` call, and a float array two, its extremes."""
         read, names = codec.read_value, []
         monkeypatch.setattr(codec, "read_value", lambda field, *args: names.append(field.name) or read(field, *args))
         entries = [*map(float, range(10_000)), np.float64(7.5), np.float32(3), np.int8(4), 2]
         rows = [entries[i : i + 2] for i in range(0, len(entries), 2)]
+        want = np.array([float(e) for e in entries]).reshape(-1, 2).tolist()
         got = apply_rope_many(rows, 0, RopeConfig(dim=2))  # position 0 rotates by cos 1, sin 0: exact
-        assert got.tolist() == np.array([float(e) for e in entries]).reshape(-1, 2).tolist()
-        assert names.count("vectors") == 0
+        assert got.tolist() == want
+        assert names.count("vectors") == len(entries)
+        names.clear()
+        assert apply_rope_many(np.array(want), 0, RopeConfig(dim=2)).tolist() == want
+        assert names.count("vectors") == 2
 
     def test_writable_input_costs_no_copy(self):
         """Rotation only reads its inputs, so a caller's writable array
