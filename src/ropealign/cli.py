@@ -9,9 +9,11 @@ Every option is declared once, in ``OPTIONS``.  Parameter precedence per
 subcommand: command-line flags, then an optional JSON config file
 (``--config``), then the table's defaults; whatever its source, each
 value is read through one typed check and, for a spec string, parsed
-right after it.  If the environment variable
-``ROPEALIGN_OUTPUT_DIR`` is set, relative output paths are created under
-it; input paths are untouched.
+right after it, so a malformed spec is refused before any work.  An
+array sized by a plan's slots, a ``--pop`` population included, that
+cannot be allocated is named by the plan's slot count.  If the
+environment variable ``ROPEALIGN_OUTPUT_DIR`` is set, relative output
+paths are created under it; input paths are untouched.
 """
 
 from __future__ import annotations
@@ -31,10 +33,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .codec import IntRange, csv_lines, int_chunks, json_chunks, json_text, read_json, read_object, read_value
+from .codec import Field, IntRange, csv_lines, int_chunks, json_chunks, json_text, read_json, read_object, read_value
 from .decay import decay_profile
 from .harness import (
-    TokenPopulation,
     _distance_blocks,
     alignment_gain_report,
     attention_summary,
@@ -116,6 +117,23 @@ def _parse_mu(spec: str) -> float:
     raise ValueError(f"bad mean preset {spec!r}, expected 'zeros' or 'ones:C'")
 
 
+def _parse_pop(spec: str) -> tuple:
+    """``constant:C`` or ``gaussian:MEAN:SEED`` as its builder and the
+    numbers it takes after ``(plan, config)``, each read as the builder
+    reads it: a tuple, so that equal specs parse to equal values."""
+    kind, _, rest = spec.partition(":")
+    mean, _, seed = rest.partition(":")
+    try:
+        if kind == "constant":
+            return population_constant, read_value(Field("value", float), float(rest) if rest else 1.0)
+        if kind == "gaussian":
+            mean = read_value(Field("mean", float), float(mean) if mean else 0.0)
+            return population_gaussian, mean, read_value(Field("seed", IntRange(0)), int(seed) if seed else 0)
+    except ValueError:
+        pass
+    raise ValueError(f"bad population {spec!r}, expected constant:C or gaussian:M:SEED")
+
+
 class Option(NamedTuple):
     """One option, read as a ``codec.Field``: the flag ``--name``
     (underscores as dashes) and the config key ``name``.  ``kind`` is int,
@@ -162,7 +180,7 @@ OPTIONS = (
     Option("samples", int, 100000, "Monte Carlo samples per distance", _DECAY),
     Option("seed", int, 0, "RNG seed", _DECAY),
     Option("threads", IntRange(1), 1, "worker threads; result is thread-count independent", _DECAY),
-    Option("pop", str, "constant:1.0", "population: constant:C | gaussian:MEAN:SEED", _REPORT),
+    Option("pop", str, "constant:1.0", "population: constant:C | gaussian:MEAN:SEED", _REPORT, _parse_pop),
     Option("normalize", bool, False, "row-softmax the score matrices", _REPORT),
     Option("scale", bool, True, "divide scores by sqrt(dim)", _REPORT),
     Option(
@@ -223,21 +241,6 @@ def _parse(opts: dict, key: str, parser, *args):
         return parser(opts[key], *args)
     except (ValueError, MemoryError, OverflowError) as exc:
         raise ValueError(f"{key}: {exc}") from None
-
-
-def _parse_pop(spec: str, plan: LayoutPlan, config: RopeConfig) -> TokenPopulation:
-    kind, _, rest = spec.partition(":")
-    mean, _, seed = rest.partition(":")
-    try:
-        if kind == "constant":
-            return population_constant(plan, config, float(rest) if rest else 1.0)
-        if kind == "gaussian":
-            return population_gaussian(
-                plan, config, mean=float(mean) if mean else 0.0, seed=int(seed) if seed else 0
-            )
-    except ValueError:
-        pass
-    raise ValueError(f"bad population {spec!r}, expected constant:C or gaussian:M:SEED")
 
 
 def _emit(path: str | None, text: str | Iterable[str]) -> None:
@@ -333,15 +336,15 @@ def cmd_attention_report(opts: dict) -> int:
     config = RopeConfig(dim=opts["dim"], theta_base=opts["theta"])
     policy = opts["separator_policy"]
     out_dir = opts["out_dir"]
-    # The maps first: a plan too large to allocate is reported as such, not under "pop".
     maps = {mode: assign_position_ids(plan, mode, policy) for mode in MODES}
-    pop = _parse(opts, "pop", _parse_pop, plan, config)
+    build, *numbers = opts["pop"]
     score_opts = {"normalize": opts["normalize"], "scale": opts["scale"]}
     # The modes are summed at once: the first on this thread, each other one on a
     # worker thread of its own (einsum releases the GIL, so one mode's walk runs
     # while another folds).  No worker outlives the block.
     first, *rest = maps.values()
     with allocating_slots(plan), ThreadPoolExecutor(len(rest)) as pool:
+        pop = build(plan, config, *numbers)
         futures = [pool.submit(attention_summary, pop, idmap, config, **score_opts) for idmap in rest]
         summaries = itertools.chain(
             [attention_summary(pop, first, config, **score_opts)], (future.result() for future in futures)

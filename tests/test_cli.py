@@ -28,6 +28,7 @@ from ropealign import (
 from ropealign import cli, codec, decay
 from ropealign.cli import main
 from ropealign.codec import csv_lines, csv_text
+from ropealign.layout import allocating_slots
 
 from oracles import attention_scores
 
@@ -801,6 +802,47 @@ class TestAttentionReport:
         assert capsys.readouterr() == (stdout, "error: a plan of 617 slots cannot be allocated\n")
         assert (sorted(p.name for p in out.iterdir()) if out.exists() else []) == written
 
+    @pytest.mark.parametrize("failing, pop", [("roles", "gaussian:0.5:1"), ("array", "constant:1.0")])
+    def test_population_memory_error_names_the_plan(self, failing, pop, tmp_path, monkeypatch, capsys):
+        """A population that cannot be allocated, in its slot roles or in
+        its (slots, dim) array, is one error line naming the plan's slot
+        count, as a map or a summary is, and no file is written."""
+        plan_path = self._plan_file(tmp_path, "benchmark")
+        capsys.readouterr()
+        if failing == "roles":
+
+            def roles(plan):
+                with allocating_slots(plan):
+                    raise MemoryError
+
+            monkeypatch.setattr(LayoutPlan, "slot_roles", roles)
+        else:
+            real = np.full
+
+            def full(shape, *args, **kwargs):
+                if shape == (617, 64):
+                    raise MemoryError("Unable to allocate 309. KiB for an array with shape (617, 64)")
+                return real(shape, *args, **kwargs)
+
+            monkeypatch.setattr(harness.np, "full", full)
+        out = tmp_path / "rep"
+        assert main(["attention-report", "--plan", str(plan_path), "--pop", pop, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr() == ("", "error: a plan of 617 slots cannot be allocated\n")
+        assert not out.exists()
+
+    def test_bad_population_refused_before_any_map(self, tmp_path, monkeypatch, capsys):
+        """A malformed --pop is refused while the options are read, before
+        the plan's ID maps are computed."""
+        calls = []
+        for module in (cli, idalign):
+            monkeypatch.setattr(module, "assign_position_ids", lambda *args, **kwargs: calls.append(args))
+        out = tmp_path / "rep"
+        argv = ["attention-report"] + SMALL_PLAN_ARGS + ["--pop", "gaussian:x:1", "--out-dir", str(out)]
+        assert main(argv) == 2
+        err = "error: pop: bad population 'gaussian:x:1', expected constant:C or gaussian:M:SEED\n"
+        assert capsys.readouterr() == ("", err)
+        assert calls == [] and not out.exists()
+
 
 class TestConfigPrecedence:
     """Flags beat the config file; the config file beats defaults."""
@@ -952,7 +994,7 @@ PARSED_DEFAULTS = {
         Resolution(1008, 336), Resolution(336, 1008),
     ],
     "distances": [0, 1, 2, 3, 4, 6, 10, 16, 25, 40, 64, 102, 161, 256, 406, 645, 1024],
-    "mu": 1.0,
+    "mu": 1.0, "pop": (harness.population_constant, 1.0),
 }  # fmt: skip
 
 
@@ -993,6 +1035,12 @@ class TestOptionTable:
         want = {k: PARSED_DEFAULTS.get(k, DEFAULTS[k]) for k in CONFIG_KEYS[command]}
         assert got == want
         assert {k: type(v) for k, v in got.items()} == {k: type(v) for k, v in want.items()}
+
+    def test_every_spec_is_parsed_by_its_hook(self):
+        """Every string option but a path is a spec, parsed in ``_merged``
+        by its ``parse`` hook, so no command parses an option itself."""
+        unparsed = {opt.name for opt in cli.OPTIONS if opt.kind is str and opt.parse is None}
+        assert unparsed == {"plan", "mapping_csv", "out", "out_dir"}
 
     def test_main_calls_share_one_parser(self, monkeypatch, tmp_path, capsys):
         """Each call parses its arguments once, with its command's parser

@@ -429,10 +429,9 @@ class TestTokenPopulation:
 
     @pytest.mark.parametrize("build", [population_constant, population_gaussian])
     def test_builder_peak_is_its_output(self, build):
-        """A builder's traced peak is its (slots, dim) output, plus the
-        read's finiteness mask (one byte an entry), three slot-role
-        sequences (8 bytes a slot each) and 64 KB of slack: no second
-        (slots, dim) array."""
+        """A builder's traced peak is its (slots, dim) output, plus three
+        slot-role sequences (8 bytes a slot each) and 64 KB of slack: no
+        second (slots, dim) array, and no mask over its entries."""
         plan = LayoutPlan(segments=(TextSegment(20_000),), patch_size=14)
         config = RopeConfig(dim=64)
         build(trace_plan(), config)  # warm
@@ -442,7 +441,7 @@ class TestTokenPopulation:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= out + out // 8 + 3 * 8 * plan.total_tokens + 64_000
+        assert peak <= out + 3 * 8 * plan.total_tokens + 64_000
 
     @pytest.mark.parametrize("build", [population_constant, population_gaussian])
     def test_builders_hand_their_array_over(self, build, monkeypatch):

@@ -187,6 +187,9 @@ HOSTILE = {
     "apply_rope_many-ragged-positions": (
         lambda: apply_rope_many(np.ones((2, 4)), [[1], [1, 2]], _CONFIG), "positions"
     ),
+    "apply_rope_many-ragged-vectors": (
+        lambda: apply_rope_many([np.zeros((2, 2)), np.zeros((2, 3))], 0, RopeConfig(2)), "vectors"
+    ),
     "closed-form-m=2**60": (lambda: expected_dot_closed_form(_ONES, _ONES, 2**60, _CONFIG), "m"),
     "abel-delta=2**60": (lambda: abel_bound_check(_ONES, _ONES, 2**60, _CONFIG), "delta"),
     "base=2.5": (lambda: map_highres_ids(GridShape(1, 1), GridShape(2, 2), base=2.5), "base"),
