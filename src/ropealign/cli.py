@@ -107,13 +107,11 @@ def _parse_mu(spec: str) -> float:
     if spec == "zeros":
         return 0.0
     kind, _, arg = spec.partition(":")
-    if kind == "ones":
-        try:
-            value = float(arg) if arg else 1.0
-        except ValueError:
-            value = math.nan
-        if math.isfinite(value):
-            return value
+    try:
+        if kind == "ones":
+            return read_value(Field("C", float), float(arg) if arg else 1.0)
+    except ValueError:
+        pass
     raise ValueError(f"bad mean preset {spec!r}, expected 'zeros' or 'ones:C'")
 
 
@@ -224,7 +222,7 @@ def _merged(args: argparse.Namespace) -> dict:
     ``codec.read_object`` (a bad value there is an error even under a
     flag), over the default; then, for a spec string, its ``parse``."""
     options = [opt for opt in OPTIONS if args.command in opt.commands]
-    doc = read_json(Path(args.config).read_text(), args.config) if args.config else {}
+    doc = read_json(Path(args.config).read_bytes(), args.config) if args.config else {}
     out = {}
     for opt, value in zip(options, read_object(doc, options, args.config)):
         flag = getattr(args, opt.name)
@@ -264,7 +262,7 @@ def _emit(path: str | None, text: str | Iterable[str]) -> None:
 def _plan_from(opts: dict) -> LayoutPlan:
     path = opts.get("plan")
     if path:
-        doc = read_json(Path(path).read_text(), path)
+        doc = read_json(Path(path).read_bytes(), path)
         try:
             return LayoutPlan.from_doc(doc)
         except ValueError as exc:

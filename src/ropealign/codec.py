@@ -8,12 +8,12 @@ so floats round-trip exactly; lines end in ``\\n``.  Integer arrays (the ID
 lists of ``ids.json``, the ``map.csv`` grid, ``--dense`` distances) are
 written by one numpy kernel, ``int_lines``, which gives the same bytes as
 ``str`` of each entry without a Python object per entry, a fixed chunk of
-entries at a time.  Every plan or config file is parsed by ``read_json``,
-which refuses a key given twice, and every value read from one, from a
-flag or by a library call goes through ``read_value``: a dataclass's
-fields through ``read_fields``, an array through ``read_array`` (float64,
-or int64 under the rule for one integer), an integer with its range
-(``IntRange``).  ``read_value`` is the one check of an array entry (a
+entries at a time.  Every plan or config file is parsed by ``read_json``
+from its bytes, as strict UTF-8, and a key given twice is refused; every
+value read from one, from a flag or by a library call goes through
+``read_value``: a dataclass's fields through ``read_fields``, an array
+through ``read_array`` (float64, or int64 under the rule for one
+integer), an integer with its range (``IntRange``).  ``read_value`` is the one check of an array entry (a
 bool or a string is never a number): ``read_array`` reads a numeric
 array at its two extremes, anything else entry by entry, and only checks
 and converts, so a reader uses the caller's array as given.
@@ -87,17 +87,15 @@ def int_lines(values: np.ndarray) -> str:
 
 def int_chunks(values: np.ndarray) -> Iterator[str]:
     """The text of ``int_lines(values)`` in pieces of at most ``_JSON_CHUNK``
-    entries: whole rows, or pieces of one row when it is longer."""
+    entries: blocks of whole rows, each cut into column pieces, so a row
+    longer than a piece is a block alone, and each of its pieces but the
+    last ends in the ``,`` before the next entry."""
     rows, cols = values.shape
-    if cols <= _JSON_CHUNK:
-        step = _JSON_CHUNK // max(cols, 1)
-        for lo in range(0, rows, step):
-            yield int_lines(values[lo : lo + step])
-        return
-    for row in values:
-        for lo in range(0, cols, _JSON_CHUNK):
-            text = int_lines(row[None, lo : lo + _JSON_CHUNK])
-            yield text if lo + _JSON_CHUNK >= cols else text[:-1] + ","
+    step = max(_JSON_CHUNK // max(cols, 1), 1)
+    for lo in range(0, rows, step):
+        for left in range(0, max(cols, 1), _JSON_CHUNK):
+            text = int_lines(values[lo : lo + step, left : left + _JSON_CHUNK])
+            yield text if left + _JSON_CHUNK >= cols else text[:-1] + ","
 
 
 def json_text(doc) -> str:
@@ -149,11 +147,13 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return doc
 
 
-def read_json(text: str, where: str):
-    """The JSON document ``text``.  Malformed text, nesting too deep to
-    parse, or an object with a key given twice raises ValueError naming
-    ``where``."""
+def read_json(text: str | bytes, where: str):
+    """The JSON document ``text``, read as strict UTF-8 when bytes (a file's
+    contents), whatever the locale.  Bytes that are not UTF-8, malformed
+    text, nesting too deep to parse, or an object with a key given twice
+    raise ValueError naming ``where``."""
     try:
+        text = text.decode("utf-8") if isinstance(text, bytes) else text
         return json.loads(text, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ValueError(f"{where}: {exc}") from None

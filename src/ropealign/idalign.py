@@ -3,11 +3,13 @@
 Baseline assignment numbers every slot sequentially.  The aligned mode
 instead gives each high-resolution token the ID of the thumbnail token
 covering the same image region, so the ID span of the image stays at the
-thumbnail's size no matter how many high-resolution tokens follow.
-``_axis_partners`` defines "same image region" by an exact per-axis
-interval test in integers, independently of the interpolation
-arithmetic: the gain report averages |delta id| over its pairs, and the
-tests check the interpolation against it and it against a
+thumbnail's size no matter how many high-resolution tokens follow.  Its
+map is one int64 array, each segment written into its slot range, and
+the thumbnail cell a high-res cell inherits is computed exactly in
+integers (``_axis_targets``).  ``_axis_partners`` defines "same image
+region" by an exact per-axis interval test in integers, independently of
+that interpolation: the gain report averages |delta id| over its pairs,
+and the tests check the interpolation against it and it against a
 floating-point rectangle overlap.
 """
 
@@ -25,6 +27,7 @@ from .layout import (
     Separator,
     ThumbnailGrid,
     allocating_slots,
+    segment_ranges,
 )
 
 __all__ = [
@@ -97,9 +100,15 @@ class PositionIdMap:
 
 
 def _axis_targets(n0: int, n1: int) -> np.ndarray:
-    src = (np.arange(n1, dtype=np.float64) + 0.5) * (n0 / n1) - 0.5
-    # src > -1/2 for every cell, so rounding half away from zero is floor(src + 1/2).
-    return np.clip(np.floor(src + 0.5).astype(np.int64), 0, n0 - 1)
+    """floor((2j + 1) n0 / (2 n1)) for each of n1 cells: the coarse cell
+    holding fine cell j's center, the rule below computed exactly in int64.
+    With n0 = q (2 n1) + r it is (2j + 1) q + (2j + 1) r // (2 n1), whose
+    first term is below n0 and second product below 4 n1**2 (within int64
+    while n1 < 1.5e9, past which the (n1,) array returned alone takes
+    12 GB); the result lies in [0, n0 - 1], so nothing is clamped."""
+    q, r = divmod(n0, 2 * n1)
+    odd = np.arange(1, 2 * n1, 2, dtype=np.int64)
+    return odd * q + odd * r // (2 * n1)
 
 
 def map_highres_ids(thumb: GridShape, high: GridShape, base: int = 0) -> GridMapping:
@@ -107,7 +116,9 @@ def map_highres_ids(thumb: GridShape, high: GridShape, base: int = 0) -> GridMap
 
     Interpolation acts per axis on the raster coordinates (for a linear
     ramp, bilinear and nearest-neighbor agree, so one code path covers
-    both), rounding half away from zero and clamping into range.  The
+    both): fine cell j of n1 takes coarse cell (j + 1/2) n0 / n1 - 1/2,
+    rounded half away from zero and clamped into range, which is
+    floor((2j + 1) n0 / (2 n1)), computed exactly in integers.  The
     half-pixel convention assigns each high-res cell the thumbnail cell
     containing its center, which always spatially overlaps it.  ``base``
     is read first, so that the largest ID fits in int64.
@@ -147,8 +158,8 @@ def assign_position_ids(
     counter, which advances past every assigned ID but never skips ahead
     for inherited ones.  Separators inside the high-res grid either
     repeat the ID of the last token of their row (default) or take fresh
-    sequential IDs, per ``separator_policy``.  The map is one array per
-    segment, concatenated.
+    sequential IDs, per ``separator_policy``.  The map is one int64
+    array, each segment written into its slot range (``segment_ranges``).
 
     In aligned mode a high-resolution grid must be preceded by the
     thumbnail grid that defines its IDs; otherwise ValueError.  A plan
@@ -159,45 +170,43 @@ def assign_position_ids(
     with allocating_slots(plan):
         if mode == "baseline":
             return PositionIdMap(ids=np.arange(plan.total_tokens), mode=mode)
-        pieces = _aligned_pieces(plan, separator_policy == "sequential-after-image")
-        return PositionIdMap(ids=np.concatenate(pieces) if pieces else (), mode=mode)
+        return PositionIdMap(ids=_aligned_ids(plan, separator_policy == "sequential-after-image"), mode=mode)
 
 
-def _aligned_pieces(plan: LayoutPlan, sequential_separators: bool) -> list[np.ndarray]:
-    """The aligned IDs of each segment, in order.  ``counter`` is one
-    past the largest ID so far; fresh IDs start there."""
-    pieces: list[np.ndarray] = []
+def _aligned_ids(plan: LayoutPlan, sequential_separators: bool) -> np.ndarray:
+    """The aligned IDs of the plan as one array, each segment written into
+    its ``[start, stop)`` slot range.  ``counter`` is one past the largest
+    ID so far; fresh IDs start there."""
+    ids = np.empty(plan.total_tokens, np.int64)
     counter = 0
     thumb_shape: GridShape | None = None
     thumb_base = 0
-    for seg in plan.segments:
+    for seg, start, stop in segment_ranges(plan):
+        out = ids[start:stop]
         if isinstance(seg, HighResGrid):
             if thumb_shape is None:
-                raise ValueError(
-                    "id_align mode requires a thumbnail grid before the high-resolution grid"
-                )
-            grid = map_highres_ids(thumb_shape, seg.shape, thumb_base).ids
-            if seg.row_separator:
+                raise ValueError("id_align mode requires a thumbnail grid before the high-resolution grid")
+            rows, cells, tail = seg.runs()
+            grid = out.reshape(rows, cells + tail)
+            grid[:, :cells] = map_highres_ids(thumb_shape, seg.shape, thumb_base).ids
+            if tail:
                 # Rows are nondecreasing, so a row's largest ID is its last.
-                last = grid[:, -1]
+                last = grid[:, cells - 1]
                 if sequential_separators:
                     # Row r's separator is fresh: one past both the previous
                     # separator and row r's last ID.
-                    r = np.arange(len(last))
+                    r = np.arange(rows)
                     last = r + np.maximum(counter, np.maximum.accumulate(last + 1 - r))
-                grid = np.column_stack((grid, last))
-            piece = grid.ravel()
+                grid[:, cells] = last
         elif isinstance(seg, Separator) and not sequential_separators:
             # Inherit the last ID; with nothing before, all share one fresh ID.
-            piece = np.full(seg.count, pieces[-1][-1] if pieces else counter)
+            out[:] = ids[start - 1] if start else counter
         else:  # text, thumbnail or sequential separators: fresh IDs
             if isinstance(seg, ThumbnailGrid):
                 thumb_base, thumb_shape = counter, seg.shape
-            rows, cells, _tail = seg.runs()
-            piece = np.arange(counter, counter + rows * cells)
-        pieces.append(piece)
-        counter = max(counter, int(piece.max()) + 1)
-    return pieces
+            out[:] = np.arange(counter, counter + stop - start)
+        counter = max(counter, int(out.max()) + 1)
+    return ids
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,9 @@ counts, distances and mean scores from per-role ID histograms, with no
 rotation and no score walk; ``whole_chunk_moments`` walks each Monte
 Carlo chunk's blocks in a plain loop, projects them one distance at a
 time and merges blocks into chunks and chunks into the profile, which
-the grouped chunk worker of ``decay_profile`` must match bit for bit.
+the grouped chunk worker of ``decay_profile`` must match bit for bit;
+``replayed_sample_means`` gives the same profile's means from the
+sample means of q and |q| g and the closed form, with no projection.
 """
 
 import math
@@ -21,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ropealign import (
-    GridShape, PositionIdMap, RopeConfig, TokenPopulation, apply_rope_many, rope_frequencies, score_blocks,
+    GridShape, PositionIdMap, RopeConfig, TokenPopulation, apply_rope_many, expected_dot_closed_form,
+    rope_frequencies, score_blocks,
 )  # fmt: skip
 from ropealign import harness
 from ropealign.harness import _distance_blocks, _empty_table, _fold, _walk, _width
@@ -192,3 +195,38 @@ def whole_chunk_moments(mu_q, mu_k, distances, samples: int, seed: int, config: 
         total = chan(total, moments)
     _count, mean, m2 = total
     return mean, np.sqrt(m2 / (samples - 1)) / np.sqrt(samples)
+
+
+def replayed_sample_means(mu_q, mu_k, distances, samples: int, seed: int, config: RopeConfig):
+    """``decay_profile``'s means from the law of its samples, with no
+    projection of a sample onto a rotated mean: each chunk's substream is
+    replayed in its 1024-sample blocks (q rows, then one g a row), and the
+    mean at m is u + q . R_m mu_k, with u the sample mean of |q| g and q
+    that of q, each an exactly rounded ``math.fsum``, and q . R_m mu_k
+    the closed form of ``expected_dot_closed_form``.  Also returns the
+    largest block mean of |q| g + sum_j |q_j| rho_j, with rho_j the norm
+    of the pair of mu_k that holds coordinate j: the magnitude whose
+    rounding bounds both sides' error, since rotation keeps a pair's norm."""
+    chunk_size, block_size = 16384, 1024
+    mq = np.asarray(mu_q, dtype=np.float64)
+    mk = np.asarray(mu_k, dtype=np.float64)
+    rho = np.repeat(np.hypot(mk[0::2], mk[1::2]), 2)
+    base = int(np.random.SeedSequence(seed).generate_state(1, dtype=np.uint64)[0])
+    n_chunks = -(-samples // chunk_size)
+    chunk_seeds = np.random.SeedSequence(base).generate_state(n_chunks, dtype=np.uint64)
+    qs, us, magnitude = [], [], 0.0
+    for c in range(n_chunks):
+        rng = np.random.Generator(np.random.Philox(int(chunk_seeds[c])))
+        chunk_end = min(samples, (c + 1) * chunk_size)
+        for start in range(c * chunk_size, chunk_end, block_size):
+            n = min(block_size, chunk_end - start)
+            q = mq + rng.standard_normal((n, config.dim))
+            u = np.sqrt((q * q).sum(axis=1)) * rng.standard_normal(n)
+            magnitude = max(magnitude, float(np.mean(np.abs(u) + np.abs(q) @ rho)))
+            qs.append(q)
+            us.append(u)
+    q, u = np.concatenate(qs), np.concatenate(us)
+    q_mean = np.array([math.fsum(column) / samples for column in q.T])
+    u_mean = math.fsum(u) / samples
+    means = [u_mean + expected_dot_closed_form(q_mean, mk, m, config) for m in distances]
+    return np.array(means), magnitude

@@ -1379,6 +1379,19 @@ class TestDocumentContract:
         assert capsys.readouterr() == ("", f"error: {path}: duplicate key: {key}\n")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("flag", ["--plan", "--config"], ids=["plan", "config"])
+    def test_non_utf8_input_file_named(self, tmp_path, capsys, flag):
+        """A plan or config file is read as strict UTF-8 from its bytes, so
+        a UTF-16 one (here ``{}`` after its byte-order mark) is refused
+        with the file named, as any other bad input file is."""
+        path = tmp_path / "in.json"
+        path.write_bytes(b"\xff\xfe{}")
+        command = "assign-ids" if flag == "--plan" else "plan-layout"
+        assert main([command, flag, str(path), "--out", str(tmp_path / "o")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "doc, flags, message",
         [

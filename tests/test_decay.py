@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import whole_chunk_moments
+from oracles import replayed_sample_means, whole_chunk_moments
 from ropealign import (
     DecayProfile,
     RopeConfig,
@@ -544,6 +544,30 @@ class TestSharedSamples:
         mean, stderr = whole_chunk_moments(mu_q, mu_k, grid, samples, 19, config)
         assert prof.mean_dot == tuple(mean.tolist())
         assert prof.stderr == tuple(stderr.tolist())
+
+    @pytest.mark.parametrize("dim, n_dist", [(8, 1), (64, 17), (16, 300)])
+    def test_mean_dot_is_the_replayed_sample_mean(self, dim, n_dist):
+        """mean_dot at m is u + q . R_m mu_k, u and q the sample means of
+        |q| g and q over the replayed substreams, the dot product in closed
+        form.  Tolerance, from first-order rounding bounds, in units of
+        eps * A, A the largest block mean of |q| g + sum_j |q_j| rho_j
+        (``replayed_sample_means``; |(R_m mu_k)_j| <= rho_j): dim + 6 for a
+        sample's projection, rotation and |q| g, 1024 for a block's sum of
+        at most 1024 samples, 4 for each Chan merge, one per block and per
+        chunk, and dim + 6 for the oracle's closed form and its exactly
+        rounded means.  That is still far below one stderr, so a replay of
+        other samples than the worker's would fail it."""
+        config = RopeConfig(dim=dim, theta_base=1e4)
+        mu_q = np.linspace(-1.0, 2.0, dim)
+        mu_k = np.linspace(1.5, -0.5, dim)
+        grid = list(range(0, 13 * n_dist, 13))
+        samples = 2 * 16384 + 1500
+        prof = decay_profile(mu_q, mu_k, grid, samples=samples, seed=29, config=config)
+        want, magnitude = replayed_sample_means(mu_q, mu_k, grid, samples, 29, config)
+        merges = 16 + 16 + 2 + 3  # the blocks of two full chunks and a partial one, then the chunks
+        tol = (2 * (dim + 6) + 1024 + 4 * merges) * np.finfo(float).eps * magnitude
+        assert tol < min(prof.stderr) / 1000
+        assert np.abs(np.array(prof.mean_dot) - want).max() <= tol
 
     @pytest.mark.parametrize("samples", [2, 1024, 16384 + 37, 2 * 16384 + 1025])
     @pytest.mark.parametrize("group", [1, 5, 128])

@@ -7,9 +7,12 @@ check where the integer oracle of ``oracles.py`` is itself under test.
 """
 
 import dataclasses
+import functools
 import json
+import math
 import tracemalloc
 import typing
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -140,6 +143,45 @@ class TestMapHighresIds:
     def test_csv_rows(self):
         m = map_highres_ids(GridShape(2, 2), GridShape(2, 2), base=0)
         assert m.to_csv() == "0,1\n2,3\n"
+
+    def test_matches_the_stated_rule_in_rationals(self):
+        """Fine cell j of n1 takes coarse cell (j + 1/2) n0 / n1 - 1/2,
+        rounded half away from zero and clamped, computed here in exact
+        rationals, for every n0, n1 from 1 to 120: the (n0, n1) thumbnail
+        mapped to (n1, n0) checks the pair on rows and its mirror on
+        columns.  A tie, a center on a thumbnail boundary, rounds up: 24
+        rows mapped to 47 put fine row 23 on coarse row 12."""
+        half = Fraction(1, 2)
+
+        @functools.cache
+        def rule(n0, n1):
+            out = []
+            for j in range(n1):
+                src = Fraction((2 * j + 1) * n0 - n1, 2 * n1)  # (j + 1/2) n0 / n1 - 1/2
+                r = math.floor(abs(src) + half)
+                out.append(min(max(r if src >= 0 else -r, 0), n0 - 1))
+            return np.array(out)
+
+        assert rule(24, 47)[23] == 12
+        for n0 in range(1, 121):
+            for n1 in range(1, 121):
+                got = map_highres_ids(GridShape(n0, n1), GridShape(n1, n0)).ids
+                assert np.array_equal(got, np.add.outer(rule(n0, n1) * n1, rule(n1, n0))), (n0, n1)
+
+    @pytest.mark.parametrize(
+        "n0, n1", [(5 * 10**12, 10**6), (2**63 - 1, 7), (2**63 - 2, 7), (2**63, 1), (3, 2**20)]
+    )
+    def test_exact_where_the_products_pass_int64(self, n0, n1):
+        """An axis pair whose (2j + 1) n0 passes int64 (all but the last
+        here, a 3-cell axis cut into 2**20) maps to exactly
+        floor((2j + 1) n0 / (2 n1)), here in Python ints, and each target
+        lies in the overlap range [floor(j n0 / n1), ceil((j + 1) n0 / n1))
+        of ``_axis_partners``, here in Python ints too."""
+        got = map_highres_ids(GridShape(n0, 1), GridShape(n1, 1)).ids[:, 0]
+        j = np.arange(n1).astype(object)
+        want = (2 * j + 1) * n0 // (2 * n1)
+        assert got.tolist() == want.tolist()
+        assert ((j * n0 // n1 <= want) & (want < -(-(j + 1) * n0 // n1))).all()
 
 
 class TestGridMapping:
@@ -344,8 +386,11 @@ class TestAssignPositionIds:
 
     def test_memory_per_slot(self, tmp_path):
         """Both maps of a 126k-slot plan and their ids.json hold about four
-        int64 entries a slot at the peak (32.0 bytes measured with
-        tracemalloc); a Python list of the IDs and its JSON text took 119."""
+        int64 entries a slot at the peak (33.0 bytes measured with
+        tracemalloc, set by ``map_highres_ids``' grid and ``GridMapping``'s
+        checks of it while the aligned map is written; 32.05 when that map
+        was joined from per-segment pieces); a Python list of the IDs and
+        its JSON text took 119."""
         plan = LayoutPlan(
             segments=(
                 TextSegment(10),
