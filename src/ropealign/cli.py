@@ -10,10 +10,12 @@ subcommand: command-line flags, then an optional JSON config file
 (``--config``), then the table's defaults; whatever its source, each
 value is read through one typed check and, for a spec string, parsed
 right after it, so a malformed spec is refused before any work.  An
-array sized by a plan's slots, a ``--pop`` population included, that
-cannot be allocated is named by the plan's slot count.  If the
-environment variable ``ROPEALIGN_OUTPUT_DIR`` is set, relative output
-paths are created under it; input paths are untouched.
+array that cannot be allocated is one error line naming every size it is
+built from (``codec.allocating``): a plan's slot count for its ID maps
+and slot roles, that count and the head dim for a ``--pop`` population's
+vectors and the summaries, a distance grid's size and dim for a decay
+profile.  If the environment variable ``ROPEALIGN_OUTPUT_DIR`` is set,
+relative output paths are created under it; input paths are untouched.
 """
 
 from __future__ import annotations
@@ -33,7 +35,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .codec import Field, IntRange, csv_lines, int_chunks, json_chunks, json_text, read_json, read_object, read_value
+from .codec import (
+    Field, IntRange, allocating, csv_lines, int_chunks, json_chunks, json_text, read_json, read_object, read_value,
+)
 from .decay import decay_profile
 from .harness import (
     _distance_blocks,
@@ -44,7 +48,7 @@ from .harness import (
     score_blocks,
 )
 from .idalign import MODES, SEPARATOR_POLICIES, assign_position_ids, id_span_report
-from .layout import LayoutPlan, Resolution, allocating_slots, build_layout, token_counts
+from .layout import LayoutPlan, Resolution, build_layout, token_counts
 from .rope import RopeConfig
 
 __all__ = ["main"]
@@ -309,20 +313,19 @@ def cmd_assign_ids(opts: dict) -> int:
     policy = opts["separator_policy"]
     mode = opts["mode"]
     # Each map that exists is computed once; the span and the grid derive from
-    # them.  Only baseline mode with no grid to write tolerates no aligned map.
+    # them.  A plan has no aligned map when its high-res grid has no thumbnail
+    # before it, and only baseline mode with no grid to write goes without it.
     maps = {"baseline": assign_position_ids(plan, "baseline", policy)}
-    try:
+    thumb, high, segments = plan.thumbnail(), plan.highres(), plan.segments
+    no_aligned = high is not None and thumb not in segments[: segments.index(high)]
+    if not no_aligned or mode != "baseline" or opts["mapping_csv"] and thumb is not None:
         maps["id_align"] = assign_position_ids(plan, "id_align", policy)
-    except ValueError:
-        if mode != "baseline" or (opts["mapping_csv"] and None not in (plan.thumbnail(), plan.highres())):
-            raise
     doc = {name: idmap.to_doc() for name, idmap in maps.items() if mode in (name, "both")}
     if len(maps) == 2:
         span = id_span_report(plan, policy, **maps)
         doc["span"] = asdict(span) | {"ratio": None if math.isinf(span.ratio) else span.ratio}
     if opts["mapping_csv"]:
-        high = plan.highres()
-        if plan.thumbnail() is None or high is None:
+        if thumb is None or high is None:
             raise ValueError("--mapping-csv needs a plan with both grids")
         _emit(opts["mapping_csv"], int_chunks(maps["id_align"].ids[plan.cell_slots(high)]))
     _emit(opts["out"], itertools.chain(json_chunks(doc), ["\n"]))
@@ -341,7 +344,8 @@ def cmd_attention_report(opts: dict) -> int:
     # worker thread of its own (einsum releases the GIL, so one mode's walk runs
     # while another folds).  No worker outlives the block.
     first, *rest = maps.values()
-    with allocating_slots(plan), ThreadPoolExecutor(len(rest)) as pool:
+    n, dim = plan.total_tokens, config.dim
+    with allocating(f"a plan of {n} slots at dim {dim}", n * dim), ThreadPoolExecutor(len(rest)) as pool:
         pop = build(plan, config, *numbers)
         futures = [pool.submit(attention_summary, pop, idmap, config, **score_opts) for idmap in rest]
         summaries = itertools.chain(

@@ -19,7 +19,9 @@ array at its two extremes, anything else entry by entry, and only checks
 and converts, so a reader uses the caller's array as given.
 ``hold_array`` is the one rule of who may change an array a value holds:
 no one.  It holds it read-only, copied unless built in the read or given
-read-only and owning its memory.
+read-only and owning its memory.  ``allocating`` is the one rule of an
+array too large for its inputs: a ValueError naming every size it is
+built from.
 """
 
 from __future__ import annotations
@@ -28,7 +30,9 @@ import json
 import math
 import numbers
 import operator
+import sys
 from collections.abc import Iterable, Iterator, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -96,6 +100,23 @@ def int_chunks(values: np.ndarray) -> Iterator[str]:
         for left in range(0, max(cols, 1), _JSON_CHUNK):
             text = int_lines(values[lo : lo + step, left : left + _JSON_CHUNK])
             yield text if left + _JSON_CHUNK >= cols else text[:-1] + ","
+
+
+@contextmanager
+def allocating(what: str, entries: int = 0):
+    """A block that builds arrays of ``entries`` 8-byte entries, sized by
+    the inputs ``what`` names: inputs too large for them are
+    ``ValueError(f"{what} cannot be allocated")``, raised before the block
+    runs when the entries exceed what the address space holds, or for a
+    MemoryError in the block, one re-raised there from a worker thread
+    included.  An inner block's ValueError passes through unchanged."""
+    error = ValueError(f"{what} cannot be allocated")
+    if entries > sys.maxsize // 8:
+        raise error
+    try:
+        yield
+    except MemoryError:
+        raise error from None
 
 
 def json_text(doc) -> str:

@@ -22,7 +22,10 @@ grid, not by the chunk or the sample count: one block of rows, one
 128 x 1024 buffer of projections and one moment pair (1.9 MB traced at
 dim 64 over 300 distances, 1.0 MB at dim 8 over 100).  Profiles are
 reproducible bit for bit on a given platform, whatever the thread count,
-and a point is the same whichever other distances share its grid.
+and a point is the same whichever other distances share its grid.  Chunk
+seeds, or a grid's rotated means and moments, that cannot be allocated
+are a ValueError naming the sample count, or the grid's size and the dim
+(``codec.allocating``).
 
 Distances, like rotary positions, are integers, and so are sample counts,
 seeds and worker counts: each is read by ``codec.read_value`` with its
@@ -41,7 +44,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .codec import Field, IntRange, csv_text, read_array, read_fields, read_value
+from .codec import Field, IntRange, allocating, csv_text, read_array, read_fields, read_value
 from .rope import POSITION, RopeConfig, apply_rope_many, rope_frequencies
 
 __all__ = [
@@ -214,17 +217,16 @@ def _shared_sample_moments(
     changes a value.  A chunk holds one block of rows, one (group x block)
     buffer of projections and one moment pair, whatever its grid, and at
     most ``max_workers`` chunks are in flight.  Moments that overflow
-    float64 are a ValueError, and so is a grid whose rotated means or
-    moments cannot be allocated.
+    float64 are a ValueError, and so are chunk seeds, or a grid's rotated
+    means or moments, that cannot be allocated (``codec.allocating``): the
+    error names the sample count, or the grid's size and dim.
     """
     samples = read_value(Field("samples", IntRange(2)), samples)
     mq = read_array(mu_q, "mu_q", (config.dim,))
     mk = read_array(mu_k, "mu_k", (config.dim,))
     n_chunks = -(-samples // _MC_CHUNK)
-    try:
+    with allocating(f"samples {samples}: {n_chunks} chunk seeds", n_chunks):
         chunk_seeds = np.random.SeedSequence(base).generate_state(n_chunks, dtype=np.uint64)
-    except (ValueError, MemoryError) as exc:  # more chunks than numpy can allocate
-        raise ValueError(f"samples {samples}: {exc}") from None
 
     def chunk(c: int) -> tuple[int, np.ndarray, np.ndarray]:
         n = min(_MC_CHUNK, samples - c * _MC_CHUNK)
@@ -251,7 +253,8 @@ def _shared_sample_moments(
                 moments = _merge(moments, (len(q), mean, m2))
         return moments
 
-    try:
+    grid = f"distances: a grid of {len(distances)} points at dim {config.dim}"
+    with allocating(grid, len(distances) * config.dim):  # in this thread or a worker's
         rotated = apply_rope_many(np.tile(mk, (len(distances), 1)), distances, config)
         moments = (0, *np.zeros((2, len(distances))))
         with ThreadPoolExecutor(max_workers) as pool, np.errstate(over="ignore", invalid="ignore"):
@@ -260,8 +263,6 @@ def _shared_sample_moments(
                 moments = reduce(_merge, pool.map(chunk, batch), moments)
             _count, mean, m2 = moments
             stderr = np.sqrt(m2 / (samples - 1)) / np.sqrt(samples)
-    except MemoryError:  # in this thread or a worker's: the grid is too large
-        raise ValueError(f"distances: a grid of {len(distances)} points cannot be allocated") from None
     for d, m, s in zip(distances, mean.tolist(), stderr.tolist()):
         if not (math.isfinite(m) and math.isfinite(s)):
             raise ValueError(f"mean_dot and stderr must be finite, got {m} and {s} at distance {d}")

@@ -62,7 +62,7 @@ class GridMapping:
         object.__setattr__(self, "ids", hold_array(self.ids, "ids", (self.shape.rows, self.shape.cols), _ID))
         if np.any(self.ids < self.base):
             raise ValueError("all mapped ids must be at least base")
-        if np.any(np.diff(self.ids, axis=0) < 0) or np.any(np.diff(self.ids, axis=1) < 0):
+        if (self.ids[1:] < self.ids[:-1]).any() or (self.ids[:, 1:] < self.ids[:, :-1]).any():
             raise ValueError("mapped ids must be nondecreasing along rows and columns")
 
     def to_csv(self) -> str:

@@ -11,9 +11,7 @@ No pixels are touched.
 from __future__ import annotations
 
 import math
-import sys
 from collections.abc import Iterable
-from contextlib import contextmanager
 from dataclasses import astuple, dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -21,7 +19,7 @@ from typing import ClassVar, get_args
 
 import numpy as np
 
-from .codec import Field, IntRange, json_text, read_fields, read_json, read_object, read_value
+from .codec import Field, IntRange, allocating, json_text, read_fields, read_json, read_object, read_value
 
 __all__ = [
     "Resolution",
@@ -293,21 +291,10 @@ class LayoutPlan:
         return np.concatenate([np.zeros(0, np.int64)] + [self.cell_slots(seg).ravel() for seg in grids])
 
 
-@contextmanager
 def allocating_slots(plan: LayoutPlan):
-    """A block that builds arrays sized by the slots of ``plan``: a plan
-    too large for them is a ValueError naming its slot count, whether it
-    has more slots than the address space holds 8-byte entries, or an
-    allocation fails, in the block or in a thread whose error it
-    re-raises."""
-    n = plan.total_tokens
-    error = ValueError(f"a plan of {n} slots cannot be allocated")
-    if n > sys.maxsize // 8:
-        raise error
-    try:
-        yield
-    except MemoryError:
-        raise error from None
+    """``codec.allocating`` for arrays sized by the slots of ``plan``,
+    named by its slot count."""
+    return allocating(f"a plan of {plan.total_tokens} slots", plan.total_tokens)
 
 
 def segment_ranges(plan: LayoutPlan) -> tuple[tuple[Segment, int, int], ...]:

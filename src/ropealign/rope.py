@@ -110,4 +110,5 @@ def rope_dot(q, m: int, k, n: int, config: RopeConfig) -> float:
     """
     m = read_value(Field("m", POSITION), m)
     n = read_value(Field("n", POSITION), n)
+    q, k = read_array(q, "q", (config.dim,)), read_array(k, "k", (config.dim,))
     return float(np.dot(apply_rope(q, m, config), apply_rope(k, n, config)))

@@ -161,7 +161,7 @@ class TestSimulateDecay:
     @pytest.mark.parametrize("where", ["rotated", "moments"])
     def test_unallocatable_grid_names_distances(self, where, tmp_path, capsys):
         """A grid too large for its rotated means or its moments exits 2
-        with one error line naming ``distances`` and the grid size, and
+        with one error line naming ``distances``, the grid size and dim, and
         writes no CSV.  The allocation is made to raise MemoryError, so no
         giant grid is allocated."""
         owner, name = (decay, "apply_rope_many") if where == "rotated" else (np, "zeros")
@@ -176,7 +176,7 @@ class TestSimulateDecay:
         argv = ["simulate-decay", "--dim", "4", "--samples", "10", "--distances", "0,1,2", "--out", str(out)]
         with mock.patch.object(owner, name, no_room):
             assert main(argv) == 2
-        assert capsys.readouterr() == ("", "error: distances: a grid of 3 points cannot be allocated\n")
+        assert capsys.readouterr() == ("", "error: distances: a grid of 3 points at dim 4 cannot be allocated\n")
         assert not out.exists()
 
     def test_threads_do_not_change_bytes_on_a_large_grid(self, tmp_path):
@@ -545,6 +545,21 @@ class TestAssignIds:
         assert "thumbnail" in captured.err
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode", ["baseline", "both"])
+    def test_unallocatable_aligned_map_fails_in_every_mode(self, mode, tmp_path, monkeypatch, capsys):
+        """A plan that has an aligned map is never written without it: an
+        aligned map that cannot be allocated exits 2 naming the plan in
+        baseline mode too, so ``ids.json`` never depends on free memory."""
+
+        def no_room(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(idalign, "_aligned_ids", no_room)
+        out = tmp_path / "ids.json"
+        assert main(["assign-ids"] + SMALL_PLAN_ARGS + ["--mode", mode, "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", "error: a plan of 23 slots cannot be allocated\n")
+        assert not out.exists()
+
     BOTH_GRIDS = "--mapping-csv needs a plan with both grids"
     THUMB_FIRST = "id_align mode requires a thumbnail grid before the high-resolution grid"
 
@@ -784,7 +799,7 @@ class TestAttentionReport:
     def test_summary_memory_error_names_the_plan(self, on_main, tmp_path, capsys):
         """A MemoryError in a summary, as from a table too large to
         allocate, on this thread or re-raised from the worker's, is one
-        error line naming the plan's slot count."""
+        error line naming the plan's slot count and the dim."""
         plan_path = self._plan_file(tmp_path, "benchmark")
         capsys.readouterr()
         real = harness._empty_table
@@ -799,14 +814,26 @@ class TestAttentionReport:
             assert main(["attention-report", "--plan", str(plan_path), "--out-dir", str(out)]) == 2
         written = [] if on_main else ["summary_baseline.csv"]  # the worker sums id_align
         stdout = "".join(f"wrote {out / name}\n" for name in written)
-        assert capsys.readouterr() == (stdout, "error: a plan of 617 slots cannot be allocated\n")
+        assert capsys.readouterr() == (stdout, "error: a plan of 617 slots at dim 64 cannot be allocated\n")
         assert (sorted(p.name for p in out.iterdir()) if out.exists() else []) == written
+
+    def test_dim_past_the_address_space_names_the_plan_and_dim(self, tmp_path, capsys):
+        """A dim whose (slots, dim) arrays no address space holds is one
+        error line naming both sizes, before any array is built, and no
+        file is written."""
+        plan_path = self._plan_file(tmp_path, "benchmark")
+        capsys.readouterr()
+        out, dim = tmp_path / "rep", 10**30
+        assert main(["attention-report", "--plan", str(plan_path), "--dim", str(dim), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: a plan of 617 slots at dim {dim} cannot be allocated\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("failing, pop", [("roles", "gaussian:0.5:1"), ("array", "constant:1.0")])
     def test_population_memory_error_names_the_plan(self, failing, pop, tmp_path, monkeypatch, capsys):
         """A population that cannot be allocated, in its slot roles or in
         its (slots, dim) array, is one error line naming the plan's slot
-        count, as a map or a summary is, and no file is written."""
+        count, as a map is, and for the array the dim too, as a summary
+        does, and no file is written."""
         plan_path = self._plan_file(tmp_path, "benchmark")
         capsys.readouterr()
         if failing == "roles":
@@ -827,7 +854,8 @@ class TestAttentionReport:
             monkeypatch.setattr(harness.np, "full", full)
         out = tmp_path / "rep"
         assert main(["attention-report", "--plan", str(plan_path), "--pop", pop, "--out-dir", str(out)]) == 2
-        assert capsys.readouterr() == ("", "error: a plan of 617 slots cannot be allocated\n")
+        at_dim = " at dim 64" if failing == "array" else ""
+        assert capsys.readouterr() == ("", f"error: a plan of 617 slots{at_dim} cannot be allocated\n")
         assert not out.exists()
 
     def test_bad_population_refused_before_any_map(self, tmp_path, monkeypatch, capsys):

@@ -378,7 +378,7 @@ class TestDecayProfile:
     def test_unallocatable_grid_named(self, owner, name, monkeypatch):
         """A grid whose rotated means, merged moments or a block's moments
         (made in a worker thread) cannot be allocated is a ValueError naming
-        the grid.  The allocation is made to raise MemoryError, so no giant
+        the grid's size and dim.  The allocation is made to raise MemoryError, so no giant
         grid is allocated."""
         grid, mu = list(range(7)), np.ones(4)
         real = getattr(owner, name)
@@ -389,7 +389,7 @@ class TestDecayProfile:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, no_room)
-        with pytest.raises(ValueError, match="^distances: a grid of 7 points cannot be allocated$"):
+        with pytest.raises(ValueError, match="^distances: a grid of 7 points at dim 4 cannot be allocated$"):
             decay_profile(mu, mu, grid, samples=100, seed=0, config=RopeConfig(dim=4), max_workers=2)
 
     def test_numpy_scalars_write_the_same_bytes(self):

@@ -385,12 +385,13 @@ class TestAssignPositionIds:
             plan.slot_roles()
 
     def test_memory_per_slot(self, tmp_path):
-        """Both maps of a 126k-slot plan and their ids.json hold about four
-        int64 entries a slot at the peak (33.0 bytes measured with
+        """Both maps of a 126k-slot plan and their ids.json hold about three
+        int64 entries a slot at the peak (26.05 bytes measured with
         tracemalloc, set by ``map_highres_ids``' grid and ``GridMapping``'s
-        checks of it while the aligned map is written; 32.05 when that map
-        was joined from per-segment pieces); a Python list of the IDs and
-        its JSON text took 119."""
+        one-byte checks of it while the aligned map is written; 33.0 when
+        those checks took int64 differences, 32.05 when the map was joined
+        from per-segment pieces); a Python list of the IDs and its JSON
+        text took 119."""
         plan = LayoutPlan(
             segments=(
                 TextSegment(10),

@@ -12,6 +12,7 @@ import re
 import shlex
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ import ropealign
 from ropealign import (
     DecayProfile, GridMapping, GridShape, HighResGrid, LayoutPlan, PaddedPlacement, PositionIdMap,
     Resolution, RopeConfig, TextSegment, ThumbnailGrid, TokenPopulation, abel_bound_check, alignment_gain_report,
-    apply_rope, apply_rope_many, assign_position_ids, attention_summary, build_layout, cli,
+    apply_rope, apply_rope_many, assign_position_ids, attention_summary, build_layout, cli, codec,
     decay_profile, expected_dot_closed_form, id_span_report, layout, map_highres_ids,
     monte_carlo_expected_dot, population_constant, population_gaussian, rope_dot, score_blocks, select_resolution,
 )  # fmt: skip
@@ -156,6 +157,51 @@ def test_only_codec_copies_arrays():
     assert copiers == ["codec.py"]
 
 
+def test_only_codec_allocating_catches_memory_errors():
+    """``codec.allocating`` is the one rule of an array too large for its
+    inputs; ``cli._parse`` only names the option whose spec failed."""
+    catchers = set()
+    for path in SRC:
+        for func in ast.walk(ast.parse(path.read_text())):
+            if isinstance(func, ast.FunctionDef):
+                handlers = [node for node in ast.walk(func) if isinstance(node, ast.ExceptHandler) and node.type]
+                if any("MemoryError" in ast.unparse(handler.type) for handler in handlers):
+                    catchers.add((path.name, func.name))
+    assert catchers == {("codec.py", "allocating"), ("cli.py", "_parse")}
+
+
+def test_allocating_refuses_entries_past_the_address_space_before_its_block():
+    ran = []
+    with pytest.raises(ValueError, match=r"^a plan of 3 slots at dim 10\*\*30 cannot be allocated$"):
+        with codec.allocating("a plan of 3 slots at dim 10**30", 3 * 10**30):
+            ran.append(True)
+    assert ran == []
+    with codec.allocating("all of it", sys.maxsize // 8):  # the most the check lets through
+        ran.append(True)
+    assert ran == [True]
+
+
+def test_allocating_names_a_memory_error_re_raised_from_a_worker():
+    def no_room():
+        raise MemoryError("Unable to allocate 8.00 EiB")
+
+    with ThreadPoolExecutor(1) as pool:
+        with pytest.raises(ValueError, match="^a grid of 2 points at dim 4 cannot be allocated$") as caught:
+            with codec.allocating("a grid of 2 points at dim 4", 8):
+                pool.submit(no_room).result()
+    assert caught.value.__cause__ is None and caught.value.__suppress_context__
+
+
+def test_allocating_passes_an_inner_scope_error_through():
+    with pytest.raises(ValueError, match="^a plan of 3 slots cannot be allocated$"):
+        with codec.allocating("a plan of 3 slots at dim 4", 12):
+            with codec.allocating("a plan of 3 slots", 3):
+                raise MemoryError
+    with pytest.raises(ValueError, match="^not a size$"):  # any other error is not the rule's
+        with codec.allocating("a plan of 3 slots", 3):
+            raise ValueError("not a size")
+
+
 _ONES = np.ones(4)
 _NAN = np.array([1.0, np.nan, 0.0, 0.0])
 _CONFIG = RopeConfig(4)
@@ -228,6 +274,8 @@ HOSTILE = {
     "integer-roles": (lambda: TokenPopulation(np.zeros((2, 4)), (1, 2)), "roles"),
     "thumbnail-tuple-shape": (lambda: ThumbnailGrid((3, 4)), "shape"),
     "rope_dot-n=nan": (lambda: rope_dot(_ONES, 0, _ONES, float("nan"), _CONFIG), "n"),
+    "rope_dot-nan-q": (lambda: rope_dot(_NAN, 0, _ONES, 1, _CONFIG), "q"),
+    "rope_dot-nan-k": (lambda: rope_dot(_ONES, 0, _NAN, 1, _CONFIG), "k"),
     "decay-profile-distance=-5": (
         lambda: DecayProfile(distances=(-5, 1), mean_dot=(0.0, 0.0), stderr=(0.0, 0.0), sample_count=2),
         "distances",
