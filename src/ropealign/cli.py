@@ -14,7 +14,12 @@ array that cannot be allocated is one error line naming every size it is
 built from (``codec.allocating``): a plan's slot count for its ID maps
 and slot roles, that count and the head dim for a ``--pop`` population's
 vectors and the summaries, a distance grid's size and dim for a decay
-profile.  If the environment variable ``ROPEALIGN_OUTPUT_DIR`` is set,
+profile.  A command holds no ID-Align rule: assign-ids asks
+``idalign._has_aligned_map`` which maps a plan has, and writes the span
+report as ``idalign`` gives it, an undefined ratio (None) as null.  A
+spaced distance spec's end and count are at most 2**53, as a pixel side
+is (``layout.Resolution``), so the floats computed from them stay
+finite.  If the environment variable ``ROPEALIGN_OUTPUT_DIR`` is set,
 relative output paths are created under it; input paths are untouched.
 """
 
@@ -23,8 +28,6 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
-import json
-import math
 import os
 import sys
 from collections.abc import Callable, Iterable
@@ -47,9 +50,9 @@ from .harness import (
     population_gaussian,
     score_blocks,
 )
-from .idalign import MODES, SEPARATOR_POLICIES, assign_position_ids, id_span_report
+from .idalign import MODES, SEPARATOR_POLICIES, _has_aligned_map, assign_position_ids, id_span_report
 from .layout import LayoutPlan, Resolution, build_layout, token_counts
-from .rope import RopeConfig
+from .rope import POSITION, RopeConfig
 
 __all__ = ["main"]
 
@@ -81,7 +84,9 @@ def _parse_candidates(text: str) -> list[Resolution]:
 
 def _parse_distances(spec: str) -> list[int]:
     """``log:A..B[:N]``, ``lin:A..B[:N]`` (N defaults to 16) or a comma
-    list of integers.  Spaced forms round to integers and deduplicate."""
+    list of integers.  Spaced forms round to integers and deduplicate; a
+    spaced form's end B and count N are at most 2**53 (``rope.POSITION``),
+    so that numpy spaces them in floats without overflow."""
     kind, _, rest = spec.partition(":")
     try:
         if kind not in ("log", "lin"):
@@ -90,7 +95,7 @@ def _parse_distances(spec: str) -> list[int]:
         n = int(parts[1]) if len(parts) > 1 else 16
         a_str, _, b_str = parts[0].partition("..")
         a, b = int(a_str), int(b_str)
-        if a < 0 or b < a or n < 1 or len(parts) > 2:
+        if not 0 <= a <= b <= POSITION.most or not 1 <= n <= POSITION.most or len(parts) > 2:
             raise ValueError
     except ValueError:
         raise ValueError(
@@ -208,7 +213,7 @@ def _flag(opt: Option) -> tuple[str, dict]:
     """The flag and the ``add_argument`` keywords of ``opt``."""
     kw: dict = {"help": opt.help}
     if opt.default is not None:
-        shown = opt.default if isinstance(opt.default, str) else json.dumps(opt.default)
+        shown = opt.default if isinstance(opt.default, str) else json_text(opt.default)
         kw["help"] += f" (default {shown})"
     if opt.kind is bool:
         kw["action"] = argparse.BooleanOptionalAction
@@ -312,22 +317,17 @@ def cmd_assign_ids(opts: dict) -> int:
     plan = _plan_from(opts)
     policy = opts["separator_policy"]
     mode = opts["mode"]
-    # Each map that exists is computed once; the span and the grid derive from
-    # them.  A plan has no aligned map when its high-res grid has no thumbnail
-    # before it, and only baseline mode with no grid to write goes without it.
-    maps = {"baseline": assign_position_ids(plan, "baseline", policy)}
-    thumb, high, segments = plan.thumbnail(), plan.highres(), plan.segments
-    no_aligned = high is not None and thumb not in segments[: segments.index(high)]
-    if not no_aligned or mode != "baseline" or opts["mapping_csv"] and thumb is not None:
-        maps["id_align"] = assign_position_ids(plan, "id_align", policy)
+    if opts["mapping_csv"] and (plan.thumbnail() is None or plan.highres() is None):
+        raise ValueError("--mapping-csv needs a plan with both grids")
+    # Each map is computed once, and the span and the grid derive from them; only
+    # baseline mode with no grid to write skips a plan's missing aligned map.
+    modes = MODES if mode != "baseline" or opts["mapping_csv"] or _has_aligned_map(plan) else MODES[:1]
+    maps = {name: assign_position_ids(plan, name, policy) for name in modes}
     doc = {name: idmap.to_doc() for name, idmap in maps.items() if mode in (name, "both")}
     if len(maps) == 2:
-        span = id_span_report(plan, policy, **maps)
-        doc["span"] = asdict(span) | {"ratio": None if math.isinf(span.ratio) else span.ratio}
+        doc["span"] = asdict(id_span_report(plan, policy, **maps))
     if opts["mapping_csv"]:
-        if thumb is None or high is None:
-            raise ValueError("--mapping-csv needs a plan with both grids")
-        _emit(opts["mapping_csv"], int_chunks(maps["id_align"].ids[plan.cell_slots(high)]))
+        _emit(opts["mapping_csv"], int_chunks(maps["id_align"].ids[plan.cell_slots(plan.highres())]))
     _emit(opts["out"], itertools.chain(json_chunks(doc), ["\n"]))
     return 0
 

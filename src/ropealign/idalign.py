@@ -3,8 +3,12 @@
 Baseline assignment numbers every slot sequentially.  The aligned mode
 instead gives each high-resolution token the ID of the thumbnail token
 covering the same image region, so the ID span of the image stays at the
-thumbnail's size no matter how many high-resolution tokens follow.  Its
-map is one int64 array, each segment written into its slot range, and
+thumbnail's size no matter how many high-resolution tokens follow.  A
+plan has an aligned map only when its thumbnail comes before its
+high-res grid; ``_has_aligned_map`` is the one home of that rule, which
+``assign_position_ids`` applies before any slot is allocated and the CLI
+asks to learn which maps a plan has.  The aligned map is one int64
+array, each segment written into its slot range, and
 the thumbnail cell a high-res cell inherits is computed exactly in
 integers (``_axis_targets``).  ``_axis_partners`` defines "same image
 region" by an exact per-axis interval test in integers, independently of
@@ -162,30 +166,39 @@ def assign_position_ids(
     array, each segment written into its slot range (``segment_ranges``).
 
     In aligned mode a high-resolution grid must be preceded by the
-    thumbnail grid that defines its IDs; otherwise ValueError.  A plan
-    too large to allocate is a ValueError naming its slot count.
+    thumbnail grid that defines its IDs (``_has_aligned_map``); otherwise
+    ValueError, before any slot is allocated.  A plan too large to
+    allocate is a ValueError naming its slot count.
     """
     mode = read_value(Field("mode", MODES), mode)
     separator_policy = read_value(Field("separator_policy", SEPARATOR_POLICIES), separator_policy)
+    if mode == "id_align" and not _has_aligned_map(plan):
+        raise ValueError("id_align mode requires a thumbnail grid before the high-resolution grid")
     with allocating_slots(plan):
         if mode == "baseline":
             return PositionIdMap(ids=np.arange(plan.total_tokens), mode=mode)
         return PositionIdMap(ids=_aligned_ids(plan, separator_policy == "sequential-after-image"), mode=mode)
 
 
+def _has_aligned_map(plan: LayoutPlan) -> bool:
+    """Whether the plan has an aligned map: ID-Align's one precondition,
+    that a high-resolution grid inherits the IDs of a thumbnail before it.
+    A plan with no high-res grid has one."""
+    high = plan.highres()
+    return high is None or plan.thumbnail() in plan.segments[: plan.segments.index(high)]
+
+
 def _aligned_ids(plan: LayoutPlan, sequential_separators: bool) -> np.ndarray:
     """The aligned IDs of the plan as one array, each segment written into
     its ``[start, stop)`` slot range.  ``counter`` is one past the largest
-    ID so far; fresh IDs start there."""
+    ID so far; fresh IDs start there.  The plan has an aligned map
+    (``_has_aligned_map``), so its thumbnail is walked before its
+    high-res grid and sets ``thumb_base`` and ``thumb_shape``."""
     ids = np.empty(plan.total_tokens, np.int64)
     counter = 0
-    thumb_shape: GridShape | None = None
-    thumb_base = 0
     for seg, start, stop in segment_ranges(plan):
         out = ids[start:stop]
         if isinstance(seg, HighResGrid):
-            if thumb_shape is None:
-                raise ValueError("id_align mode requires a thumbnail grid before the high-resolution grid")
             rows, cells, tail = seg.runs()
             grid = out.reshape(rows, cells + tail)
             grid[:, :cells] = map_highres_ids(thumb_shape, seg.shape, thumb_base).ids
@@ -211,11 +224,14 @@ def _aligned_ids(plan: LayoutPlan, sequential_separators: bool) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IdSpanReport:
-    """Image-token ID span (max minus min) under each assignment mode."""
+    """Image-token ID span (max minus min) under each assignment mode.
+
+    ``ratio`` is baseline over aligned: 1.0 when both spans are 0, and
+    None, undefined, when only the aligned span is 0."""
 
     baseline_span: int
     id_align_span: int
-    ratio: float
+    ratio: float | None
 
 
 def _map_pair(plan: LayoutPlan, separator_policy: str, baseline, id_align) -> list[PositionIdMap]:
@@ -258,7 +274,7 @@ def id_span_report(
     b = span(baseline)
     a = span(id_align)
     if a == 0:
-        ratio = 1.0 if b == 0 else float("inf")
+        ratio = 1.0 if b == 0 else None
     else:
         ratio = b / a
     return IdSpanReport(baseline_span=b, id_align_span=a, ratio=ratio)

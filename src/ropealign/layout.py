@@ -40,17 +40,20 @@ __all__ = [
 ]
 
 _POSITIVE, _NON_NEGATIVE = IntRange(1), IntRange(0)  # built once: every plan reads several
+_SIDE = IntRange(1, 2**53)  # a pixel side (see Resolution)
 
 
 @dataclass(frozen=True)
 class Resolution:
-    """Pixel dimensions, height first."""
+    """Pixel dimensions, height first, each from 1 to 2**53, past which
+    not every integer is a float (``select_resolution`` and
+    ``fit_with_padding`` scale sides in floats)."""
 
     height: int
     width: int
 
     def __post_init__(self) -> None:
-        read_fields(self, height=_POSITIVE, width=_POSITIVE)
+        read_fields(self, height=_SIDE, width=_SIDE)
 
     @property
     def area(self) -> int:

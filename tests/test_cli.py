@@ -210,6 +210,11 @@ class TestSimulateDecay:
         (["attention-report", "--pop", "constant:inf"], "pop", "constant:inf"),
         (["attention-report", "--pop", "constant:1e999"], "pop", "constant:1e999"),
         (["attention-report", "--pop", "gaussian:nan:1"], "pop", "gaussian:nan:1"),
+        # A spaced form's end and count are at most 2**53, so numpy spaces them in floats.
+        (["simulate-decay", "--distances", f"lin:0..{10**320}:2"], "distances", f"lin:0..{10**320}:2"),
+        (["simulate-decay", "--distances", f"log:0..{10**320}:2"], "distances", f"log:0..{10**320}:2"),
+        (["simulate-decay", "--distances", f"lin:0..10:{10**20}"], "distances", f"lin:0..10:{10**20}"),
+        (["simulate-decay", "--distances", f"log:0..10:{10**20}"], "distances", f"log:0..10:{10**20}"),
     ],
 )
 def test_bad_spec_names_option_and_spec(argv, key, spec, tmp_path, capsys):
@@ -224,6 +229,7 @@ def test_bad_spec_names_option_and_spec(argv, key, spec, tmp_path, capsys):
 
 
 BAD_MU = "error: mu: bad mean preset {}, expected 'zeros' or 'ones:C'\n"
+BAD_SIDE = "{} must be an integer from 1 to 9007199254740992, got {}"
 
 
 @pytest.mark.parametrize(
@@ -238,6 +244,14 @@ BAD_MU = "error: mu: bad mean preset {}, expected 'zeros' or 'ones:C'\n"
         (["simulate-decay", "--mu", "ones:-inf"], BAD_MU.format("'ones:-inf'")),
         (["simulate-decay", "--theta", "inf"], "error: theta must be a number, got inf\n"),
         (["simulate-decay", "--theta", "1e400"], "error: theta must be a number, got inf\n"),
+        # A pixel side is at most 2**53, so selection and fit scale it in floats.
+        (["plan-layout", "--input", f"{10**320}x1"], f"error: input: {BAD_SIDE.format('height', 10**320)}\n"),
+        (["plan-layout", "--input", f"1x{10**320}"], f"error: input: {BAD_SIDE.format('width', 10**320)}\n"),
+        (
+            ["plan-layout", "--input", "1x1", "--candidates", f"{10**320}x1"],
+            f"error: candidates: {BAD_SIDE.format('height', 10**320)}\n",
+        ),
+        (["plan-layout", "--vit", f"{2**53 + 1}x1"], f"error: vit: {BAD_SIDE.format('height', 2**53 + 1)}\n"),
     ],
 )
 def test_bad_value_is_one_error_line(argv, err, tmp_path, capsys):
@@ -563,26 +577,32 @@ class TestAssignIds:
     BOTH_GRIDS = "--mapping-csv needs a plan with both grids"
     THUMB_FIRST = "id_align mode requires a thumbnail grid before the high-resolution grid"
 
-    @pytest.mark.parametrize("mode", ["baseline", "both"])
+    @pytest.mark.parametrize("mode", ["baseline", "id_align", "both"])
     @pytest.mark.parametrize(
         "segments, errors",
         [
-            ([{"kind": "text", "len": 3}], {"baseline": BOTH_GRIDS, "both": BOTH_GRIDS}),
+            ([{"kind": "text", "len": 3}], {"baseline": BOTH_GRIDS, "id_align": BOTH_GRIDS, "both": BOTH_GRIDS}),
             (
                 [{"kind": "highres", "rows": 2, "cols": 2, "row_separator": False},
                  {"kind": "thumb", "rows": 1, "cols": 1}],
-                {"baseline": THUMB_FIRST, "both": THUMB_FIRST},
+                {"baseline": THUMB_FIRST, "id_align": THUMB_FIRST, "both": THUMB_FIRST},
             ),
             (
                 [{"kind": "highres", "rows": 2, "cols": 2, "row_separator": False}],
-                {"baseline": BOTH_GRIDS, "both": THUMB_FIRST},
+                {"baseline": BOTH_GRIDS, "id_align": BOTH_GRIDS, "both": BOTH_GRIDS},
+            ),
+            (
+                [{"kind": "text", "len": 2**80}],
+                {"baseline": BOTH_GRIDS, "id_align": BOTH_GRIDS, "both": BOTH_GRIDS},
             ),
         ],
-        ids=["text-only", "high-then-thumb", "high-only"],
+        ids=["text-only", "high-then-thumb", "high-only", "huge-text-only"],
     )  # fmt: skip
     def test_mapping_csv_without_aligned_grid_fails(self, segments, errors, mode, tmp_path, capsys):
-        """A plan with no aligned grid to write fails in either mode with
-        one line, the plan's own error, and writes nothing."""
+        """A plan with no aligned grid to write fails in every mode with
+        one line, and writes nothing: a plan without both grids is refused
+        before any map, so whatever its size, and a plan with both in the
+        wrong order by idalign's order rule."""
         plan_path = tmp_path / "plan.json"
         plan_path.write_text(json.dumps({"segments": segments, "patch_size": 14}))
         out, csv = tmp_path / "ids.json", tmp_path / "map.csv"
@@ -1583,6 +1603,20 @@ README_ERRORS = {
     "error: plan.json: plan segment 1: rows must be an integer of at least 1, got 0": (
         ["assign-ids", "--plan", "plan.json"],
         {"plan.json": '{"segments":[{"kind":"text","len":2},{"kind":"thumb","rows":0,"cols":2}],"patch_size":14}'},
+    ),
+    "error: --mapping-csv needs a plan with both grids": (
+        ["assign-ids", "--plan", "plan.json", "--mapping-csv", "map.csv"], {"plan.json": json.dumps(_HUGE_PLAN)}
+    ),
+    "error: id_align mode requires a thumbnail grid before the high-resolution grid": (
+        ["assign-ids", "--plan", "plan.json", "--mode", "id_align"],
+        {"plan.json": '{"segments":[{"kind":"highres","rows":2,"cols":2},{"kind":"thumb","rows":1,"cols":1}],"patch_size":14}'},
+    ),
+    "error: distances: bad distance spec 'lin:0..10:100000000000000000000', "
+    "expected log:A..B[:N], lin:A..B[:N] or a comma list": (
+        ["simulate-decay", "--distances", "lin:0..10:100000000000000000000"], {}
+    ),
+    "error: input: height must be an integer from 1 to 9007199254740992, got 9007199254740993": (
+        ["plan-layout", "--input", f"{2**53 + 1}x1"], {}
     ),
 }  # fmt: skip
 

@@ -22,6 +22,7 @@ from ropealign import (
     GridMapping,
     GridShape,
     HighResGrid,
+    IdSpanReport,
     LayoutPlan,
     PositionIdMap,
     Separator,
@@ -333,6 +334,19 @@ class TestAssignPositionIds:
         with pytest.raises(ValueError):
             assign_position_ids(plan, "id_align")
 
+    def test_order_refused_before_size(self):
+        """The order rule is applied before any slot is allocated, so a
+        high-first plan too large to allocate is named by its order."""
+        plan = LayoutPlan(
+            segments=(HighResGrid(GridShape(2**40, 2**40), row_separator=False), ThumbnailGrid(GridShape(1, 1))),
+            patch_size=14,
+        )
+        message = "^id_align mode requires a thumbnail grid before the high-resolution grid$"
+        with pytest.raises(ValueError, match=message):
+            assign_position_ids(plan, "id_align")
+        with pytest.raises(ValueError, match=f"^a plan of {2**80 + 1} slots cannot be allocated$"):
+            assign_position_ids(plan, "baseline")
+
     def test_baseline_equivalence_without_high_grid(self):
         plan = LayoutPlan(
             segments=(TextSegment(3), ThumbnailGrid(GridShape(3, 3)), TextSegment(2)),
@@ -610,3 +624,12 @@ class TestIdSpanReport:
         report = id_span_report(plan)
         assert report.id_align_span == 575
         assert report.baseline_span == 1151
+
+    def test_ratio_undefined_when_only_the_aligned_span_is_0(self):
+        """A 1x1 thumbnail before a 2x2 grid: every aligned image ID is 0,
+        so baseline over aligned is undefined, None."""
+        plan = LayoutPlan(
+            segments=(ThumbnailGrid(GridShape(1, 1)), HighResGrid(GridShape(2, 2), row_separator=False)),
+            patch_size=14,
+        )
+        assert id_span_report(plan) == IdSpanReport(baseline_span=4, id_align_span=0, ratio=None)

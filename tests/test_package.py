@@ -170,6 +170,22 @@ def test_only_codec_allocating_catches_memory_errors():
     assert catchers == {("codec.py", "allocating"), ("cli.py", "_parse")}
 
 
+def test_only_idalign_decides_which_maps_a_plan_has():
+    """``idalign._has_aligned_map`` is the one home of ID-Align's order
+    rule: only ``idalign`` states its message or finds where a grid sits
+    among a plan's segments (``segments.index``)."""
+    homes = set()
+    for path in SRC:
+        text = path.read_text()
+        if "requires a thumbnail grid before the high-resolution grid" in text:
+            homes.add(path.name)
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "index":
+                if ast.unparse(node.func.value).endswith("segments"):
+                    homes.add(path.name)
+    assert homes == {"idalign.py"}
+
+
 def test_allocating_refuses_entries_past_the_address_space_before_its_block():
     ran = []
     with pytest.raises(ValueError, match=r"^a plan of 3 slots at dim 10\*\*30 cannot be allocated$"):
@@ -271,6 +287,10 @@ HOSTILE = {
     "select_resolution-tuple": (
         lambda: select_resolution((336, 336), [Resolution(336, 336)]), "input"
     ),
+    # A pixel side past 2**53 is not exact as a float, and past the float range not one at all.
+    "Resolution-height=10**320": (lambda: Resolution(10**320, 1), "height"),
+    "Resolution-width=10**320": (lambda: Resolution(1, 10**320), "width"),
+    "Resolution-height=2**53+1": (lambda: Resolution(2**53 + 1, 1), "height"),
     "integer-roles": (lambda: TokenPopulation(np.zeros((2, 4)), (1, 2)), "roles"),
     "thumbnail-tuple-shape": (lambda: ThumbnailGrid((3, 4)), "shape"),
     "rope_dot-n=nan": (lambda: rope_dot(_ONES, 0, _ONES, float("nan"), _CONFIG), "n"),

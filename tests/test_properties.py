@@ -1056,6 +1056,34 @@ def test_any_config_document_exits_0_or_2(command, doc):
     _assert_contract(rc, err)
 
 
+# Integers that are small, or past the bounds the options read them under
+# (2**53 for a side, an end or a count, the float range, the address
+# space).  Counts from 21 to 2**45 are left out to bound run time and
+# memory, as _SMALL_INTS leaves them out.
+_MAGNITUDES = st.integers(0, 20) | st.integers(2**45, 10**400)
+_SPEC_TEMPLATES = [  # (option, template, filled with up to four integers)
+    ("input", "{}x{}"), ("vit", "{}x{}"), ("candidates", "{}x{}"), ("candidates", "{}x{},{}x{}"),
+    ("pop", "constant:{}"), ("pop", "gaussian:{}:{}"),
+    ("distances", "lin:{}..{}:{}"), ("distances", "log:{}..{}:{}"), ("distances", "{},{},{}"),
+    ("mu", "ones:{}"),
+]  # fmt: skip
+# Each command's small flags, which the drawn spec follows and overrides.
+_SPEC_BASES = {
+    "simulate-decay": ["--dim", "4", "--samples", "8"],
+    "attention-report": _CONFIG_FAST["attention-report"],
+}
+
+
+@given(st.sampled_from(_SPEC_TEMPLATES), st.lists(_MAGNITUDES, min_size=4, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_any_spec_magnitude_exits_0_or_2(option_template, numbers):
+    option, template = option_template
+    command = "simulate-decay" if option in ("distances", "mu") else "attention-report"
+    with _sandbox():
+        rc, err = _run([command, *_SPEC_BASES[command], f"--{option}", template.format(*numbers)])
+    _assert_contract(rc, err)
+
+
 # Each command's small starting options, given both as flags, which the
 # mutations edit, and as a config file under them, so that a mutation
 # which drops a flag still leaves a small run.
